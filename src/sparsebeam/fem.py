@@ -263,14 +263,13 @@ def control_load_matrix(mesh: Mesh1D) -> sp.csr_matrix:
     """Sparse map from P0 control values to the interior w-load vector."""
     n = mesh.n
     m = 2 * (n - 1)
-    h = mesh.element_sizes
-    rows, cols, vals = [], [], []
-    for j in range(n):
-        for node in (j, j + 1):
-            if 1 <= node <= n - 1:
-                rows.append(2 * (node - 1))
-                cols.append(j)
-                vals.append(h[j] / 2.0)
+    half = mesh.element_sizes / 2.0
+    # element j loads each interior end node's w dof with h_j/2
+    j = np.arange(n)
+    left, right = j[1:], j[:-1]  # elements whose left / right end node is interior
+    rows = np.concatenate([2 * (left - 1), 2 * right])
+    cols = np.concatenate([left, right])
+    vals = np.concatenate([half[left], half[right]])
     return sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
 
 
@@ -426,30 +425,23 @@ def assemble_mixed_blocks(mesh: Mesh1D, params: BeamParams):
     h = mesh.element_sizes
     Eb = params.E / 12.0
 
-    main = np.zeros(n - 1)
-    main += Eb / h[:-1] + Eb / h[1:]
+    main = Eb / h[:-1] + Eb / h[1:]
     off = -Eb / h[1:-1]
     Ath = sp.diags([off, main, off], [-1, 0, 1])
-    A = sp.lil_matrix((m, m))
-    A[1::2, 1::2] = Ath
+    # bending acts on the theta dofs only: Ath on the odd interleaved dofs
+    A = sp.kron(Ath, [[0.0, 0.0], [0.0, 1.0]], format="csr")
 
-    rows, cols, vals = [], [], []
-    for j in range(n):
-        # w-test: int_j gamma v' = gamma_j * (v(x_{j+1}) - v(x_j))
-        for node, sgn in ((j, -1.0), (j + 1, +1.0)):
-            if 1 <= node <= n - 1:
-                rows.append(2 * (node - 1))
-                cols.append(j)
-                vals.append(sgn)
-        # theta-test: -int_j gamma beta = -gamma_j * h_j/2 per node
-        for node in (j, j + 1):
-            if 1 <= node <= n - 1:
-                rows.append(2 * (node - 1) + 1)
-                cols.append(j)
-                vals.append(-h[j] / 2.0)
+    # element j couples to its interior end nodes: the w-test gives
+    # int_j gamma v' = gamma_j (v(x_{j+1}) - v(x_j)), the theta-test
+    # -int_j gamma beta = -gamma_j h_j/2 at each end node
+    j = np.arange(n)
+    left, right = j[1:], j[:-1]  # elements whose left / right end node is interior
+    rows = np.concatenate([2 * (left - 1), 2 * right, 2 * (left - 1) + 1, 2 * right + 1])
+    cols = np.concatenate([left, right, left, right])
+    vals = np.concatenate([-np.ones(n - 1), np.ones(n - 1), -h[left] / 2.0, -h[right] / 2.0])
     C = sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
     Mg = sp.diags(h).tocsr()
-    return A.tocsr(), C, Mg
+    return A, C, Mg
 
 
 def condense_mixed_system(mesh: Mesh1D, params: BeamParams) -> np.ndarray:

@@ -270,7 +270,7 @@ def _smooth_cost(problem: ControlProblem, u: P0Field) -> float:
     return val
 
 
-def fd_gradient_check(problem: ControlProblem, u: P0Field, step: float = 1e-5,
+def fd_gradient_check(problem: ControlProblem, u: P0Field, step: Optional[float] = None,
                       n_perturbations: int = 10,
                       rng: Optional[np.random.Generator] = None) -> float:
     """Max relative deviation between the adjoint gradient and central
@@ -280,9 +280,14 @@ def fd_gradient_check(problem: ControlProblem, u: P0Field, step: float = 1e-5,
     compares (J(u + s e_j) - J(u - s e_j)) / 2s against the coordinate
     gradient h_j*(nu*u_j - pbar_j), each deviation divided by
     max(1, |fd value|).  The smooth reduced cost is exactly quadratic in u,
-    so the central difference has no truncation error at any step size; the
-    returned deviation sits at roundoff level regardless of step.
+    so the central difference has no truncation error at any step size: the
+    deviation is the cancellation error of the difference quotient, roughly
+    the roundoff of J divided by the step, and it falls as the step grows.
+    The default step is 1e-2 * max(1, max|u|); a step of 1e-5 is roundoff
+    bound on thin beams with a control saturated at large bounds.
     """
+    if step is None:
+        step = 1e-2 * max(1.0, float(np.max(np.abs(u.values))))
     mesh = problem.mesh
     gen = rng if rng is not None else np.random.default_rng(0)
     count = min(n_perturbations, mesh.n)

@@ -17,7 +17,22 @@ or upper bound, or free with mu = +/- eta -- and solves the resulting linear
 coupled system exactly.  That is the semismooth Newton step for C written in
 new-iterate form, so the method terminates finitely: once the branch pattern
 repeats, the iterate solves its own linearization and C vanishes to
-roundoff.  Cold starts with a very small L2 weight can overshoot the bounds
+roundoff.
+
+Each pattern system is solved by one LAPACK banded LU (dgbtrf/dgbtrs).
+Ordered node by node -- the controls of the elements interleaved with the
+(w, theta, p, q) unknowns of the interior nodes -- the element-local blocks
+K, Mt, B and Avg give a band of 7 sub- and 6 superdiagonals at every mesh
+size, thickness and grading.  Controls off the free branches keep their
+slots as decoupled unit rows, so the band layout never changes; its
+pattern-independent part is assembled once per solve and one band storage
+is refilled for every pattern.  Two steps of iterative refinement on the
+same factor drive the componentwise backward error, which partial pivoting
+alone leaves far above roundoff on these badly scaled rows, toward
+roundoff.  A pattern with no free element decouples into two solves with
+the stiffness operator.
+
+Cold starts with a very small L2 weight can overshoot the bounds
 and cycle between branch patterns; a revisited pattern is detected exactly
 and the iteration is reseeded once from a continuation path that walks the
 L2 weight down from a safely large value.  The convergence test always uses
@@ -29,11 +44,12 @@ minimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .control import (
     BRANCH_LOWER,
@@ -49,6 +65,7 @@ from .control import (
 )
 from .fem import (
     AdjointSolution,
+    LinearSolveError,
     StateSolution,
     assemble_load,
     control_load_matrix,
@@ -120,6 +137,10 @@ class _Pieces:
         self.Mt_norm = float(np.max(np.abs(self.Mt).sum(axis=1)))
         self.B_norm = float(np.max(np.abs(self.B).sum(axis=1)))
 
+    @cached_property
+    def band(self) -> "_PatternBand":
+        return _PatternBand(self.K, self.Mt, self.B, self.Avg)
+
 
 def _tracking_blocks(problem: ControlProblem):
     """Mass term Mt (interleaved dofs) and target load L_d of the adjoint row."""
@@ -146,17 +167,13 @@ def _tracking_blocks(problem: ControlProblem):
 def _average_matrix(problem: ControlProblem) -> sp.csr_matrix:
     """n x m map from interleaved nodal dofs to elementwise averages of the
     deflection-like component (boundary nodes contribute zero)."""
-    mesh = problem.mesh
-    n = mesh.n
+    n = problem.mesh.n
     m = 2 * (n - 1)
-    rows, cols, vals = [], [], []
-    for j in range(n):
-        for node in (j, j + 1):
-            if 1 <= node <= n - 1:
-                rows.append(j)
-                cols.append(2 * (node - 1))
-                vals.append(0.5)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, m)).tocsr()
+    j = np.arange(n)
+    left, right = j[1:], j[:-1]  # elements whose left / right end node is interior
+    rows = np.concatenate([left, right])
+    cols = np.concatenate([2 * (left - 1), 2 * right])
+    return sp.csr_matrix((np.full(rows.size, 0.5), (rows, cols)), shape=(n, m))
 
 
 def _fixed_control(branches: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -171,66 +188,172 @@ def _free_indices(branches: np.ndarray) -> np.ndarray:
     return np.nonzero((branches == BRANCH_POS) | (branches == BRANCH_NEG))[0]
 
 
-def _build_coupled(pieces: _Pieces, branches: np.ndarray, nu: Optional[float] = None,
-                   shift: Optional[np.ndarray] = None):
-    """Coupled sparse system for one branch pattern.
+# Band layout of a pattern system: a slot for every element control and the
+# unknowns (w_i, theta_i, p_i, q_i) of every interior node, in the order
+# u_0, node 1, u_1, node 2, ..., node n-1, u_{n-1}; the equations follow the
+# same order.  All blocks are element-local, so the matrix is banded with KL
+# sub- and KU superdiagonals at any n, thickness or mesh grading: KL = 7 is
+# reached by the tracking mass coupling a node's adjoint rows to the
+# previous node's state, KU = 6 by the stiffness coupling to the next node.
+# A control off the free branches keeps its slot as a unit row and column
+# with no coupling, so it drops out of the system exactly, LU does no
+# elimination work on it, and no pattern re-indexes the band.
+_KL, _KU = 7, 6
+_DIAG = _KL + _KU  # band row of the main diagonal in LAPACK band storage
+_SLOTS = 5  # slots per element: its control and its right end node
 
-    Unknowns are stacked as (state dofs, adjoint dofs, free controls); bound
-    and zero controls are substituted into the right-hand side.  Eliminating
-    the state and adjoint blocks reduces the matrix to nu*I + T[free, free]
-    with T the dense reduced operator of the oracle module.  A shift vector
-    adds to the control-row right-hand side; together with an inflated nu it
-    realizes the proximally centered subproblems of the reseeding path.
+
+class _PatternBand:
+    """Banded LU of the coupled system of one branch pattern.
+
+    The pattern-independent stiffness/mass part of the band is assembled
+    once; a pattern copies it into one band storage, reused by every
+    pattern, and sets the control rows and columns: -B_f, -Avg_f and nu on
+    free elements, a unit diagonal elsewhere.
     """
-    nu = pieces.nu if nu is None else nu
-    free = _free_indices(branches)
+
+    def __init__(self, K: sp.csr_matrix, Mt: sp.csr_matrix, B: sp.csr_matrix,
+                 Avg: sp.csr_matrix):
+        self.K, self.Mt, self.B, self.Avg = K, Mt, B, Avg
+        n = B.shape[1]
+        self.m = K.shape[0]
+        self.size = _SLOTS * n - 4
+
+        def slot(dof, comp):  # interleaved dof -> band slot; comp 2 for the adjoint
+            return _SLOTS * (dof // 2) + 1 + comp + dof % 2
+
+        # the blocks [[K, 0], [Mt, K]] of the state and adjoint rows
+        k, mt = K.tocoo(), Mt.tocoo()
+        r = np.concatenate([slot(k.row, 0), slot(k.row, 2), slot(mt.row, 2)])
+        c = np.concatenate([slot(k.col, 0), slot(k.col, 2), slot(mt.col, 0)])
+        self.fixed = np.zeros((_KL + _KU + 1, self.size), order="F")
+        self.fixed[_KU + r - c, c] = np.concatenate([k.data, k.data, mt.data])
+        # entries of B and Avg per element, at its left [0] and right [1] end node
+        b, avg = B.tocoo(), Avg.tocoo()
+        self.b_end = np.zeros((2, n))
+        self.b_end[(b.row != 2 * (b.col - 1)).astype(int), b.col] = b.data
+        self.avg_end = np.zeros((2, n))
+        self.avg_end[(avg.col != 2 * (avg.row - 1)).astype(int), avg.row] = avg.data
+        self.ab = np.empty((2 * _KL + _KU + 1, self.size), order="F")
+
+    def _fill(self, is_free: np.ndarray, nu: float) -> np.ndarray:
+        ab = self.ab
+        ab[_KL:] = self.fixed  # rows above KL are LU fill, which dgbtrf sets itself
+        ctl = ab[:, 0::_SLOTS]  # control columns
+        ctl[_DIAG] = np.where(is_free, nu, 1.0)
+        ctl[_DIAG - 4] = np.where(is_free, -self.b_end[0], 0.0)  # w row of the left node
+        ctl[_DIAG + 1] = np.where(is_free, -self.b_end[1], 0.0)  # w row of the right node
+        p_col = ab[:, 3::_SLOTS]  # p columns of the interior nodes
+        p_col[_DIAG + 2] = np.where(is_free[1:], -self.avg_end[0, 1:], 0.0)  # control row right of it
+        p_col[_DIAG - 3] = np.where(is_free[:-1], -self.avg_end[1, :-1], 0.0)  # control row left of it
+        return ab
+
+    def _to_band(self, fx, fy, fu):
+        z = np.empty(self.size)
+        z[0::_SLOTS] = fu
+        z[1::_SLOTS] = fx[0::2]
+        z[2::_SLOTS] = fx[1::2]
+        z[3::_SLOTS] = fy[0::2]
+        z[4::_SLOTS] = fy[1::2]
+        return z
+
+    def _from_band(self, z):
+        m = self.m
+        x, y = np.empty(m), np.empty(m)
+        x[0::2], x[1::2] = z[1::_SLOTS], z[2::_SLOTS]
+        y[0::2], y[1::2] = z[3::_SLOTS], z[4::_SLOTS]
+        return x, y, z[0::_SLOTS]
+
+    def _apply(self, is_free, nu, z):
+        """Product of the band matrix with a band-ordered vector."""
+        x, y, u = self._from_band(z)
+        return self._to_band(self.K @ x - self.B @ np.where(is_free, u, 0.0),
+                             self.Mt @ x + self.K @ y,
+                             np.where(is_free, nu * u - self.Avg @ y, u))
+
+    def solve(self, is_free, nu, f_state, f_adj, f_ctl):
+        """Solve K x - B_f u_f = f_state, Mt x + K y = f_adj and
+        nu u_f - Avg_f y = f_ctl on the free set, by banded LU with two
+        refinement steps on the same factor.  Returns (x, y, u) with u zero
+        off the free set."""
+        lu, piv, info = dgbtrf(self._fill(is_free, nu), _KL, _KU, overwrite_ab=1)
+        if info != 0:
+            raise LinearSolveError(f"pattern factorization failed (dgbtrf info {info})")
+
+        def lu_solve(r):
+            z, info = dgbtrs(lu, _KL, _KU, r, piv)
+            if info != 0:
+                raise LinearSolveError(f"pattern solve failed (dgbtrs info {info})")
+            return z
+
+        rhs = self._to_band(f_state, f_adj, np.where(is_free, f_ctl, 0.0))
+        z = lu_solve(rhs)
+        for _ in range(2):  # refinement toward the backward-error floor
+            z = z + lu_solve(rhs - self._apply(is_free, nu, z))
+        return self._from_band(z)
+
+    def matrix(self, is_free: np.ndarray, nu: float) -> sp.csc_matrix:
+        """The pattern matrix as newton_system stacks it: rows and columns
+        (state dofs, adjoint dofs, free controls)."""
+        m = self.m
+        band_row, col = np.nonzero(self._fill(is_free, nu)[_KL:])
+        row = col + band_row - _KU
+        free = np.nonzero(is_free)[0]
+        ctl = np.full(is_free.size, -1)  # fixed controls drop out
+        ctl[free] = 2 * m + np.arange(free.size)
+        stacked = self._to_band(np.arange(m), m + np.arange(m), ctl).astype(int)
+        keep = (stacked[row] >= 0) & (stacked[col] >= 0)
+        vals = self.ab[_KL + band_row[keep], col[keep]]
+        size = 2 * m + free.size
+        return sp.csc_matrix((vals, (stacked[row[keep]], stacked[col[keep]])), shape=(size, size))
+
+
+def _pattern_rhs(pieces: _Pieces, branches: np.ndarray, shift: Optional[np.ndarray] = None):
+    """Right-hand side of the coupled system for one branch pattern.
+
+    Bound and zero controls are substituted into the state right-hand side.
+    Eliminating the state and adjoint blocks reduces the system to
+    nu*I + T[free, free] with T the dense reduced operator of the oracle
+    module.  A shift vector adds to the control-row right-hand side;
+    together with an inflated nu it realizes the proximally centered
+    subproblems of the reseeding path.  Returns the state, adjoint and
+    control-row right-hand sides (the last per element, used on the free
+    set), the free mask and the fixed controls.
+    """
+    is_free = (branches == BRANCH_POS) | (branches == BRANCH_NEG)
     u_fix = _fixed_control(branches, pieces.a, pieces.b)
-    rhs1 = pieces.Lf + pieces.B @ u_fix
-    if free.size == 0:
-        return None, np.concatenate([rhs1, pieces.Ld]), free, u_fix
-    s = np.where(branches[free] == BRANCH_POS, 1.0, -1.0)
-    Bf = pieces.B[:, free]
-    Af = pieces.Avg[free, :]
-    nuI = sp.identity(free.size, format="csr") * nu
-    A = sp.bmat(
-        [[pieces.K, None, -Bf], [pieces.Mt, pieces.K, None], [None, -Af, nuI]],
-        format="csc",
-    )
-    rhs3 = -pieces.eta * s
+    f_ctl = -pieces.eta * np.where(branches == BRANCH_POS, 1.0, -1.0)
     if shift is not None:
-        rhs3 = rhs3 + shift[free]
-    rhs = np.concatenate([rhs1, pieces.Ld, rhs3])
-    return A, rhs, free, u_fix
+        f_ctl = f_ctl + shift
+    return pieces.Lf + pieces.B @ u_fix, pieces.Ld, f_ctl, is_free, u_fix
 
 
 def newton_system(problem: ControlProblem, branches: np.ndarray):
     """Expose one iteration's linear system for a given branch pattern.
 
+    Unknowns are stacked as (state dofs, adjoint dofs, free controls).
     Returns (A, rhs, free): A is None when no element is on a free branch
     (the system then decouples into two banded solves).
     """
-    A, rhs, free, _ = _build_coupled(_Pieces(problem), np.asarray(branches, dtype=int))
+    pieces = _Pieces(problem)
+    f_state, f_adj, f_ctl, is_free, _ = _pattern_rhs(pieces, np.asarray(branches, dtype=int))
+    free = np.nonzero(is_free)[0]
+    rhs = np.concatenate([f_state, f_adj, f_ctl[free]])
+    A = pieces.band.matrix(is_free, pieces.nu) if free.size else None
     return A, rhs, free
 
 
 def _solve_pattern(pieces: _Pieces, branches: np.ndarray, nu: Optional[float] = None,
                    shift: Optional[np.ndarray] = None):
     """Solve the coupled system of one branch pattern exactly."""
-    A, rhs, free, u_fix = _build_coupled(pieces, branches, nu, shift)
-    m = pieces.m
-    if A is None:
-        x = pieces.op.solve(rhs[:m])
-        y = pieces.op.solve(rhs[m:] - pieces.Mt @ x)
-        u = u_fix
-    else:
-        lu = splu(A)
-        sol = lu.solve(rhs)
-        for _ in range(2):  # refinement toward the backward-error floor
-            sol = sol + lu.solve(rhs - A @ sol)
-        x, y = sol[:m], sol[m : 2 * m]
-        u = u_fix.copy()
-        u[free] = sol[2 * m :]
-    return x, y, u, free
+    nu = pieces.nu if nu is None else nu
+    f_state, f_adj, f_ctl, is_free, u = _pattern_rhs(pieces, branches, shift)
+    if not is_free.any():
+        x = pieces.op.solve(f_state)
+        return x, pieces.op.solve(f_adj - pieces.Mt @ x), u
+    x, y, u_free = pieces.band.solve(is_free, nu, f_state, f_adj, f_ctl)
+    u[is_free] = u_free[is_free]
+    return x, y, u
 
 
 def _reduced_norm(pieces: _Pieces, iters: int = 60) -> float:
@@ -269,7 +392,7 @@ def _pdas_stage(pieces: _Pieces, z_eff: np.ndarray, nu_eff: float, cap: int,
     stable = False
     for _ in range(cap):
         count += 1
-        _, y, u, _ = _solve_pattern(pieces, branches, nu_eff, shift)
+        _, y, u = _solve_pattern(pieces, branches, nu_eff, shift)
         z_plain = pieces.Avg @ y
         z_eff = z_plain if shift is None else z_plain + shift
         nxt = classify_branches(z_eff, pieces.a, pieces.b, nu_eff, pieces.eta)
@@ -366,7 +489,7 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
 
         iterations += 1
         active_history.append(_free_indices(branches))
-        x, y, u_vals, _ = _solve_pattern(pieces, branches)
+        x, y, u_vals = _solve_pattern(pieces, branches)
         z = pieces.Avg @ y
         mu_vals = z - nu * u_vals
 

@@ -1,4 +1,6 @@
 """Assembly, direct solves, and the analytic clamped-beam solution."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -19,7 +21,8 @@ from sparsebeam.fem import (
     solve_adjoint,
     solve_state,
 )
-from sparsebeam.meshes import P0Field, P1Field, build_uniform_mesh, eval_p1
+from sparsebeam.meshes import Mesh1D, P0Field, P1Field, build_uniform_mesh, eval_p1
+from sparsebeam.ssn import _average_matrix
 
 
 def analytic_constant_load(params, q=1.0):
@@ -284,6 +287,65 @@ class TestErrorNorms:
         b = P1Field.zeros(build_uniform_mesh(5))
         with pytest.raises(ValueError):
             error_norms((a, a), (b, b))
+
+
+# Element-loop references of the vectorized block builders.
+
+def _loop_control_load(mesh):
+    n, h = mesh.n, mesh.element_sizes
+    B = np.zeros((2 * (n - 1), n))
+    for j in range(n):
+        for node in (j, j + 1):
+            if 1 <= node <= n - 1:
+                B[2 * (node - 1), j] += h[j] / 2.0
+    return B
+
+
+def _loop_average(mesh):
+    n = mesh.n
+    Avg = np.zeros((n, 2 * (n - 1)))
+    for j in range(n):
+        for node in (j, j + 1):
+            if 1 <= node <= n - 1:
+                Avg[j, 2 * (node - 1)] += 0.5
+    return Avg
+
+
+def _loop_mixed(mesh, params):
+    n, h = mesh.n, mesh.element_sizes
+    m = 2 * (n - 1)
+    Eb = params.E / 12.0
+    A = np.zeros((m, m))
+    C = np.zeros((m, n))
+    for j in range(n):
+        nodes = [node for node in (j, j + 1) if 1 <= node <= n - 1]
+        for a in nodes:
+            for b in nodes:
+                A[2 * (a - 1) + 1, 2 * (b - 1) + 1] += (Eb if a == b else -Eb) / h[j]
+        for node, sgn in ((j, -1.0), (j + 1, +1.0)):
+            if 1 <= node <= n - 1:
+                C[2 * (node - 1), j] += sgn
+                C[2 * (node - 1) + 1, j] += -h[j] / 2.0
+    return A, C, np.diag(h)
+
+
+class TestVectorizedBuilders:
+    PARAMS = BeamParams(E=1.3, t=0.05, kappa_override=0.9)
+
+    @pytest.mark.parametrize("nodes", [
+        np.linspace(0.0, 1.0, 3),
+        np.linspace(0.0, 1.0, 10),
+        np.linspace(0.0, 1.0, 12) ** 2,
+        np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 15)]),
+    ], ids=["two-elements", "uniform", "graded", "geometric"])
+    def test_equal_to_element_loops(self, nodes):
+        mesh = Mesh1D(nodes)
+        assert np.array_equal(control_load_matrix(mesh).toarray(), _loop_control_load(mesh))
+        # _average_matrix reads the problem's mesh only
+        avg = _average_matrix(SimpleNamespace(mesh=mesh))
+        assert np.array_equal(avg.toarray(), _loop_average(mesh))
+        for got, ref in zip(assemble_mixed_blocks(mesh, self.PARAMS), _loop_mixed(mesh, self.PARAMS)):
+            assert np.array_equal(got.toarray(), ref)
 
 
 def test_linear_solve_error_is_runtime_error():

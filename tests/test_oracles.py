@@ -3,7 +3,10 @@ import numpy as np
 import pytest
 
 from conftest import eta_threshold, toy_problem, zero_problem
-from sparsebeam.meshes import P0Field, l2_diff_p0
+from sparsebeam.control import ControlParams
+from sparsebeam.fem import BeamParams, LoadData
+from sparsebeam.meshes import P0Field, build_uniform_mesh, l2_diff_p0
+from sparsebeam.problem import ControlProblem
 from sparsebeam.oracles import (
     OracleConfig,
     ReducedQuadratic,
@@ -111,6 +114,18 @@ class TestGradientCheck:
     def test_at_zero_control(self):
         prob = toy_problem(n=20, nu=1e-4)
         assert fd_gradient_check(prob, prob.zero_control()) <= 1e-6
+
+    def test_default_step_on_saturated_thin_beam(self):
+        # a step of 1e-5 leaves a cancellation error near 5e-5 here; the
+        # default step scales with the control, which sits at the bounds
+        mesh = build_uniform_mesh(868)
+        prob = ControlProblem(mesh, BeamParams(E=1.0, t=1e-3),
+                              LoadData(f=lambda x: 1e4 * np.sin(8.0 * np.pi * x)),
+                              ControlParams(nu=5.1e-9, eta=1e-6, a=-60.0, b=60.0))
+        res = ssn_solve(prob)
+        assert res.converged
+        assert np.mean(np.abs(res.u.values) == 60.0) >= 0.99
+        assert fd_gradient_check(prob, res.u) <= 1e-6
 
     def test_with_theta_tracking_term(self):
         from dataclasses import replace

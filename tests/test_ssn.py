@@ -1,19 +1,30 @@
 """Active-set solver: termination, invariants, oracle agreement."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
 from conftest import eta_threshold, toy_problem, zero_problem
 from sparsebeam.control import (
+    BRANCH_LOWER,
     BRANCH_NEG,
     BRANCH_POS,
     BRANCH_UPPER,
     BRANCH_ZERO,
+    ControlParams,
     variational_inequality_residual,
 )
-from sparsebeam.meshes import P0Field, build_uniform_mesh, l2_diff_p0, pi_h
+from sparsebeam.fem import BeamParams, LinearSolveError, LoadData
+from sparsebeam.meshes import Mesh1D, P0Field, build_uniform_mesh, l2_diff_p0, pi_h
 from sparsebeam.oracles import OracleConfig, ReducedQuadratic, prox_gradient_solve
+from sparsebeam.problem import ControlProblem
 from sparsebeam.ssn import (
     SSNConfig,
+    _PatternBand,
+    _Pieces,
+    _solve_pattern,
     kkt_residual,
     newton_system,
     residual,
@@ -238,6 +249,93 @@ class TestNewtonSystem:
         assert A is None
         assert free.size == 0
         assert rhs.shape == (2 * 2 * (prob.mesh.n - 1),)
+
+
+@st.composite
+def pattern_cases(draw):
+    """A problem, a branch pattern and an optional proximal reseed shift."""
+    n = draw(st.integers(2, 40))
+    nodes = np.linspace(0.0, 1.0, n + 1)
+    if draw(st.booleans()):
+        nodes = nodes ** draw(st.sampled_from([2.0, 3.0]))  # graded toward x = 0
+    t = draw(st.sampled_from([1.0, 1e-2, 1e-5]))
+    nu = 10.0 ** draw(st.floats(-12.0, 0.0))
+    problem = ControlProblem(
+        Mesh1D(nodes), BeamParams(E=1.0, t=t),
+        LoadData(f=lambda x: 100.0 * np.sin(3.0 * x), w_d=lambda x: 0.01 * x,
+                 theta_d=lambda x: 0.02 * x),
+        ControlParams(nu=nu, eta=1e-3, a=-5.0, b=5.0),
+        adjoint_theta_term=draw(st.booleans()),
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    free = rng.choice([BRANCH_POS, BRANCH_NEG], n)
+    fixed = rng.choice([BRANCH_ZERO, BRANCH_UPPER, BRANCH_LOWER], n)
+    kind = draw(st.sampled_from(["free", "fixed", "alternating", "random"]))
+    branches = {
+        "free": free,
+        "fixed": fixed,
+        "alternating": np.where(np.arange(n) % 2 == 0, free, fixed),
+        "random": np.where(rng.random(n) < 0.5, free, fixed),
+    }[kind]
+    nu_eff, shift = nu, None
+    if draw(st.booleans()):  # a reseed stage: inflated weight, shifted control rows
+        tau = 10.0 ** draw(st.floats(-6.0, 2.0))
+        nu_eff, shift = nu + tau, tau * rng.uniform(-5.0, 5.0, n)
+    return problem, branches, nu_eff, shift
+
+
+class TestBandedPatternSolve:
+    EPS = np.finfo(float).eps
+
+    @given(pattern_cases())
+    def test_backward_stable_and_matches_spsolve(self, case):
+        problem, branches, nu_eff, shift = case
+        pieces = _Pieces(problem)
+        x, y, u = _solve_pattern(pieces, branches, nu_eff, shift)
+        A, rhs, free = newton_system(problem.with_control(nu=nu_eff), branches)
+        if A is None:
+            # no free control: the block lower-triangular state/adjoint system
+            A = sp.bmat([[pieces.K, None], [pieces.Mt, pieces.K]], format="csr")
+            sol = np.concatenate([x, y])
+        else:
+            # newton_system's matrix equals the stack of the separately built blocks
+            ref = sp.bmat([[pieces.K, None, -pieces.B[:, free]],
+                           [pieces.Mt, pieces.K, None],
+                           [None, -pieces.Avg[free, :], nu_eff * sp.identity(free.size)]])
+            assert abs(A - ref).max() == 0.0
+            if shift is not None:
+                rhs[2 * pieces.m:] += shift[free]
+            sol = np.concatenate([x, y, u[free]])
+        fixed = np.setdiff1d(np.arange(problem.mesh.n), free)
+        a, b = problem.bounds
+        targets = np.select([branches == BRANCH_UPPER, branches == BRANCH_LOWER], [b, a], 0.0)
+        assert np.array_equal(u[fixed], targets[fixed])
+
+        residual = np.abs(A @ sol - rhs)
+        a_norm = abs(A).sum(axis=1).max()
+        backward = np.max(residual) / (a_norm * np.max(np.abs(sol)) + np.max(np.abs(rhs)))
+        assert backward <= 8 * self.EPS
+        if problem.beam.t >= 1e-2:
+            # the refinement steps reach the componentwise backward-error
+            # floor, which the plain factor misses by up to 1e6; at t = 1e-5
+            # the 1/t^2 shear scale puts that floor out of their reach
+            scale = abs(A) @ np.abs(sol) + np.abs(rhs)
+            componentwise = np.divide(residual, scale, out=np.zeros_like(scale), where=scale > 0)
+            assert np.max(componentwise) <= 8 * self.EPS
+
+        reference = spsolve(A.tocsc(), rhs)
+        kappa = np.linalg.cond(A.toarray(), np.inf)
+        assert np.max(np.abs(sol - reference)) <= 10 * kappa * self.EPS * np.max(np.abs(reference))
+
+    def test_zero_pivot_raises(self):
+        # without stiffness the rotation columns are empty (no theta
+        # tracking term), so dgbtrf meets an exact zero pivot
+        pieces = _Pieces(toy_problem(n=6, nu=1e-3))
+        band = _PatternBand(sp.csr_matrix(pieces.K.shape), pieces.Mt, pieces.B, pieces.Avg)
+        is_free = np.ones(6, dtype=bool)
+        with pytest.raises(LinearSolveError):
+            band.solve(is_free, pieces.nu, pieces.Lf, pieces.Ld, np.zeros(6))
 
 
 class TestOracleAgreement:
