@@ -6,7 +6,8 @@ Library layout:
     fem           beam discretization (standard and locking-free), solves,
                   mixed-formulation blocks, error norms
     control       cost functional, pointwise optimality machinery
-    problem       ControlProblem container tying the layers together
+    problem       ControlProblem container tying the layers together, with
+                  its cached operator and optimality system
     ssn           semismooth Newton / primal-dual active set solver
     oracles       independent solvers for verification
     manufactured  exact solutions with symbolically derived loads
@@ -18,7 +19,6 @@ from .control import (
     ControlParams,
     CostBreakdown,
     MultiplierState,
-    active_set,
     complementarity,
     cost,
     pointwise_optimal_control,
@@ -42,7 +42,6 @@ from .fem import (
     condense_mixed_system,
     error_norms,
     recover_shear,
-    solve_adjoint,
     solve_state,
 )
 from .manufactured import ManufacturedCase, balanced_family, from_fields, sine_family
@@ -66,6 +65,6 @@ from .oracles import (
     prox_gradient_solve,
 )
 from .problem import ControlProblem
-from .ssn import SSNConfig, SSNResult, kkt_residual, newton_system, residual, solve_pure_l2, ssn_solve
+from .ssn import SSNConfig, SSNResult, kkt_residual, newton_system, residual, ssn_solve
 
 __version__ = "0.1.0"

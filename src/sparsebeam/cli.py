@@ -6,8 +6,6 @@
     sparsebeam convergence  --config run.ini --out results/ [--jobs N]
 
 Exit codes: 0 success, 1 configuration error, 2 solver non-convergence.
-The --seed flag is recorded in output provenance; current studies are fully
-deterministic, so it changes nothing but the header.
 """
 from __future__ import annotations
 
@@ -49,7 +47,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="INI configuration file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--jobs", type=int, default=1, help="parallel workers for grid studies")
-        p.add_argument("--seed", type=int, default=None, help="recorded in output provenance")
     return parser
 
 
@@ -67,21 +64,21 @@ def main(argv=None) -> int:
 
         if args.command == "sweep":
             rows = run_sweep(cfg)
-            write_sweep_csv(rows, out / "sweep.csv", cfg, args.seed)
+            write_sweep_csv(rows, out / "sweep.csv", cfg)
             return 0 if all(r.converged for r in rows) else 2
 
         if args.command == "locking":
             rows = run_locking(cfg, jobs=args.jobs)
-            write_rows_csv(rows, LOCKING_COLUMNS, out / "locking.csv", cfg, args.seed)
+            write_rows_csv(rows, LOCKING_COLUMNS, out / "locking.csv", cfg)
             return 0 if all(r["converged"] for r in rows) else 2
 
         rows, slopes = run_convergence(cfg, jobs=args.jobs)
-        write_rows_csv(rows, CONVERGENCE_COLUMNS, out / "convergence.csv", cfg, args.seed)
+        write_rows_csv(rows, CONVERGENCE_COLUMNS, out / "convergence.csv", cfg)
         write_csv(
             out / "convergence_slopes.csv",
             ["quantity", "slope"],
             [[k, v] for k, v in sorted(slopes.items())],
-            provenance_lines(cfg, args.seed),
+            provenance_lines(cfg),
         )
         return 0 if all(r["converged"] for r in rows) else 2
     except ConfigError as exc:

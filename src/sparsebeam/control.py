@@ -5,8 +5,8 @@ Cost functional:
     J(w, u) = 1/2 ||w - w_d||^2  +  nu/2 ||u||^2  +  eta ||u||_L1,
 
 minimized over controls with pi_h(a) <= u <= pi_h(b) elementwise.  With the
-descent-convention averaged adjoint pbar (see fem.solve_adjoint), the
-optimality system reads nu*u + mu = pbar with mu = lambda + lambda_b -
+descent-convention averaged adjoint pbar (see ControlProblem.solve_adjoint),
+the optimality system reads nu*u + mu = pbar with mu = lambda + lambda_b -
 lambda_a, |lambda| <= eta and lambda = eta*sign(u) where u is nonzero, and
 nonnegative bound multipliers lambda_a, lambda_b with complementary
 slackness.  Its pointwise solution is a clipped soft-shrinkage:
@@ -24,7 +24,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .meshes import GAUSS_2PT, Mesh1D, P0Field, P1Field, eval_p1, p0_average, pi_h
+from .meshes import GAUSS_2PT, Mesh1D, P0Field, P1Field, eval_p1, p0_average, pi_h, point_values
 
 __all__ = [
     "ControlParams",
@@ -35,7 +35,7 @@ __all__ = [
     "pointwise_optimal_control",
     "complementarity",
     "classify_branches",
-    "active_set",
+    "fixed_control",
     "variational_inequality_residual",
     "cost",
     "reconstruct_multipliers",
@@ -56,8 +56,6 @@ BRANCH_NEG = -1    # a < u < 0, mu = -eta
 BRANCH_UPPER = 2   # u = b, mu >= eta
 BRANCH_LOWER = -2  # u = a, mu <= -eta
 
-C_LAST_TERM_SIGNS = ("symmetric", "asymmetric")
-
 
 @dataclass(frozen=True)
 class ControlParams:
@@ -65,27 +63,19 @@ class ControlParams:
 
     nu > 0 is the quadratic weight, eta >= 0 the sparsity weight; a <= 0 <= b
     are the bounds (constants, callables, or P0 fields), enforced elementwise
-    after projection onto piecewise constants.  l1_half_factor only changes
-    how the L1 term is *reported* in cost breakdowns (eta/2 instead of eta);
-    the optimality system always uses weight eta.  c_last_term_sign selects
-    the sign of eta in the final min-term of the complementarity function;
-    only "symmetric" has the exact root set of the optimality system.
+    after projection onto piecewise constants.
     """
 
     nu: float
     eta: float
     a: BoundData = -np.inf
     b: BoundData = np.inf
-    l1_half_factor: bool = False
-    c_last_term_sign: str = "symmetric"
 
     def __post_init__(self):
         if not (self.nu > 0):
             raise ValueError("nu must be positive")
         if not (self.eta >= 0):
             raise ValueError("eta must be nonnegative")
-        if self.c_last_term_sign not in C_LAST_TERM_SIGNS:
-            raise ValueError(f"c_last_term_sign must be one of {C_LAST_TERM_SIGNS}")
         # infinite constant bounds are allowed (unconstrained side); sign
         # checks for non-constant bounds happen at discretization time
         if np.isscalar(self.a) and self.a > 0:
@@ -136,34 +126,28 @@ def pointwise_optimal_control(p_bar, params: ControlParams, mesh: Optional[Mesh1
     return np.clip(shrink(np.asarray(p_bar, dtype=float), params.eta) / params.nu, a, b)
 
 
-def complementarity_values(u: np.ndarray, mu: np.ndarray, a, b, nu: float, eta: float,
-                           last_term_sign: str = "symmetric") -> np.ndarray:
+def complementarity_values(u: np.ndarray, mu: np.ndarray, a, b, nu: float, eta: float) -> np.ndarray:
     """C(u, mu) elementwise; zero exactly at points satisfying the optimality system.
 
     C = nu*u - max(0, nu*u + mu - eta) - min(0, nu*u + mu + eta)
-             + max(0, nu*(u-b) + mu - eta) + min(0, nu*(u-a) + mu +/- eta)
+             + max(0, nu*(u-b) + mu - eta) + min(0, nu*(u-a) + mu + eta)
 
-    with +eta in the last term for "symmetric" (the consistent variant, a
-    mirror image of the upper-bound term) and -eta for "asymmetric".
+    The lower-bound term mirrors the upper-bound one.
     """
     z = nu * u + mu
-    last_eta = eta if last_term_sign == "symmetric" else -eta
     c = (
         nu * u
         - np.maximum(0.0, z - eta)
         - np.minimum(0.0, z + eta)
         + np.maximum(0.0, nu * (u - b) + mu - eta)
-        + np.minimum(0.0, nu * (u - a) + mu + last_eta)
+        + np.minimum(0.0, nu * (u - a) + mu + eta)
     )
     return c
 
 
 def complementarity(u: P0Field, mu: P0Field, params: ControlParams) -> P0Field:
     a, b = discretize_bounds(params, u.mesh)
-    vals = complementarity_values(
-        u.values, mu.values, a, b, params.nu, params.eta, params.c_last_term_sign
-    )
-    return P0Field(u.mesh, vals)
+    return P0Field(u.mesh, complementarity_values(u.values, mu.values, a, b, params.nu, params.eta))
 
 
 def classify_branches(z: np.ndarray, a: np.ndarray, b: np.ndarray, nu: float, eta: float) -> np.ndarray:
@@ -183,18 +167,12 @@ def classify_branches(z: np.ndarray, a: np.ndarray, b: np.ndarray, nu: float, et
     return br
 
 
-def active_set(p: P1Field, params: ControlParams):
-    """Indices where the control is free and nonzero, judged from pbar.
-
-    A = {j : nu*a < pbar_j + eta <= 0} union {j : 0 <= pbar_j - eta < nu*b}.
-    Returns (indices, indicator P0Field).
-    """
-    pbar = p0_average(p)
-    a, b = discretize_bounds(params, p.mesh)
-    br = classify_branches(pbar.values, a, b, params.nu, params.eta)
-    mask = (br == BRANCH_POS) | (br == BRANCH_NEG)
-    chi = P0Field(p.mesh, mask.astype(float))
-    return np.nonzero(mask)[0], chi
+def fixed_control(branches: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Control values implied by the non-free branches (zero on free ones)."""
+    u = np.zeros(branches.shape)
+    u[branches == BRANCH_UPPER] = b[branches == BRANCH_UPPER]
+    u[branches == BRANCH_LOWER] = a[branches == BRANCH_LOWER]
+    return u
 
 
 def variational_inequality_residual(u: P0Field, p: P1Field, params: ControlParams) -> float:
@@ -222,8 +200,7 @@ class CostBreakdown:
 def cost(u: P0Field, w: P1Field, w_d, params: ControlParams) -> CostBreakdown:
     """Evaluate the cost functional at (u, w) for target w_d.
 
-    w_d may be a constant, callable, or P1Field.  With l1_half_factor the
-    reported L1 term uses eta/2 (the optimality system is unaffected).
+    w_d may be a constant, a callable, a P0Field or a P1Field.
     """
     mesh = w.mesh
     h = mesh.element_sizes
@@ -232,15 +209,13 @@ def cost(u: P0Field, w: P1Field, w_d, params: ControlParams) -> CostBreakdown:
         aa, bb = d[:-1], d[1:]
         tracking = 0.5 * float(np.sum(h * (aa * aa + aa * bb + bb * bb) / 3.0))
     else:
-        wd = (lambda x: np.full_like(x, float(w_d))) if np.isscalar(w_d) else w_d
         tracking = 0.0
         for qpt, wq in zip(GAUSS_2PT.points, GAUSS_2PT.weights):
             x = mesh.nodes[:-1] + h * qpt
-            d = eval_p1(w, x) - np.asarray(wd(x), dtype=float)
+            d = eval_p1(w, x) - point_values(w_d, mesh, x)
             tracking += 0.5 * wq * float(np.sum(h * d * d))
     l2_term = 0.5 * params.nu * float(np.sum(h * u.values**2))
-    w_l1 = 0.5 * params.eta if params.l1_half_factor else params.eta
-    l1_term = w_l1 * float(np.sum(h * np.abs(u.values)))
+    l1_term = params.eta * float(np.sum(h * np.abs(u.values)))
     return CostBreakdown(tracking, l2_term, l1_term)
 
 

@@ -13,7 +13,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -61,7 +61,7 @@ def format_number(v) -> str:
     return format(float(v), ".6g")
 
 
-def provenance_lines(cfg: RunConfig, seed: Optional[int] = None) -> List[str]:
+def provenance_lines(cfg: RunConfig) -> List[str]:
     """Comment header recording the configuration defaults used."""
     beam, control = cfg.beam, cfg.control
     pairs = [
@@ -86,8 +86,6 @@ def provenance_lines(cfg: RunConfig, seed: Optional[int] = None) -> List[str]:
     ]
     if beam.kappa_override is not None:
         pairs.append(("kappa_override", beam.kappa_override))
-    if seed is not None:
-        pairs.append(("seed", seed))
     out = []
     for key, val in pairs:
         if isinstance(val, str):
@@ -217,14 +215,13 @@ def run_sweep(cfg: RunConfig) -> List[SweepRow]:
     return rows
 
 
-def write_sweep_csv(rows: Sequence[SweepRow], path, cfg: RunConfig,
-                    seed: Optional[int] = None) -> None:
+def write_sweep_csv(rows: Sequence[SweepRow], path, cfg: RunConfig) -> None:
     write_csv(
         path,
         SWEEP_COLUMNS,
         [[r.eta, r.cost, r.l2norm, r.null, r.iterations, r.converged, r.runtime]
          for r in rows],
-        provenance_lines(cfg, seed),
+        provenance_lines(cfg),
     )
 
 
@@ -345,7 +342,5 @@ def run_convergence(cfg: RunConfig, jobs: int = 1):
     return rows, slopes
 
 
-def write_rows_csv(rows: Sequence[Dict], columns: Sequence[str], path,
-                   cfg: RunConfig, seed: Optional[int] = None) -> None:
-    write_csv(path, columns, [[r[c] for c in columns] for r in rows],
-              provenance_lines(cfg, seed))
+def write_rows_csv(rows: Sequence[Dict], columns: Sequence[str], path, cfg: RunConfig) -> None:
+    write_csv(path, columns, [[r[c] for c in columns] for r in rows], provenance_lines(cfg))

@@ -12,10 +12,8 @@ known to degrade on thin beams unless the mesh is excessively fine;
 which is algebraically identical to a mixed method with a piecewise-constant
 shear force eliminated elementwise.
 
-The adjoint problem reuses the same operator with the tracking residual as
-load: rhs = int (w - w_d) v + (t^2/12) int (theta - theta_d) beta.  The
-optimality system of the control problem needs the reversed residual
-(w_d - w); see the tracking_sign argument of solve_adjoint.
+The adjoint problem of the control problem reuses the same operator; its
+tracking load is assembled by ControlProblem.solve_adjoint.
 """
 from __future__ import annotations
 
@@ -26,7 +24,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .meshes import GAUSS_2PT, Mesh1D, P0Field, P1Field, eval_p1
+from .meshes import GAUSS_2PT, Mesh1D, P0Field, P1Field, eval_p1, point_values
 
 __all__ = [
     "STANDARD",
@@ -43,7 +41,6 @@ __all__ = [
     "p1_mass_matrix",
     "BeamOperator",
     "solve_state",
-    "solve_adjoint",
     "recover_shear",
     "assemble_mixed_blocks",
     "condense_mixed_system",
@@ -54,7 +51,7 @@ STANDARD = "standard"
 LOCKING_FREE = "locking_free"
 SCHEMES = (STANDARD, LOCKING_FREE)
 
-ScalarData = Union[float, P0Field, Callable[[np.ndarray], np.ndarray]]
+ScalarData = Union[float, P0Field, P1Field, Callable[[np.ndarray], np.ndarray]]
 
 
 class LinearSolveError(RuntimeError):
@@ -107,9 +104,10 @@ class BeamParams:
 class LoadData:
     """Problem data: transverse load f, moment load g, target w_d, theta_d.
 
-    Each entry may be a constant, a callable of x, or a field of the right
-    kind (P0 for f and g).  Targets are evaluated pointwise, so callables
-    need not vanish at the boundary.
+    Each entry may be a constant, a callable of x, a P0Field or a P1Field.
+    Constants and P0 fields are integrated exactly, the others by two-point
+    Gauss quadrature; entries are evaluated pointwise, so callables need
+    not vanish at the boundary.
     """
 
     f: ScalarData = 0.0
@@ -143,11 +141,6 @@ def _scheme_check(scheme: str) -> None:
 
 
 # ------------------------------------------------------------- assembly
-
-def _interior_dof(node_index: np.ndarray, comp: int) -> np.ndarray:
-    """Interleaved interior numbering: dof(w_i) = 2(i-1), dof(theta_i) = 2(i-1)+1."""
-    return 2 * (node_index - 1) + comp
-
 
 def _element_matrices(mesh: Mesh1D, params: BeamParams, scheme: str):
     """Per-element 4x4 blocks in local order (w0, w1, th0, th1)."""
@@ -219,7 +212,7 @@ def _p0_values(data: ScalarData, mesh: Mesh1D) -> np.ndarray:
         return data.values
     if np.isscalar(data):
         return np.full(mesh.n, float(data))
-    return None  # callable: handled by quadrature
+    return None  # callable or P1Field: handled by quadrature
 
 
 def _load_component(data: ScalarData, mesh: Mesh1D) -> np.ndarray:
@@ -234,9 +227,7 @@ def _load_component(data: ScalarData, mesh: Mesh1D) -> np.ndarray:
         out[1:] += vals * h / 2.0
         return out
     x = mesh.nodes[:-1, None] + h[:, None] * GAUSS_2PT.points[None, :]
-    fx = np.asarray(data(x), dtype=float)
-    if fx.shape != x.shape:
-        fx = np.broadcast_to(fx, x.shape)
+    fx = point_values(data, mesh, x)
     if not np.all(np.isfinite(fx)):
         raise ValueError("load evaluation produced non-finite values")
     wq = GAUSS_2PT.weights
@@ -352,60 +343,6 @@ def solve_state(
     x = op.solve(rhs)
     w, th = op.split(x)
     return StateSolution(w, th, recover_shear(mesh, params, w, th))
-
-
-def _tracking_load(
-    mesh: Mesh1D,
-    params: BeamParams,
-    state: StateSolution,
-    loads: LoadData,
-    tracking_sign: float,
-    theta_term: bool,
-) -> np.ndarray:
-    """rhs of the adjoint problem: tracking_sign * [int (w - w_d) v + (t^2/12) int (theta - theta_d) beta]."""
-
-    def resid_w(x):
-        wd = loads.w_d
-        wdv = wd(x) if callable(wd) else (eval_p1(wd, x) if isinstance(wd, P1Field) else float(wd))
-        return tracking_sign * (eval_p1(state.w, x) - wdv)
-
-    m = 2 * (mesh.n - 1)
-    out = np.zeros(m)
-    Fw = _load_component(resid_w, mesh)
-    out[0::2] = Fw[1:-1]
-    if theta_term:
-        def resid_th(x):
-            td = loads.theta_d
-            tdv = td(x) if callable(td) else (eval_p1(td, x) if isinstance(td, P1Field) else float(td))
-            return tracking_sign * (eval_p1(state.theta, x) - tdv)
-
-        Ft = _load_component(resid_th, mesh)
-        out[1::2] = (params.t**2 / 12.0) * Ft[1:-1]
-    return out
-
-
-def solve_adjoint(
-    mesh: Mesh1D,
-    params: BeamParams,
-    state: StateSolution,
-    loads: LoadData,
-    scheme: str = LOCKING_FREE,
-    theta_term: bool = True,
-    tracking_sign: float = 1.0,
-    operator: Optional[BeamOperator] = None,
-) -> AdjointSolution:
-    """Adjoint solve against the tracking residual of a given state.
-
-    The default (tracking_sign=+1, theta_term=True) uses the rhs
-    int (w - w_d) v + (t^2/12) int (theta - theta_d) beta.  The optimality
-    system of the minimization problem needs tracking_sign=-1, which makes
-    the averaged adjoint the descent quantity p with nu*u + mu = pbar.
-    """
-    op = operator if operator is not None else BeamOperator(mesh, params, scheme)
-    rhs = _tracking_load(mesh, params, state, loads, tracking_sign, theta_term)
-    x = op.solve(rhs)
-    p, q = op.split(x)
-    return AdjointSolution(p, q, recover_shear(mesh, params, p, q))
 
 
 # ------------------------------------------------------- mixed system

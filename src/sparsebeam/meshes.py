@@ -21,6 +21,7 @@ __all__ = [
     "pi_h",
     "p0_average",
     "eval_p1",
+    "point_values",
     "l2_norm_p0",
     "l1_norm_p0",
     "linf_norm_p0",
@@ -233,6 +234,24 @@ def eval_p1(v: P1Field, x):
         raise ValueError("evaluation point outside [0, L]")
     out = np.interp(np.clip(xa, 0.0, L), v.mesh.nodes, v.values)
     return float(out) if np.isscalar(x) else out
+
+
+def point_values(data, mesh: Mesh1D, x: np.ndarray) -> np.ndarray:
+    """Values of problem data at points x whose row j lies inside element j.
+
+    data may be a constant, a vectorized callable of x, a P0Field on mesh,
+    or a P1Field (evaluated on its own mesh).
+    """
+    if isinstance(data, P0Field):
+        if not np.array_equal(data.mesh.nodes, mesh.nodes):
+            raise ValueError("P0 data lives on a different mesh")
+        v = data.values
+        return np.broadcast_to(v.reshape(v.shape + (1,) * (x.ndim - 1)), x.shape)
+    if isinstance(data, P1Field):
+        return eval_p1(data, x)
+    if np.isscalar(data):
+        return np.full(x.shape, float(data))
+    return np.broadcast_to(np.asarray(data(x), dtype=float), x.shape)
 
 
 # ---------------------------------------------------------------- norms

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -31,12 +31,11 @@ from .control import (
     BRANCH_UPPER,
     BRANCH_ZERO,
     classify_branches,
+    fixed_control,
     shrink,
 )
-from .fem import assemble_load, control_load_matrix
 from .meshes import GAUSS_2PT, P0Field, P1Field, eval_p1
 from .problem import ControlProblem
-from .ssn import _average_matrix, _tracking_blocks
 
 __all__ = [
     "OracleConfig",
@@ -71,28 +70,23 @@ class OracleResult:
 class ReducedQuadratic:
     """Dense reduced form of one control problem.
 
-    Built from two multi-right-hand-side banded solves; cost O(n) solves of
-    bandwidth-3 systems plus one dense n x n product, fine up to a few
-    thousand elements.
+    Built from the problem's OptimalitySystem by two multi-right-hand-side
+    banded solves; cost O(n) solves of bandwidth-3 systems plus one dense
+    n x n product, fine up to a few thousand elements.
     """
 
     def __init__(self, problem: ControlProblem):
         self.problem = problem
-        mesh, beam = problem.mesh, problem.beam
-        op = problem.operator
-        B = control_load_matrix(mesh)
-        Mt, Ld = _tracking_blocks(problem)
-        Avg = _average_matrix(problem)
-        Lf = assemble_load(mesh, beam, problem.loads.f, problem.loads.g)
+        op, s = problem.operator, problem.system
 
         # T = Avg K^-1 Mt K^-1 B, column by column via multi-RHS solves
-        W = op.solve(B.toarray())
-        V = op.solve(Mt @ W)
-        self.T = np.asarray(Avg @ V)
-        x0 = op.solve(Lf)
-        y0 = op.solve(Ld - Mt @ x0)
-        self.r0 = np.asarray(Avg @ y0)
-        self.h = mesh.element_sizes
+        W = op.solve(s.B.toarray())
+        V = op.solve(s.Mt @ W)
+        self.T = np.asarray(s.Avg @ V)
+        x0 = op.solve(s.Lf)
+        y0 = op.solve(s.Ld - s.Mt @ x0)
+        self.r0 = np.asarray(s.Avg @ y0)
+        self.h = problem.mesh.element_sizes
         self.nu = problem.control.nu
         self.eta = problem.control.eta
         self.a, self.b = problem.bounds
@@ -132,18 +126,11 @@ class ReducedQuadratic:
         return float(np.max(np.abs(u - self.prox(u - tau * self.gradient(u), tau))))
 
 
-def _branch_targets(branches: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    u = np.zeros(branches.shape)
-    u[branches == BRANCH_UPPER] = b[branches == BRANCH_UPPER]
-    u[branches == BRANCH_LOWER] = a[branches == BRANCH_LOWER]
-    return u
-
-
 def _polish(rq: ReducedQuadratic, branches: np.ndarray):
     """Solve the free-branch system for a fixed branch pattern and verify
     every optimality inequality.  Returns (u, mu, certified)."""
     nu, eta, a, b = rq.nu, rq.eta, rq.a, rq.b
-    u = _branch_targets(branches, a, b)
+    u = fixed_control(branches, a, b)
     free = np.nonzero((branches == BRANCH_POS) | (branches == BRANCH_NEG))[0]
     if free.size:
         fixed = np.setdiff1d(np.arange(u.size), free)
@@ -252,6 +239,9 @@ def _smooth_cost(problem: ControlProblem, u: P0Field) -> float:
     def as_fun(data):
         if isinstance(data, P1Field):
             return lambda x: eval_p1(data, x)
+        if isinstance(data, P0Field):
+            # the element holding each point (quadrature points are interior)
+            return lambda x: data.values[np.searchsorted(mesh.nodes, x) - 1]
         if np.isscalar(data):
             return lambda x: np.full_like(np.asarray(x, dtype=float), float(data))
         return data

@@ -3,15 +3,17 @@
 Bundles the mesh, beam parameters, loads, and control parameters, and fixes
 the two conventions the optimality layer depends on:
 
-* the adjoint is solved with tracking_sign=-1, i.e. with residual
-  (w_d - w_h), so that the averaged adjoint pbar enters the optimality
-  system as nu*u + mu = pbar with mu a (sub)gradient of the nonsmooth term
-  at a *minimizer* of the cost;
+* the adjoint is solved against the descent residual (w_d - w_h), so that
+  the averaged adjoint pbar enters the optimality system as
+  nu*u + mu = pbar with mu a (sub)gradient of the nonsmooth term at a
+  *minimizer* of the cost;
 * adjoint_theta_term controls whether the rotation tracking term
-  (t^2/12)(theta_h - theta_d, beta) is included in the adjoint load.  The
+  (t^2/12)(theta_d - theta_h, beta) is included in the adjoint load.  The
   cost functional tracks the deflection only, so the exact discrete
-  optimality system of cost() has this off; it is on by default in the
-  plain fem.solve_adjoint which mirrors the full dual equation.
+  optimality system of cost() has this off.
+
+The operator and the blocks of the discrete optimality system are built
+once per problem and cached.
 """
 from __future__ import annotations
 
@@ -19,13 +21,10 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
-from .control import (
-    ControlParams,
-    CostBreakdown,
-    cost as control_cost,
-    discretize_bounds,
-    variational_inequality_residual,
-)
+import numpy as np
+import scipy.sparse as sp
+
+from .control import ControlParams, CostBreakdown, cost as control_cost, discretize_bounds
 from .fem import (
     LOCKING_FREE,
     AdjointSolution,
@@ -34,12 +33,44 @@ from .fem import (
     LoadData,
     StateSolution,
     _scheme_check,
-    solve_adjoint,
+    assemble_load,
+    control_load_matrix,
+    p1_mass_matrix,
+    recover_shear,
     solve_state,
 )
-from .meshes import Mesh1D, P0Field, p0_average
+from .meshes import Mesh1D, P0Field, eval_p1, p0_average, point_values
 
-__all__ = ["ControlProblem"]
+__all__ = ["ControlProblem", "OptimalitySystem"]
+
+
+class OptimalitySystem:
+    """Pattern-independent blocks of the discrete optimality system
+
+        K x - B u = Lf,    Mt x + K y = Ld,    nu*u + mu = Avg y,
+
+    on the interleaved interior dofs x = (w, theta) and y = (p, q).  B maps
+    a P0 control to its deflection load, Avg takes the elementwise mean of
+    the adjoint deflection (B = Avg^T diag(h), so Avg is B's pattern with
+    every entry 1/2), and Mt is the tracking mass, with the rotation term
+    when the problem has adjoint_theta_term.  K_norm, Mt_norm and B_norm
+    are max row sums, which scale backward-error residuals.
+    """
+
+    def __init__(self, problem: ControlProblem):
+        mesh, beam, loads = problem.mesh, problem.beam, problem.loads
+        theta_term = problem.adjoint_theta_term
+        self.K = problem.operator.K
+        self.B = control_load_matrix(mesh)
+        self.Avg = self.B.T.tocsr()
+        self.Avg.data[:] = 0.5
+        theta_weight = beam.t**2 / 12.0 if theta_term else 0.0
+        self.Mt = sp.kron(p1_mass_matrix(mesh), np.diag([1.0, theta_weight]), format="csr")
+        self.Lf = assemble_load(mesh, beam, loads.f, loads.g)
+        self.Ld = assemble_load(mesh, beam, loads.w_d, loads.theta_d if theta_term else 0.0)
+        self.K_norm = float(np.max(np.abs(self.K).sum(axis=1)))
+        self.Mt_norm = float(np.max(np.abs(self.Mt).sum(axis=1)))
+        self.B_norm = float(np.max(np.abs(self.B).sum(axis=1)))
 
 
 @dataclass(frozen=True)
@@ -63,6 +94,10 @@ class ControlProblem:
         return BeamOperator(self.mesh, self.beam, self.scheme)
 
     @cached_property
+    def system(self) -> OptimalitySystem:
+        return OptimalitySystem(self)
+
+    @cached_property
     def bounds(self):
         return discretize_bounds(self.control, self.mesh)
 
@@ -74,9 +109,17 @@ class ControlProblem:
                            scheme=self.scheme, operator=self.operator)
 
     def solve_adjoint(self, state: StateSolution) -> AdjointSolution:
-        return solve_adjoint(self.mesh, self.beam, state, self.loads,
-                             scheme=self.scheme, theta_term=self.adjoint_theta_term,
-                             tracking_sign=-1.0, operator=self.operator)
+        """Adjoint with load int (w_d - w) v, plus (t^2/12) int (theta_d -
+        theta) beta when adjoint_theta_term is set."""
+        mesh, beam, loads = self.mesh, self.beam, self.loads
+
+        def residual(target, field):
+            return lambda x: point_values(target, mesh, x) - eval_p1(field, x)
+
+        theta_load = residual(loads.theta_d, state.theta) if self.adjoint_theta_term else 0.0
+        x = self.operator.solve(assemble_load(mesh, beam, residual(loads.w_d, state.w), theta_load))
+        p, q = self.operator.split(x)
+        return AdjointSolution(p, q, recover_shear(mesh, beam, p, q))
 
     def averaged_adjoint(self, state: StateSolution) -> P0Field:
         return p0_average(self.solve_adjoint(state).p)
@@ -85,11 +128,6 @@ class ControlProblem:
         if state is None:
             state = self.solve_state(u)
         return control_cost(u, state.w, self.loads.w_d, self.control)
-
-    def optimality_residual(self, u: P0Field) -> float:
-        """L2 distance from u to the pointwise optimal control of its own adjoint."""
-        p = self.solve_adjoint(self.solve_state(u)).p
-        return variational_inequality_residual(u, p, self.control)
 
     def with_mesh(self, mesh: Mesh1D) -> "ControlProblem":
         return replace(self, mesh=mesh)

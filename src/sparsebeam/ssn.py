@@ -19,27 +19,24 @@ new-iterate form, so the method terminates finitely: once the branch pattern
 repeats, the iterate solves its own linearization and C vanishes to
 roundoff.
 
-Each pattern system is solved by one LAPACK banded LU (dgbtrf/dgbtrs).
-Ordered node by node -- the controls of the elements interleaved with the
-(w, theta, p, q) unknowns of the interior nodes -- the element-local blocks
-K, Mt, B and Avg give a band of 7 sub- and 6 superdiagonals at every mesh
-size, thickness and grading.  Controls off the free branches keep their
-slots as decoupled unit rows, so the band layout never changes; its
-pattern-independent part is assembled once per solve and one band storage
-is refilled for every pattern.  Two steps of iterative refinement on the
-same factor drive the componentwise backward error, which partial pivoting
-alone leaves far above roundoff on these badly scaled rows, toward
-roundoff.  A pattern with no free element decouples into two solves with
+The blocks K, Mt, B and Avg and the loads come from the problem's cached
+OptimalitySystem.  Each pattern system is solved by one LAPACK banded LU
+(dgbtrf/dgbtrs).  Ordered node by node -- the controls of the elements
+interleaved with the (w, theta, p, q) unknowns of the interior nodes -- the
+element-local blocks give a band of 7 sub- and 6 superdiagonals at every
+mesh size, thickness and grading.  Controls off the free branches keep
+their slots as decoupled unit rows, so the band layout never changes; its
+pattern-independent part is assembled once per solve, on the first pattern
+with a free element, and one band storage is refilled for every pattern.
+Two steps of iterative refinement on the same factor drive the
+componentwise backward error, which partial pivoting alone leaves far above
+roundoff on these badly scaled rows, toward roundoff.  A pattern with no free element decouples into two solves with
 the stiffness operator.
 
 Cold starts with a very small L2 weight can overshoot the bounds
 and cycle between branch patterns; a revisited pattern is detected exactly
 and the iteration is reseeded once from a continuation path that walks the
-L2 weight down from a safely large value.  The convergence test always uses
-the sign-consistent
-(symmetric-eta) complementarity variant regardless of
-ControlParams.c_last_term_sign, since only that variant vanishes at the true
-minimizer.
+L2 weight down from a safely large value.
 """
 from __future__ import annotations
 
@@ -52,25 +49,17 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .control import (
-    BRANCH_LOWER,
     BRANCH_NEG,
     BRANCH_POS,
-    BRANCH_UPPER,
     MultiplierState,
     classify_branches,
     complementarity_values,
+    fixed_control,
     reconstruct_multipliers,
     shrink,
     variational_inequality_residual,
 )
-from .fem import (
-    AdjointSolution,
-    LinearSolveError,
-    StateSolution,
-    assemble_load,
-    control_load_matrix,
-    p1_mass_matrix,
-)
+from .fem import AdjointSolution, LinearSolveError, StateSolution
 from .meshes import P0Field, p0_average
 from .problem import ControlProblem
 
@@ -78,7 +67,6 @@ __all__ = [
     "SSNConfig",
     "SSNResult",
     "ssn_solve",
-    "solve_pure_l2",
     "residual",
     "newton_system",
     "kkt_residual",
@@ -87,12 +75,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SSNConfig:
-    """Solver knobs.  u0/mu0 warm-start the branch classification."""
+    """Solver knobs.  u0 warm-starts the branch classification."""
 
     tol: float = 1e-10
     max_iter: int = 50
     u0: Optional[P0Field] = None
-    mu0: Optional[P0Field] = None
 
     def __post_init__(self):
         if not (self.tol > 0):
@@ -114,74 +101,6 @@ class SSNResult:
     active_set_history: List[np.ndarray] = field(default_factory=list)
     branches: Optional[np.ndarray] = None
     null_count: int = 0
-
-
-class _Pieces:
-    """Matrices and loads of the coupled optimality system, assembled once."""
-
-    def __init__(self, problem: ControlProblem):
-        mesh, beam = problem.mesh, problem.beam
-        self.op = problem.operator
-        self.K = self.op.K
-        self.m = self.K.shape[0]
-        self.B = control_load_matrix(mesh)
-        self.Mt, self.Ld = _tracking_blocks(problem)
-        self.Avg = _average_matrix(problem)
-        self.Lf = assemble_load(mesh, beam, problem.loads.f, problem.loads.g)
-        self.a, self.b = problem.bounds
-        self.nu = problem.control.nu
-        self.eta = problem.control.eta
-        self.lam = None  # reduced-operator norm, estimated lazily
-        # row-sum norms for backward-error residual scaling
-        self.K_norm = float(np.max(np.abs(self.K).sum(axis=1)))
-        self.Mt_norm = float(np.max(np.abs(self.Mt).sum(axis=1)))
-        self.B_norm = float(np.max(np.abs(self.B).sum(axis=1)))
-
-    @cached_property
-    def band(self) -> "_PatternBand":
-        return _PatternBand(self.K, self.Mt, self.B, self.Avg)
-
-
-def _tracking_blocks(problem: ControlProblem):
-    """Mass term Mt (interleaved dofs) and target load L_d of the adjoint row."""
-    mesh, beam, loads = problem.mesh, problem.beam, problem.loads
-    m = 2 * (mesh.n - 1)
-    mw = p1_mass_matrix(mesh).tocoo()
-    rows = [2 * mw.row]
-    cols = [2 * mw.col]
-    vals = [mw.data]
-    if problem.adjoint_theta_term:
-        rows.append(2 * mw.row + 1)
-        cols.append(2 * mw.col + 1)
-        vals.append((beam.t**2 / 12.0) * mw.data)
-    mt = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, m),
-    ).tocsr()
-    ld = assemble_load(mesh, beam, loads.w_d, 0.0)
-    if problem.adjoint_theta_term:
-        ld = ld + assemble_load(mesh, beam, 0.0, loads.theta_d)
-    return mt, ld
-
-
-def _average_matrix(problem: ControlProblem) -> sp.csr_matrix:
-    """n x m map from interleaved nodal dofs to elementwise averages of the
-    deflection-like component (boundary nodes contribute zero)."""
-    n = problem.mesh.n
-    m = 2 * (n - 1)
-    j = np.arange(n)
-    left, right = j[1:], j[:-1]  # elements whose left / right end node is interior
-    rows = np.concatenate([left, right])
-    cols = np.concatenate([2 * (left - 1), 2 * right])
-    return sp.csr_matrix((np.full(rows.size, 0.5), (rows, cols)), shape=(n, m))
-
-
-def _fixed_control(branches: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Control values implied by the non-free branches (zero on free ones)."""
-    u = np.zeros(branches.shape)
-    u[branches == BRANCH_UPPER] = b[branches == BRANCH_UPPER]
-    u[branches == BRANCH_LOWER] = a[branches == BRANCH_LOWER]
-    return u
 
 
 def _free_indices(branches: np.ndarray) -> np.ndarray:
@@ -308,24 +227,56 @@ class _PatternBand:
         return sp.csc_matrix((vals, (stacked[row[keep]], stacked[col[keep]])), shape=(size, size))
 
 
-def _pattern_rhs(pieces: _Pieces, branches: np.ndarray, shift: Optional[np.ndarray] = None):
-    """Right-hand side of the coupled system for one branch pattern.
+class _PatternSolver:
+    """The pattern systems of one solve.
 
-    Bound and zero controls are substituted into the state right-hand side.
-    Eliminating the state and adjoint blocks reduces the system to
-    nu*I + T[free, free] with T the dense reduced operator of the oracle
-    module.  A shift vector adds to the control-row right-hand side;
-    together with an inflated nu it realizes the proximally centered
-    subproblems of the reseeding path.  Returns the state, adjoint and
-    control-row right-hand sides (the last per element, used on the free
-    set), the free mask and the fixed controls.
+    The blocks come from the problem's cached OptimalitySystem; the band
+    storage is allocated on the first pattern with a free element and is
+    dropped with the solve.
     """
-    is_free = (branches == BRANCH_POS) | (branches == BRANCH_NEG)
-    u_fix = _fixed_control(branches, pieces.a, pieces.b)
-    f_ctl = -pieces.eta * np.where(branches == BRANCH_POS, 1.0, -1.0)
-    if shift is not None:
-        f_ctl = f_ctl + shift
-    return pieces.Lf + pieces.B @ u_fix, pieces.Ld, f_ctl, is_free, u_fix
+
+    def __init__(self, problem: ControlProblem):
+        self.problem = problem
+        self.sys = problem.system
+        self.a, self.b = problem.bounds
+        self.nu, self.eta = problem.control.nu, problem.control.eta
+
+    @cached_property
+    def band(self) -> _PatternBand:
+        s = self.sys
+        return _PatternBand(s.K, s.Mt, s.B, s.Avg)
+
+    def rhs(self, branches: np.ndarray, shift: Optional[np.ndarray] = None):
+        """Right-hand side of the coupled system for one branch pattern.
+
+        Bound and zero controls are substituted into the state right-hand
+        side.  Eliminating the state and adjoint blocks reduces the system
+        to nu*I + T[free, free] with T the dense reduced operator of the
+        oracle module.  A shift vector adds to the control-row right-hand
+        side; together with an inflated nu it realizes the proximally
+        centered subproblems of the reseeding path.  Returns the state,
+        adjoint and control-row right-hand sides (the last per element, used
+        on the free set), the free mask and the fixed controls.
+        """
+        is_free = (branches == BRANCH_POS) | (branches == BRANCH_NEG)
+        u_fix = fixed_control(branches, self.a, self.b)
+        f_ctl = -self.eta * np.where(branches == BRANCH_POS, 1.0, -1.0)
+        if shift is not None:
+            f_ctl = f_ctl + shift
+        return self.sys.Lf + self.sys.B @ u_fix, self.sys.Ld, f_ctl, is_free, u_fix
+
+    def solve(self, branches: np.ndarray, nu: Optional[float] = None,
+              shift: Optional[np.ndarray] = None):
+        """Solve the coupled system of one branch pattern exactly."""
+        nu = self.nu if nu is None else nu
+        f_state, f_adj, f_ctl, is_free, u = self.rhs(branches, shift)
+        if not is_free.any():
+            op = self.problem.operator
+            x = op.solve(f_state)
+            return x, op.solve(f_adj - self.sys.Mt @ x), u
+        x, y, u_free = self.band.solve(is_free, nu, f_state, f_adj, f_ctl)
+        u[is_free] = u_free[is_free]
+        return x, y, u
 
 
 def newton_system(problem: ControlProblem, branches: np.ndarray):
@@ -335,39 +286,27 @@ def newton_system(problem: ControlProblem, branches: np.ndarray):
     Returns (A, rhs, free): A is None when no element is on a free branch
     (the system then decouples into two banded solves).
     """
-    pieces = _Pieces(problem)
-    f_state, f_adj, f_ctl, is_free, _ = _pattern_rhs(pieces, np.asarray(branches, dtype=int))
+    ps = _PatternSolver(problem)
+    f_state, f_adj, f_ctl, is_free, _ = ps.rhs(np.asarray(branches, dtype=int))
     free = np.nonzero(is_free)[0]
     rhs = np.concatenate([f_state, f_adj, f_ctl[free]])
-    A = pieces.band.matrix(is_free, pieces.nu) if free.size else None
+    A = ps.band.matrix(is_free, ps.nu) if free.size else None
     return A, rhs, free
 
 
-def _solve_pattern(pieces: _Pieces, branches: np.ndarray, nu: Optional[float] = None,
-                   shift: Optional[np.ndarray] = None):
-    """Solve the coupled system of one branch pattern exactly."""
-    nu = pieces.nu if nu is None else nu
-    f_state, f_adj, f_ctl, is_free, u = _pattern_rhs(pieces, branches, shift)
-    if not is_free.any():
-        x = pieces.op.solve(f_state)
-        return x, pieces.op.solve(f_adj - pieces.Mt @ x), u
-    x, y, u_free = pieces.band.solve(is_free, nu, f_state, f_adj, f_ctl)
-    u[is_free] = u_free[is_free]
-    return x, y, u
-
-
-def _reduced_norm(pieces: _Pieces, iters: int = 60) -> float:
+def _reduced_norm(problem: ControlProblem, iters: int = 60) -> float:
     """Power-iteration estimate of the largest eigenvalue of the reduced
     control-to-gradient operator Avg K^-1 Mt K^-1 B (similar to an SPD
     matrix, so the spectrum is real and nonnegative)."""
+    op, s = problem.operator, problem.system
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(pieces.B.shape[1])
+    v = rng.standard_normal(s.B.shape[1])
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(iters):
-        x = pieces.op.solve(pieces.B @ v)
-        y = pieces.op.solve(pieces.Mt @ x)
-        w = pieces.Avg @ y
+        x = op.solve(s.B @ v)
+        y = op.solve(s.Mt @ x)
+        w = s.Avg @ y
         lam = np.linalg.norm(w)
         if lam == 0.0:
             return 0.0
@@ -375,7 +314,7 @@ def _reduced_norm(pieces: _Pieces, iters: int = 60) -> float:
     return lam
 
 
-def _pdas_stage(pieces: _Pieces, z_eff: np.ndarray, nu_eff: float, cap: int,
+def _pdas_stage(ps: _PatternSolver, z_eff: np.ndarray, nu_eff: float, cap: int,
                 shift: Optional[np.ndarray] = None):
     """Plain active-set iteration at an effective weight nu_eff, run until
     the branch pattern repeats or the cap is hit.
@@ -385,17 +324,17 @@ def _pdas_stage(pieces: _Pieces, z_eff: np.ndarray, nu_eff: float, cap: int,
     Returns the plain adjoint averages and control of the last iterate, the
     number of pattern solves spent, and whether the pattern stabilized.
     """
-    branches = classify_branches(z_eff, pieces.a, pieces.b, nu_eff, pieces.eta)
+    branches = classify_branches(z_eff, ps.a, ps.b, nu_eff, ps.eta)
     z_plain = z_eff if shift is None else z_eff - shift
-    u = _fixed_control(branches, pieces.a, pieces.b)
+    u = fixed_control(branches, ps.a, ps.b)
     count = 0
     stable = False
     for _ in range(cap):
         count += 1
-        _, y, u = _solve_pattern(pieces, branches, nu_eff, shift)
-        z_plain = pieces.Avg @ y
+        _, y, u = ps.solve(branches, nu_eff, shift)
+        z_plain = ps.sys.Avg @ y
         z_eff = z_plain if shift is None else z_plain + shift
-        nxt = classify_branches(z_eff, pieces.a, pieces.b, nu_eff, pieces.eta)
+        nxt = classify_branches(z_eff, ps.a, ps.b, nu_eff, ps.eta)
         if np.array_equal(nxt, branches):
             stable = True
             break
@@ -403,7 +342,7 @@ def _pdas_stage(pieces: _Pieces, z_eff: np.ndarray, nu_eff: float, cap: int,
     return z_plain, u, count, stable
 
 
-def _continuation_seed(pieces: _Pieces, z: np.ndarray, budget: int = 800):
+def _continuation_seed(ps: _PatternSolver, z: np.ndarray, budget: int = 800):
     """Reseed a cycling iteration from a proximal-point continuation.
 
     Each stage solves the problem plus tau/2 * ||u - c||^2 centered at the
@@ -421,22 +360,20 @@ def _continuation_seed(pieces: _Pieces, z: np.ndarray, budget: int = 800):
     iteration now terminates.  Returns the classification point and the
     number of pattern solves spent.
     """
-    if pieces.lam is None:
-        pieces.lam = _reduced_norm(pieces)
-    nu_t = pieces.nu
-    tau0 = 10.0 * max(pieces.lam, nu_t)
+    nu_t = ps.nu
+    tau0 = 10.0 * max(_reduced_norm(ps.problem), nu_t)
     tau = tau0
     # admissible center: the pointwise map of the current classification point
-    c = np.clip(shrink(z, pieces.eta) / nu_t, pieces.a, pieces.b)
+    c = np.clip(shrink(z, ps.eta) / nu_t, ps.a, ps.b)
     total = 0
     while total < budget:
         stage_shift = tau * c
         z_new, u_new, used, stable = _pdas_stage(
-            pieces, z + stage_shift, nu_t + tau, cap=8, shift=stage_shift)
+            ps, z + stage_shift, nu_t + tau, cap=8, shift=stage_shift)
         total += used
         if stable:
             z, c = z_new, u_new
-            z_try, _, used, settled = _pdas_stage(pieces, z, nu_t, cap=8)
+            z_try, _, used, settled = _pdas_stage(ps, z, nu_t, cap=8)
             total += used
             if settled:
                 return z_try, total
@@ -450,22 +387,20 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
     """Run the active-set iteration to the finite-termination fixed point."""
     mesh, control = problem.mesh, problem.control
     nu, eta = control.nu, control.eta
-    pieces = _Pieces(problem)
+    ps = _PatternSolver(problem)
+    s, a, b = ps.sys, ps.a, ps.b
 
-    # initial classification point z = nu*u + mu
-    if config.u0 is not None and config.mu0 is None:
-        # make the warm start self-consistent: mu = pbar(u0) - nu*u0, so the
-        # first classification sees the true adjoint of u0
-        st0 = problem.solve_state(config.u0)
-        z = p0_average(problem.solve_adjoint(st0).p).values.copy()
+    # initial classification point z = nu*u + mu; a warm start takes
+    # mu = pbar(u0) - nu*u0, so the first classification sees the true
+    # adjoint of u0
+    if config.u0 is not None:
+        z = problem.averaged_adjoint(problem.solve_state(config.u0)).values
     else:
-        u_init = config.u0.values if config.u0 is not None else np.zeros(mesh.n)
-        mu_init = config.mu0.values if config.mu0 is not None else np.zeros(mesh.n)
-        z = nu * u_init + mu_init
+        z = np.zeros(mesh.n)
 
     residual_history: List[float] = []
     active_history: List[np.ndarray] = []
-    branches = classify_branches(z, pieces.a, pieces.b, nu, eta)
+    branches = classify_branches(z, a, b, nu, eta)
     u_vals = np.zeros(mesh.n)
     converged = False
     iterations = 0
@@ -480,36 +415,36 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
             if reseeded:
                 break
             reseeded = True
-            z, extra = _continuation_seed(pieces, z)
+            z, extra = _continuation_seed(ps, z)
             iterations += extra
             seen_patterns.clear()
-            branches = classify_branches(z, pieces.a, pieces.b, nu, eta)
+            branches = classify_branches(z, a, b, nu, eta)
             key = branches.tobytes()
         seen_patterns.add(key)
 
         iterations += 1
         active_history.append(_free_indices(branches))
-        x, y, u_vals = _solve_pattern(pieces, branches)
-        z = pieces.Avg @ y
+        x, y, u_vals = ps.solve(branches)
+        z = s.Avg @ y
         mu_vals = z - nu * u_vals
 
         # PDE rows measure the normwise backward error: for thin beams the
         # stiffness carries the 1/t^2 shear scale, so an absolute or
         # load-relative norm would sit above any direct solver's floor
-        scale_f = 1.0 + np.max(np.abs(pieces.Lf)) \
-            + pieces.K_norm * np.max(np.abs(x)) + pieces.B_norm * np.max(np.abs(u_vals))
-        scale_d = 1.0 + np.max(np.abs(pieces.Ld)) \
-            + pieces.K_norm * np.max(np.abs(y)) + pieces.Mt_norm * np.max(np.abs(x))
-        r_state = np.max(np.abs(pieces.K @ x - pieces.B @ u_vals - pieces.Lf)) / scale_f
-        r_adj = np.max(np.abs(pieces.Mt @ x + pieces.K @ y - pieces.Ld)) / scale_d
-        c = complementarity_values(u_vals, mu_vals, pieces.a, pieces.b, nu, eta, "symmetric")
+        scale_f = 1.0 + np.max(np.abs(s.Lf)) \
+            + s.K_norm * np.max(np.abs(x)) + s.B_norm * np.max(np.abs(u_vals))
+        scale_d = 1.0 + np.max(np.abs(s.Ld)) \
+            + s.K_norm * np.max(np.abs(y)) + s.Mt_norm * np.max(np.abs(x))
+        r_state = np.max(np.abs(s.K @ x - s.B @ u_vals - s.Lf)) / scale_f
+        r_adj = np.max(np.abs(s.Mt @ x + s.K @ y - s.Ld)) / scale_d
+        c = complementarity_values(u_vals, mu_vals, a, b, nu, eta)
         # gradient and complementarity rows are normalized by max(1, nu): the
         # nu-scaled Newton row would make an unscaled max-norm vacuous
         r_c = np.max(np.abs(c)) / max(1.0, nu)
         residual = max(r_state, r_adj, r_c)
         residual_history.append(residual)
 
-        next_branches = classify_branches(z, pieces.a, pieces.b, nu, eta)
+        next_branches = classify_branches(z, a, b, nu, eta)
         if np.array_equal(next_branches, branches) and residual <= config.tol:
             # record the repeated set: stabilization is part of the result
             active_history.append(_free_indices(next_branches))
@@ -519,7 +454,7 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
 
     # final consistency pass through the banded operator so the returned
     # state/adjoint agree with solve_state/solve_adjoint on the returned u
-    u_final = np.clip(u_vals, pieces.a, pieces.b)
+    u_final = np.clip(u_vals, a, b)
     u_field = P0Field(mesh, u_final)
     state = problem.solve_state(u_field)
     adjoint = problem.solve_adjoint(state)
@@ -540,11 +475,6 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
     )
 
 
-def solve_pure_l2(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNResult:
-    """Same iteration with the sparsity weight switched off (eta = 0)."""
-    return ssn_solve(problem.with_control(eta=0.0), config)
-
-
 def residual(problem: ControlProblem, u: P0Field, mu: P0Field,
              state: Optional[StateSolution] = None,
              adjoint: Optional[AdjointSolution] = None) -> dict:
@@ -555,26 +485,23 @@ def residual(problem: ControlProblem, u: P0Field, mu: P0Field,
     Returns arrays F1 (state dofs), F2 (elements), F3 (state dofs), F4
     (elements).
     """
-    pieces = _Pieces(problem)
+    s, (a, b) = problem.system, problem.bounds
+    nu, eta = problem.control.nu, problem.control.eta
     if state is None:
         state = problem.solve_state(u)
     if adjoint is None:
         adjoint = problem.solve_adjoint(state)
-    x = np.empty(pieces.m)
+    x = np.empty(s.K.shape[0])
     x[0::2] = state.w.interior
     x[1::2] = state.theta.interior
-    y = np.empty(pieces.m)
+    y = np.empty(s.K.shape[0])
     y[0::2] = adjoint.p.interior
     y[1::2] = adjoint.q.interior
     pbar = p0_average(adjoint.p).values
-    nu, eta = pieces.nu, pieces.eta
-    f1 = pieces.K @ x - pieces.B @ u.values - pieces.Lf
+    f1 = s.K @ x - s.B @ u.values - s.Lf
     f2 = nu * u.values + mu.values - pbar
-    f3 = pieces.Mt @ x + pieces.K @ y - pieces.Ld
-    f4 = complementarity_values(
-        u.values, mu.values, pieces.a, pieces.b, nu, eta,
-        problem.control.c_last_term_sign,
-    )
+    f3 = s.Mt @ x + s.K @ y - s.Ld
+    f4 = complementarity_values(u.values, mu.values, a, b, nu, eta)
     return {"F1": f1, "F2": f2, "F3": f3, "F4": f4}
 
 
@@ -594,9 +521,7 @@ def kkt_residual(problem: ControlProblem, u: P0Field, mu: Optional[P0Field] = No
         mu = P0Field(u.mesh, pbar - control.nu * u.values)
     a, b = problem.bounds
     consistency = float(np.max(np.abs(control.nu * u.values + mu.values - pbar)))
-    c = complementarity_values(
-        u.values, mu.values, a, b, control.nu, control.eta, "symmetric"
-    )
+    c = complementarity_values(u.values, mu.values, a, b, control.nu, control.eta)
     return {
         "consistency": consistency,
         "complementarity": float(np.max(np.abs(c))),

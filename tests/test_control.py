@@ -11,7 +11,6 @@ from sparsebeam.control import (
     BRANCH_UPPER,
     BRANCH_ZERO,
     ControlParams,
-    active_set,
     classify_branches,
     complementarity,
     complementarity_values,
@@ -41,8 +40,6 @@ class TestParams:
             ControlParams(nu=1.0, eta=0.0, a=0.5)
         with pytest.raises(ValueError):
             ControlParams(nu=1.0, eta=0.0, b=-0.5)
-        with pytest.raises(ValueError):
-            ControlParams(nu=1.0, eta=0.0, c_last_term_sign="other")
 
     def test_one_sided_boxes_allowed(self):
         p = ControlParams(nu=1.0, eta=0.0)  # defaults are +-inf
@@ -158,18 +155,6 @@ class TestBranches:
         assert np.all(u[br == BRANCH_NEG] <= 0.0)
         assert np.all(u[br == BRANCH_NEG] > -2.0)
 
-    def test_active_set_indices(self):
-        mesh = build_uniform_mesh(4)
-        p = P1Field.from_interior(mesh, np.array([2.0, 0.0, -2.0]))
-        # pbar = [1, 1, -1, -1]
-        params = ControlParams(nu=1.0, eta=0.5, a=-5.0, b=5.0)
-        idx, chi = active_set(p, params)
-        assert list(idx) == [0, 1, 2, 3]
-        assert np.allclose(chi.values, 1.0)
-        tight = ControlParams(nu=1.0, eta=1.5, a=-5.0, b=5.0)
-        idx2, chi2 = active_set(p, tight)
-        assert idx2.size == 0 and np.allclose(chi2.values, 0.0)
-
 
 class TestComplementarity:
     @given(dyadic, dyadic, dyadic_pos, dyadic_pos, dyadic_pos, dyadic_pos)
@@ -177,7 +162,7 @@ class TestComplementarity:
         """C(u, mu) = 0 exactly at the points passing branch enumeration."""
         a, b = -wa, wb
         c = complementarity_values(np.array([u]), np.array([mu]), np.array([a]),
-                                   np.array([b]), nu, eta, "symmetric")[0]
+                                   np.array([b]), nu, eta)[0]
         assert (c == 0.0) == kkt_consistent_scalar(u, mu, a, b, eta)
 
     @given(st.lists(dyadic, min_size=1, max_size=10), dyadic_pos, dyadic_pos)
@@ -187,29 +172,26 @@ class TestComplementarity:
         u = pointwise_optimal_control(z, params)
         mu = z - nu * u
         c = complementarity_values(u, mu, np.full(z.size, -2.0), np.full(z.size, 3.0),
-                                   nu, eta, "symmetric")
+                                   nu, eta)
         assert np.max(np.abs(c)) <= 1e-12 * (1.0 + np.max(np.abs(z)))
 
     def test_nonzero_at_violations(self):
         # u strictly positive but mu != eta: not a KKT point
         c = complementarity_values(np.array([1.0]), np.array([0.0]), np.array([-5.0]),
-                                   np.array([5.0]), 1.0, 0.5, "symmetric")
+                                   np.array([5.0]), 1.0, 0.5)
         assert c[0] != 0.0
 
-    def test_variant_differs_only_on_lower_bound_branch(self):
+    def test_lower_bound_branch_certified(self):
         nu, eta = 1.0, 0.5
         a = np.array([-1.0, -1.0])
         b = np.array([1.0, 1.0])
         # element 0 sits at the lower bound, element 1 is free positive
         u = np.array([-1.0, 0.5])
         mu = np.array([-2.0, eta])
-        sym = complementarity_values(u, mu, a, b, nu, eta, "symmetric")
-        alt = complementarity_values(u, mu, a, b, nu, eta, "asymmetric")
-        assert sym[1] == alt[1]
-        assert sym[0] != alt[0]
-        # the symmetric variant certifies this valid KKT point, the
-        # asymmetric variant does not
-        assert sym[0] == 0.0 and kkt_consistent_scalar(-1.0, -2.0, -1.0, 1.0, eta)
+        c = complementarity_values(u, mu, a, b, nu, eta)
+        # the lower-bound term mirrors the upper-bound one, so this valid
+        # KKT point has a zero residual
+        assert np.array_equal(c, [0.0, 0.0]) and kkt_consistent_scalar(-1.0, -2.0, -1.0, 1.0, eta)
 
     def test_field_wrapper(self):
         mesh = build_uniform_mesh(3)
@@ -276,12 +258,13 @@ class TestCost:
         assert br.l1_term == pytest.approx(0.6)        # 0.2 * 3
         assert br.total == pytest.approx(4.85)
 
-    def test_half_factor_reporting(self):
-        mesh = build_uniform_mesh(4)
-        w = P1Field.zeros(mesh)
-        u = P0Field.constant(mesh, 3.0)
-        half = ControlParams(nu=0.5, eta=0.2, a=-5.0, b=5.0, l1_half_factor=True)
-        assert cost(u, w, 0.0, half).l1_term == pytest.approx(0.3)
+    def test_p0_target_matches_constant(self):
+        mesh = build_uniform_mesh(5)
+        w = P1Field.from_callable(mesh, lambda x: x * (1.0 - x))
+        u = P0Field.constant(mesh, 1.0)
+        params = ControlParams(nu=0.5, eta=0.2, a=-5.0, b=5.0)
+        field = cost(u, w, P0Field.constant(mesh, 0.25), params)
+        assert field == cost(u, w, 0.25, params)
 
     def test_p1_target_closed_form(self):
         mesh = build_uniform_mesh(8)

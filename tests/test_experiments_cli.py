@@ -141,9 +141,8 @@ class TestRunSweep:
     def test_csv_shape(self, tmp_path):
         cfg = load_config(write_config(tmp_path, TOY.format(eta="0") + STUDY))
         rows = run_sweep(cfg)
-        write_sweep_csv(rows, tmp_path / "sweep.csv", cfg, seed=7)
+        write_sweep_csv(rows, tmp_path / "sweep.csv", cfg)
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert "# seed = 7" in lines
         data = [l for l in lines if not l.startswith("#")]
         assert data[0] == "eta,cost,l2norm,null,iterations,converged,runtime"
         assert len(data) == 6
@@ -198,11 +197,20 @@ class TestCLI:
 
     def test_sweep_command_writes_csv(self, tmp_path):
         path = write_config(tmp_path, TOY.format(eta="0") + STUDY)
-        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "s"),
-                     "--seed", "3"])
+        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")])
         assert code == 0
-        text = (tmp_path / "s" / "sweep.csv").read_text()
-        assert "# seed = 3" in text
+        assert (tmp_path / "s" / "sweep.csv").exists()
+
+    def test_solve_with_midpoint_file_target(self, tmp_path):
+        # samples at the element midpoints load as a piecewise constant target
+        mesh = build_uniform_mesh(20)
+        np.savetxt(tmp_path / "target.dat",
+                   np.column_stack([mesh.midpoints, 0.01 * np.sin(np.pi * mesh.midpoints)]))
+        body = TOY.format(eta="1e-4").replace("w_d = sine: 0.01, 1", "w_d = file: target.dat")
+        path = write_config(tmp_path, body)
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert code == 0
+        assert (tmp_path / "r" / "summary.csv").exists()
 
     def test_convergence_command_writes_both_files(self, tmp_path):
         path = write_config(tmp_path, TOY.format(eta="1e-4") + GRID)

@@ -1,6 +1,4 @@
 """Assembly, direct solves, and the analytic clamped-beam solution."""
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -18,11 +16,11 @@ from sparsebeam.fem import (
     error_norms,
     p1_mass_matrix,
     recover_shear,
-    solve_adjoint,
     solve_state,
 )
+from sparsebeam.control import ControlParams
 from sparsebeam.meshes import Mesh1D, P0Field, P1Field, build_uniform_mesh, eval_p1
-from sparsebeam.ssn import _average_matrix
+from sparsebeam.problem import ControlProblem
 
 
 def analytic_constant_load(params, q=1.0):
@@ -226,35 +224,6 @@ class TestStateSolve:
         assert np.allclose(g.values, ks * (dw - tbar))
 
 
-class TestAdjointSolve:
-    def test_tracking_sign_negates(self):
-        mesh = build_uniform_mesh(10)
-        params = BeamParams(E=1.0, t=0.01, kappa_override=1.0)
-        loads = LoadData(f=lambda x: np.sin(np.pi * x), w_d=0.0)
-        st = solve_state(mesh, params, loads)
-        plus = solve_adjoint(mesh, params, st, loads, tracking_sign=+1.0)
-        minus = solve_adjoint(mesh, params, st, loads, tracking_sign=-1.0)
-        assert np.allclose(plus.p.values, -minus.p.values, atol=1e-15)
-
-    def test_matched_target_zeroes_adjoint(self):
-        mesh = build_uniform_mesh(10)
-        params = BeamParams(E=1.0, t=0.01, kappa_override=1.0)
-        loads = LoadData(f=1.0)
-        st = solve_state(mesh, params, loads)
-        matched = LoadData(f=1.0, w_d=st.w, theta_d=st.theta)
-        adj = solve_adjoint(mesh, params, st, matched, theta_term=True)
-        assert np.max(np.abs(adj.p.values)) < 1e-14
-
-    def test_theta_term_changes_rotation_rhs_only(self):
-        mesh = build_uniform_mesh(10)
-        params = BeamParams(E=1.0, t=0.3, kappa_override=1.0)
-        loads = LoadData(f=1.0, theta_d=0.0)
-        st = solve_state(mesh, params, loads)
-        with_term = solve_adjoint(mesh, params, st, loads, theta_term=True)
-        without = solve_adjoint(mesh, params, st, loads, theta_term=False)
-        assert not np.allclose(with_term.p.values, without.p.values)
-
-
 class TestErrorNorms:
     def test_zero_for_identical_fields(self):
         mesh = build_uniform_mesh(6)
@@ -341,9 +310,8 @@ class TestVectorizedBuilders:
     def test_equal_to_element_loops(self, nodes):
         mesh = Mesh1D(nodes)
         assert np.array_equal(control_load_matrix(mesh).toarray(), _loop_control_load(mesh))
-        # _average_matrix reads the problem's mesh only
-        avg = _average_matrix(SimpleNamespace(mesh=mesh))
-        assert np.array_equal(avg.toarray(), _loop_average(mesh))
+        problem = ControlProblem(mesh, self.PARAMS, LoadData(), ControlParams(nu=1.0, eta=0.0))
+        assert np.array_equal(problem.system.Avg.toarray(), _loop_average(mesh))
         for got, ref in zip(assemble_mixed_blocks(mesh, self.PARAMS), _loop_mixed(mesh, self.PARAMS)):
             assert np.array_equal(got.toarray(), ref)
 

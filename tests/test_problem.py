@@ -1,12 +1,15 @@
 """ControlProblem wiring: conventions, caching, derived quantities."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import toy_problem, zero_problem
 from sparsebeam.control import ControlParams
-from sparsebeam.fem import BeamParams, LoadData, solve_adjoint, solve_state
-from sparsebeam.meshes import P0Field, build_uniform_mesh, p0_average
+from sparsebeam.fem import BeamParams, LoadData, assemble_load, solve_state
+from sparsebeam.meshes import P0Field, P1Field, build_uniform_mesh, eval_p1, p0_average
 from sparsebeam.problem import ControlProblem
+from sparsebeam.ssn import kkt_residual
 
 
 def test_mesh_length_must_match_beam():
@@ -28,6 +31,12 @@ def test_operator_is_cached():
     assert prob.operator is prob.operator
 
 
+def test_system_is_cached_and_shares_the_stiffness():
+    prob = toy_problem(n=8)
+    assert prob.system is prob.system
+    assert prob.system.K is prob.operator.K
+
+
 def test_state_matches_module_level_solve():
     prob = toy_problem(n=10)
     u = P0Field.constant(prob.mesh, 1.5)
@@ -37,14 +46,43 @@ def test_state_matches_module_level_solve():
 
 
 def test_adjoint_uses_descent_sign():
-    # with w_d = 0 and a positive deflection, the descent adjoint is the
-    # negative of the plain tracking adjoint
+    # the descent adjoint is the negative of the plain tracking adjoint,
+    # whose load is int (w - w_d) v
     prob = toy_problem(n=10)
     st = prob.solve_state(P0Field.constant(prob.mesh, 1.0))
-    plain = solve_adjoint(prob.mesh, prob.beam, st, prob.loads,
-                          scheme=prob.scheme, theta_term=False, tracking_sign=+1.0)
+    w_d = prob.loads.w_d
+    plain = prob.operator.solve(
+        assemble_load(prob.mesh, prob.beam, lambda x: eval_p1(st.w, x) - w_d(x), 0.0))
     adj = prob.solve_adjoint(st)
-    assert np.allclose(adj.p.values, -plain.p.values, atol=1e-15)
+    assert np.allclose(adj.p.interior, -plain[0::2], atol=1e-15)
+
+
+def beam_problem(loads, t=0.01, theta_term=False):
+    return ControlProblem(build_uniform_mesh(10), BeamParams(E=1.0, t=t, kappa_override=1.0),
+                          loads, ControlParams(nu=1.0, eta=0.0), adjoint_theta_term=theta_term)
+
+
+class TestAdjointSolve:
+    def test_reversed_residual_negates(self):
+        prob = beam_problem(LoadData(f=lambda x: np.sin(np.pi * x), w_d=0.0))
+        st = prob.solve_state()
+        # the target 2w turns the residual w_d - w = -w into +w
+        doubled = replace(prob, loads=LoadData(f=prob.loads.f, w_d=P1Field(prob.mesh, 2.0 * st.w.values)))
+        assert np.allclose(doubled.solve_adjoint(st).p.values, -prob.solve_adjoint(st).p.values,
+                           atol=1e-15)
+
+    def test_matched_target_zeroes_adjoint(self):
+        st = beam_problem(LoadData(f=1.0)).solve_state()
+        matched = beam_problem(LoadData(f=1.0, w_d=st.w, theta_d=st.theta), theta_term=True)
+        adj = matched.solve_adjoint(st)
+        assert np.max(np.abs(adj.p.values)) < 1e-14
+
+    def test_theta_term_changes_rotation_rhs_only(self):
+        loads = LoadData(f=1.0, theta_d=0.0)
+        st = beam_problem(loads, t=0.3).solve_state()
+        with_term = beam_problem(loads, t=0.3, theta_term=True).solve_adjoint(st)
+        without = beam_problem(loads, t=0.3).solve_adjoint(st)
+        assert not np.allclose(with_term.p.values, without.p.values)
 
 
 def test_averaged_adjoint_matches_p0_average():
@@ -65,7 +103,7 @@ def test_cost_delegates_to_control_layer():
 
 def test_optimality_residual_zero_data():
     prob = zero_problem()
-    assert prob.optimality_residual(prob.zero_control()) == 0.0
+    assert kkt_residual(prob, prob.zero_control())["vi"] == 0.0
 
 
 def test_with_control_and_with_mesh_rebuild():

@@ -17,18 +17,16 @@ from sparsebeam.control import (
     variational_inequality_residual,
 )
 from sparsebeam.fem import BeamParams, LinearSolveError, LoadData
-from sparsebeam.meshes import Mesh1D, P0Field, build_uniform_mesh, l2_diff_p0, pi_h
-from sparsebeam.oracles import OracleConfig, ReducedQuadratic, prox_gradient_solve
+from sparsebeam.meshes import Mesh1D, P0Field, P1Field, l2_diff_p0
+from sparsebeam.oracles import OracleConfig, ReducedQuadratic, fd_gradient_check, prox_gradient_solve
 from sparsebeam.problem import ControlProblem
 from sparsebeam.ssn import (
     SSNConfig,
     _PatternBand,
-    _Pieces,
-    _solve_pattern,
+    _PatternSolver,
     kkt_residual,
     newton_system,
     residual,
-    solve_pure_l2,
     ssn_solve,
 )
 
@@ -148,26 +146,49 @@ class TestResultInvariants:
         assert out["complementarity"] <= 1e-8
 
 
+def _target(kind, mesh, fn):
+    if kind == "scalar":
+        return 0.01
+    if kind == "callable":
+        return fn
+    if kind == "p0":
+        return P0Field(mesh, fn(mesh.midpoints))
+    return P1Field.from_callable(mesh, fn)
+
+
+class TestTargetKinds:
+    @pytest.mark.parametrize("theta_term", [False, True], ids=["w", "w+theta"])
+    @pytest.mark.parametrize("kind", ["scalar", "callable", "p0", "p1"])
+    def test_solve_converges_and_is_certified(self, kind, theta_term):
+        base = toy_problem(nu=1e-4)
+        mesh = base.mesh
+        loads = LoadData(f=base.loads.f,
+                         w_d=_target(kind, mesh, lambda x: 0.01 * np.sin(np.pi * x)),
+                         theta_d=_target(kind, mesh, lambda x: 0.02 * np.cos(np.pi * x)))
+        prob = ControlProblem(mesh, base.beam, loads, base.control, adjoint_theta_term=theta_term)
+        prob = prob.with_control(eta=0.3 * eta_threshold(prob))
+        res = ssn_solve(prob)
+        assert res.converged
+        out = kkt_residual(prob, res.u)
+        assert out["complementarity"] <= 1e-8 and out["vi"] <= 1e-8
+        orc = prox_gradient_solve(prob, OracleConfig(tol=1e-13))
+        assert orc.certified and l2_diff_p0(res.u, orc.u) <= 1e-8
+        assert fd_gradient_check(prob, res.u) <= 1e-6
+
+
 class TestPureL2:
     def test_unconstrained_quadratic_solves_in_one_step(self):
         # no bounds, no sparsity: a single coupled solve lands on the optimum
         prob = toy_problem(nu=1e-4, bound=np.inf)
-        res = solve_pure_l2(prob)
+        res = ssn_solve(prob.with_control(eta=0.0))
         assert res.converged
         assert res.iterations <= 2
         # stationarity nu*u = pbar means the aggregate multiplier vanishes
         assert np.max(np.abs(res.mu.values)) <= 1e-12
 
-    def test_bitwise_equal_to_eta_zero_solve(self):
-        prob = toy_problem(nu=1e-5, eta=3e-4)
-        a = solve_pure_l2(prob)
-        b = ssn_solve(prob.with_control(eta=0.0))
-        assert np.array_equal(a.u.values, b.u.values)
-        assert a.iterations == b.iterations
-
     def test_cost_beats_zero_control(self):
         prob = toy_problem(nu=1e-5)
-        res = solve_pure_l2(prob)
+        res = ssn_solve(prob.with_control(eta=0.0))
         assert prob.cost(res.u).total < prob.cost(prob.zero_control()).total
 
 
@@ -291,21 +312,21 @@ class TestBandedPatternSolve:
     @given(pattern_cases())
     def test_backward_stable_and_matches_spsolve(self, case):
         problem, branches, nu_eff, shift = case
-        pieces = _Pieces(problem)
-        x, y, u = _solve_pattern(pieces, branches, nu_eff, shift)
+        s = problem.system
+        x, y, u = _PatternSolver(problem).solve(branches, nu_eff, shift)
         A, rhs, free = newton_system(problem.with_control(nu=nu_eff), branches)
         if A is None:
             # no free control: the block lower-triangular state/adjoint system
-            A = sp.bmat([[pieces.K, None], [pieces.Mt, pieces.K]], format="csr")
+            A = sp.bmat([[s.K, None], [s.Mt, s.K]], format="csr")
             sol = np.concatenate([x, y])
         else:
             # newton_system's matrix equals the stack of the separately built blocks
-            ref = sp.bmat([[pieces.K, None, -pieces.B[:, free]],
-                           [pieces.Mt, pieces.K, None],
-                           [None, -pieces.Avg[free, :], nu_eff * sp.identity(free.size)]])
+            ref = sp.bmat([[s.K, None, -s.B[:, free]],
+                           [s.Mt, s.K, None],
+                           [None, -s.Avg[free, :], nu_eff * sp.identity(free.size)]])
             assert abs(A - ref).max() == 0.0
             if shift is not None:
-                rhs[2 * pieces.m:] += shift[free]
+                rhs[2 * s.K.shape[0]:] += shift[free]
             sol = np.concatenate([x, y, u[free]])
         fixed = np.setdiff1d(np.arange(problem.mesh.n), free)
         a, b = problem.bounds
@@ -331,11 +352,11 @@ class TestBandedPatternSolve:
     def test_zero_pivot_raises(self):
         # without stiffness the rotation columns are empty (no theta
         # tracking term), so dgbtrf meets an exact zero pivot
-        pieces = _Pieces(toy_problem(n=6, nu=1e-3))
-        band = _PatternBand(sp.csr_matrix(pieces.K.shape), pieces.Mt, pieces.B, pieces.Avg)
+        s = toy_problem(n=6, nu=1e-3).system
+        band = _PatternBand(sp.csr_matrix(s.K.shape), s.Mt, s.B, s.Avg)
         is_free = np.ones(6, dtype=bool)
         with pytest.raises(LinearSolveError):
-            band.solve(is_free, pieces.nu, pieces.Lf, pieces.Ld, np.zeros(6))
+            band.solve(is_free, 1e-3, s.Lf, s.Ld, np.zeros(6))
 
 
 class TestOracleAgreement:
