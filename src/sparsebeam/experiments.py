@@ -187,17 +187,19 @@ SWEEP_COLUMNS = ("eta", "cost", "l2norm", "null", "iterations", "converged", "ru
 
 
 def run_sweep(cfg: RunConfig) -> List[SweepRow]:
-    """Warm-started solves along the ascending eta list of the study."""
+    """Solves along the ascending eta list of the study.  They share one
+    operator and one optimality system, and each passes the previous eta's
+    control as u0, the center of its reseed if it cycles."""
     etas = cfg.study.etas
     if not etas:
         raise ConfigError("[study] etas is required for a sweep")
     if any(b < a for a, b in zip(etas, etas[1:])):
         raise ConfigError("[study] etas must be sorted ascending")
-    base = build_problem(cfg)
+    problem = build_problem(cfg)
     rows: List[SweepRow] = []
     prev_u = None
     for eta in etas:
-        problem = base.with_control(eta=eta)
+        problem = problem.with_control(eta=eta)
         start = time.perf_counter()
         res = ssn_solve(problem, SSNConfig(tol=cfg.tol, max_iter=cfg.max_iter, u0=prev_u))
         runtime = time.perf_counter() - start

@@ -133,4 +133,11 @@ class ControlProblem:
         return replace(self, mesh=mesh)
 
     def with_control(self, **changes) -> "ControlProblem":
-        return replace(self, control=replace(self.control, **changes))
+        """A copy with changed control parameters.  The operator and the
+        optimality system do not depend on the control, so the copy shares
+        them once built; the bounds are rebuilt."""
+        new = replace(self, control=replace(self.control, **changes))
+        for name in ("operator", "system"):
+            if name in self.__dict__:
+                new.__dict__[name] = self.__dict__[name]
+        return new

@@ -33,10 +33,14 @@ componentwise backward error, which partial pivoting alone leaves far above
 roundoff on these badly scaled rows, toward roundoff.  A pattern with no free element decouples into two solves with
 the stiffness operator.
 
-Cold starts with a very small L2 weight can overshoot the bounds
-and cycle between branch patterns; a revisited pattern is detected exactly
-and the iteration is reseeded once from a continuation path that walks the
-L2 weight down from a safely large value.
+Every solve starts from z = 0.  A pattern that repeats at once ends the
+loop: its solve depends on the pattern alone, so its residual is final.
+With a very small L2 weight the iteration can overshoot the bounds and
+cycle between branch patterns; a revisited pattern is detected exactly and
+the iteration is reseeded once from a proximal-point continuation.  Its
+first proximal weight is ten times the secant of the reduced operator
+along the last two iterates (at least nu), and its first center is the
+warm start u0 when one is given.
 """
 from __future__ import annotations
 
@@ -75,7 +79,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SSNConfig:
-    """Solver knobs.  u0 warm-starts the branch classification."""
+    """Solver knobs.  u0, clipped to the box, is the first center of the
+    proximal reseed if the iteration cycles.  It does not seed the branch
+    classification: along a sweep, the previous control's adjoint average
+    lies inside the new weight's zero band, so it would classify every
+    element as zero, exactly as a cold start does."""
 
     tol: float = 1e-10
     max_iter: int = 50
@@ -294,26 +302,6 @@ def newton_system(problem: ControlProblem, branches: np.ndarray):
     return A, rhs, free
 
 
-def _reduced_norm(problem: ControlProblem, iters: int = 60) -> float:
-    """Power-iteration estimate of the largest eigenvalue of the reduced
-    control-to-gradient operator Avg K^-1 Mt K^-1 B (similar to an SPD
-    matrix, so the spectrum is real and nonnegative)."""
-    op, s = problem.operator, problem.system
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(s.B.shape[1])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        x = op.solve(s.B @ v)
-        y = op.solve(s.Mt @ x)
-        w = s.Avg @ y
-        lam = np.linalg.norm(w)
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-    return lam
-
-
 def _pdas_stage(ps: _PatternSolver, z_eff: np.ndarray, nu_eff: float, cap: int,
                 shift: Optional[np.ndarray] = None):
     """Plain active-set iteration at an effective weight nu_eff, run until
@@ -342,44 +330,42 @@ def _pdas_stage(ps: _PatternSolver, z_eff: np.ndarray, nu_eff: float, cap: int,
     return z_plain, u, count, stable
 
 
-def _continuation_seed(ps: _PatternSolver, z: np.ndarray, budget: int = 800):
+def _continuation_seed(ps: _PatternSolver, z: np.ndarray, tau: float,
+                       c: np.ndarray, budget: int = 800):
     """Reseed a cycling iteration from a proximal-point continuation.
 
-    Each stage solves the problem plus tau/2 * ||u - c||^2 centered at the
-    previous stage's solution, so the stage optimality map keeps the true
-    weight's sparsity threshold and box while its classification point is
-    shifted by tau*c and its quadratic weight inflated by tau.  Centering
-    (rather than inflating the weight around zero) keeps the stage
-    solutions converging to the true minimizer as tau shrinks; each stable
-    stage is an exact proximal-point step, which cannot increase the
-    distance to the minimizer.  The active-set map is contractive once tau
-    dominates the reduced operator norm, and in a neighborhood of the
-    minimizer it terminates finitely even at tau = 0, so tau is quartered
-    after a stable stage and re-inflated after a cycling one; after every
-    stable stage a capped probe at the true weight checks whether the plain
-    iteration now terminates.  Returns the classification point and the
-    number of pattern solves spent.
+    Each stage solves the problem plus tau/2 * ||u - c||^2 centered at c,
+    so the stage optimality map keeps the true weight's sparsity threshold
+    and box while its classification point is shifted by tau*c and its
+    quadratic weight inflated by tau.  The first center is the caller's
+    (a warm start, or the pointwise map of the cycling iterate), later ones
+    the previous stage's solution.  Centering (rather than inflating the
+    weight around zero) keeps the stage solutions converging to the true
+    minimizer as tau shrinks; each stable stage is an exact proximal-point
+    step, which cannot increase the distance to the minimizer.  The
+    active-set map is contractive once tau dominates the reduced operator
+    along the iterates, and in a neighborhood of the minimizer it
+    terminates finitely even at tau = 0, so tau is quartered after a stable
+    stage and quadrupled, without a cap, after a cycling one; after every
+    stable stage one pattern solve at the true weight probes whether the
+    plain iteration now terminates.  Returns the classification point and
+    the number of pattern solves spent.
     """
-    nu_t = ps.nu
-    tau0 = 10.0 * max(_reduced_norm(ps.problem), nu_t)
-    tau = tau0
-    # admissible center: the pointwise map of the current classification point
-    c = np.clip(shrink(z, ps.eta) / nu_t, ps.a, ps.b)
     total = 0
     while total < budget:
-        stage_shift = tau * c
+        shift = tau * c
         z_new, u_new, used, stable = _pdas_stage(
-            ps, z + stage_shift, nu_t + tau, cap=8, shift=stage_shift)
+            ps, z + shift, ps.nu + tau, cap=8, shift=shift)
         total += used
-        if stable:
-            z, c = z_new, u_new
-            z_try, _, used, settled = _pdas_stage(ps, z, nu_t, cap=8)
-            total += used
-            if settled:
-                return z_try, total
-            tau = max(tau * 0.25, 1e-12 * tau0)
-        else:
-            tau = min(tau * 4.0, tau0)
+        if not stable:
+            tau *= 4.0
+            continue
+        z, c = z_new, u_new
+        z_try, _, used, settled = _pdas_stage(ps, z, ps.nu, cap=1)
+        total += used
+        if settled:
+            return z_try, total
+        tau *= 0.25
     return z, total
 
 
@@ -390,18 +376,12 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
     ps = _PatternSolver(problem)
     s, a, b = ps.sys, ps.a, ps.b
 
-    # initial classification point z = nu*u + mu; a warm start takes
-    # mu = pbar(u0) - nu*u0, so the first classification sees the true
-    # adjoint of u0
-    if config.u0 is not None:
-        z = problem.averaged_adjoint(problem.solve_state(config.u0)).values
-    else:
-        z = np.zeros(mesh.n)
-
     residual_history: List[float] = []
     active_history: List[np.ndarray] = []
+    # initial classification point z = nu*u + mu = 0, with the previous
+    # iterate (u, z) kept for the reseed's secant
+    z = u_vals = np.zeros(mesh.n)
     branches = classify_branches(z, a, b, nu, eta)
-    u_vals = np.zeros(mesh.n)
     converged = False
     iterations = 0
     seen_patterns = set()
@@ -411,11 +391,17 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
         key = branches.tobytes()
         if key in seen_patterns:
             # the pattern map is deterministic, so a revisited pattern is a
-            # genuine cycle; reseed once from a weight-continuation path
+            # genuine cycle; reseed once from a proximal continuation.  Since
+            # z = pbar(u), dz = -T du for the reduced operator T, so the
+            # secant |dz|/|du| of the two latest iterates measures T along
+            # the direction the iteration oscillates in and sets the first tau
             if reseeded:
                 break
             reseeded = True
-            z, extra = _continuation_seed(ps, z)
+            du = np.linalg.norm(u_vals - u_prev)
+            secant = np.linalg.norm(z - z_prev) / du if du > 0 else 0.0
+            center = config.u0.values if config.u0 is not None else shrink(z, eta) / nu
+            z, extra = _continuation_seed(ps, z, 10.0 * max(secant, nu), np.clip(center, a, b))
             iterations += extra
             seen_patterns.clear()
             branches = classify_branches(z, a, b, nu, eta)
@@ -424,6 +410,7 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
 
         iterations += 1
         active_history.append(_free_indices(branches))
+        u_prev, z_prev = u_vals, z
         x, y, u_vals = ps.solve(branches)
         z = s.Avg @ y
         mu_vals = z - nu * u_vals
@@ -445,10 +432,12 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
         residual_history.append(residual)
 
         next_branches = classify_branches(z, a, b, nu, eta)
-        if np.array_equal(next_branches, branches) and residual <= config.tol:
-            # record the repeated set: stabilization is part of the result
+        if np.array_equal(next_branches, branches):
+            # a pattern's solve depends on the pattern alone, so a repeated
+            # pattern is final: its residual cannot change.  Record the
+            # repeated set: stabilization is part of the result
             active_history.append(_free_indices(next_branches))
-            converged = True
+            converged = residual <= config.tol
             break
         branches = next_branches
 

@@ -1,4 +1,6 @@
 """Study drivers and the command-line front end."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,9 @@ from sparsebeam.experiments import (
     write_sweep_csv,
 )
 from sparsebeam.meshes import P0Field, build_uniform_mesh
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, body, name="run.ini"):
@@ -128,6 +133,13 @@ class TestRunSweep:
                    (b.eta, b.cost, b.l2norm, b.null, b.iterations)
         costs = [r.cost for r in rows1]
         assert costs == sorted(costs)
+
+    def test_shipped_sweep_work(self):
+        # each reseed is centered at the previous eta's control; a cold
+        # center spends more than 300 pattern solves on this sweep
+        rows = run_sweep(load_config(CONFIGS / "sweep.ini"))
+        assert all(r.converged for r in rows)
+        assert sum(r.iterations for r in rows) <= 250
 
     def test_eta_list_validation(self, tmp_path):
         cfg = load_config(write_config(tmp_path, TOY.format(eta="0")))

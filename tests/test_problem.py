@@ -115,3 +115,19 @@ def test_with_control_and_with_mesh_rebuild():
     assert changed.control.eta == 0.125
     assert changed.control.nu == prob.control.nu
     assert prob.control.eta == 0.0  # original untouched
+
+
+def test_with_control_shares_control_independent_caches():
+    p = toy_problem(n=8, bound=2.0)
+    assert p.system.K is p.operator.K and np.all(p.bounds[1] == 2.0)
+    q = p.with_control(eta=0.125, a=-1.0, b=1.0)
+    assert q.operator is p.operator
+    assert q.system is p.system
+    assert np.all(q.bounds[0] == -1.0) and np.all(q.bounds[1] == 1.0)
+    assert np.all(p.bounds[0] == -2.0)
+    finer = p.with_mesh(build_uniform_mesh(16))
+    assert finer.operator is not p.operator
+    assert finer.system is not p.system
+    # an unbuilt cache stays unbuilt until it is read
+    fresh = toy_problem(n=8)
+    assert "operator" not in fresh.with_control(eta=0.5).__dict__
