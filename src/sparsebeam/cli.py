@@ -17,6 +17,7 @@ from .config import ConfigError, load_config
 from .experiments import (
     CONVERGENCE_COLUMNS,
     LOCKING_COLUMNS,
+    SWEEP_COLUMNS,
     provenance_lines,
     run_convergence,
     run_locking,
@@ -24,7 +25,6 @@ from .experiments import (
     run_sweep,
     write_csv,
     write_rows_csv,
-    write_sweep_csv,
 )
 
 __all__ = ["main"]
@@ -63,23 +63,19 @@ def main(argv=None) -> int:
             return 0 if res.converged else 2
 
         if args.command == "sweep":
-            rows = run_sweep(cfg)
-            write_sweep_csv(rows, out / "sweep.csv", cfg)
-            return 0 if all(r.converged for r in rows) else 2
-
-        if args.command == "locking":
-            rows = run_locking(cfg, jobs=args.jobs)
-            write_rows_csv(rows, LOCKING_COLUMNS, out / "locking.csv", cfg)
-            return 0 if all(r["converged"] for r in rows) else 2
-
-        rows, slopes = run_convergence(cfg, jobs=args.jobs)
-        write_rows_csv(rows, CONVERGENCE_COLUMNS, out / "convergence.csv", cfg)
-        write_csv(
-            out / "convergence_slopes.csv",
-            ["quantity", "slope"],
-            [[k, v] for k, v in sorted(slopes.items())],
-            provenance_lines(cfg),
-        )
+            rows, columns = run_sweep(cfg), SWEEP_COLUMNS
+        elif args.command == "locking":
+            rows, columns = run_locking(cfg, jobs=args.jobs), LOCKING_COLUMNS
+        else:
+            rows, slopes = run_convergence(cfg, jobs=args.jobs)
+            columns = CONVERGENCE_COLUMNS
+            write_csv(
+                out / "convergence_slopes.csv",
+                ["quantity", "slope"],
+                [[k, v] for k, v in sorted(slopes.items())],
+                provenance_lines(cfg),
+            )
+        write_rows_csv(rows, columns, out / f"{args.command}.csv", cfg)
         return 0 if all(r["converged"] for r in rows) else 2
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -9,8 +9,7 @@ Sections and keys (defaults in brackets):
     [data]      f, g, w_d, theta_d  [zero]
     [solver]    scheme [locking_free], tol [1e-10], max_iter [50],
                 adjoint_theta_term [false]
-    [study]     etas, thicknesses, mesh_sizes (comma lists), family
-                [balanced], ref_factor [8]
+    [study]     etas, thicknesses, mesh_sizes (comma lists), ref_factor [8]
 
 Numeric values accept plain fractions ("5/6").  Data entries use a small
 catalog:
@@ -22,7 +21,8 @@ catalog:
                                            (coordinate, value); element
                                            midpoints make a piecewise
                                            constant field, anything else is
-                                           interpolated linearly
+                                           interpolated linearly; every entry
+                                           must be finite
 
 Unknown sections or keys are rejected, as are physically inadmissible
 values; errors raise ConfigError with the offending location in the
@@ -45,7 +45,6 @@ from .ssn import SSNConfig
 
 __all__ = [
     "ConfigError",
-    "StudyConfig",
     "RunConfig",
     "load_config",
     "build_problem",
@@ -59,10 +58,8 @@ _ALLOWED = {
     "control": {"nu", "eta", "lower", "upper"},
     "data": {"f", "g", "w_d", "theta_d"},
     "solver": {"scheme", "tol", "max_iter", "adjoint_theta_term"},
-    "study": {"etas", "thicknesses", "mesh_sizes", "family", "ref_factor"},
+    "study": {"etas", "thicknesses", "mesh_sizes", "ref_factor"},
 }
-
-_FAMILIES = ("balanced", "sine")
 
 
 class ConfigError(ValueError):
@@ -102,7 +99,6 @@ class StudyConfig:
     etas: Tuple[float, ...] = ()
     thicknesses: Tuple[float, ...] = ()
     mesh_sizes: Tuple[int, ...] = ()
-    family: str = "balanced"
     ref_factor: int = 8
 
 
@@ -167,6 +163,8 @@ def realize_field(spec: str, mesh, length: float, base_dir: Optional[Path] = Non
             raise ConfigError(f"cannot read field file {path}: {exc}") from exc
         if data.ndim != 2 or data.shape[1] != 2:
             raise ConfigError(f"field file {path} must hold two columns: coordinate, value")
+        if not np.all(np.isfinite(data)):
+            raise ConfigError(f"field file {path} holds non-finite values")
         coords, vals = data[:, 0], data[:, 1]
         tol = 1e-9 * max(length, 1.0)
         if vals.size == mesh.n and np.allclose(coords, mesh.midpoints, atol=tol):
@@ -263,11 +261,6 @@ def load_config(path) -> RunConfig:
             raise ConfigError("[study] thicknesses must lie in (0, 1]")
     if cp.has_option("study", "mesh_sizes"):
         study_kw["mesh_sizes"] = _int_list(cp.get("study", "mesh_sizes"), "[study] mesh_sizes")
-    if cp.has_option("study", "family"):
-        fam = cp.get("study", "family").strip()
-        if fam not in _FAMILIES:
-            raise ConfigError(f"[study] family must be one of {_FAMILIES}")
-        study_kw["family"] = fam
     if cp.has_option("study", "ref_factor"):
         rf = _number(cp.get("study", "ref_factor"), "[study] ref_factor")
         if rf != int(rf) or rf < 2:

@@ -13,9 +13,9 @@ slackness.  Its pointwise solution is a clipped soft-shrinkage:
 
     u_j = clip( shrink(pbar_j, eta) / nu, a_j, b_j ).
 
-complementarity() evaluates the nonsmooth reformulation C(u, mu) whose root
-set is exactly this system; C = 0 is both the Newton residual and the
-a-posteriori certificate.
+complementarity_values() evaluates the nonsmooth reformulation C(u, mu)
+whose root set is exactly this system; C = 0 is both the Newton residual and
+the a-posteriori certificate.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ __all__ = [
     "discretize_bounds",
     "shrink",
     "pointwise_optimal_control",
-    "complementarity",
+    "complementarity_values",
     "classify_branches",
     "fixed_control",
     "variational_inequality_residual",
@@ -143,11 +143,6 @@ def complementarity_values(u: np.ndarray, mu: np.ndarray, a, b, nu: float, eta: 
         + np.minimum(0.0, nu * (u - a) + mu + eta)
     )
     return c
-
-
-def complementarity(u: P0Field, mu: P0Field, params: ControlParams) -> P0Field:
-    a, b = discretize_bounds(params, u.mesh)
-    return P0Field(u.mesh, complementarity_values(u.values, mu.values, a, b, params.nu, params.eta))
 
 
 def classify_branches(z: np.ndarray, a: np.ndarray, b: np.ndarray, nu: float, eta: float) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -27,10 +27,9 @@ from .meshes import (
     l2_diff_p1,
     l2_norm_p0,
 )
-from .ssn import SSNConfig, SSNResult, ssn_solve
+from .ssn import SSNResult, ssn_solve
 
 __all__ = [
-    "SweepRow",
     "SWEEP_COLUMNS",
     "LOCKING_COLUMNS",
     "CONVERGENCE_COLUMNS",
@@ -43,7 +42,6 @@ __all__ = [
     "support_measure",
     "write_csv",
     "write_field",
-    "write_sweep_csv",
     "write_rows_csv",
     "provenance_lines",
 ]
@@ -172,21 +170,10 @@ def run_solve(cfg: RunConfig, out_dir) -> SSNResult:
 
 # ------------------------------------------------------------- sweep
 
-@dataclass(frozen=True)
-class SweepRow:
-    eta: float
-    cost: float
-    l2norm: float
-    null: int
-    iterations: int
-    converged: bool
-    runtime: float
-
-
 SWEEP_COLUMNS = ("eta", "cost", "l2norm", "null", "iterations", "converged", "runtime")
 
 
-def run_sweep(cfg: RunConfig) -> List[SweepRow]:
+def run_sweep(cfg: RunConfig) -> List[Dict]:
     """Solves along the ascending eta list of the study.  They share one
     operator and one optimality system, and each passes the previous eta's
     control as u0, the center of its reseed if it cycles."""
@@ -196,35 +183,25 @@ def run_sweep(cfg: RunConfig) -> List[SweepRow]:
     if any(b < a for a, b in zip(etas, etas[1:])):
         raise ConfigError("[study] etas must be sorted ascending")
     problem = build_problem(cfg)
-    rows: List[SweepRow] = []
+    ssn_config = build_ssn_config(cfg)
+    rows = []
     prev_u = None
     for eta in etas:
         problem = problem.with_control(eta=eta)
         start = time.perf_counter()
-        res = ssn_solve(problem, SSNConfig(tol=cfg.tol, max_iter=cfg.max_iter, u0=prev_u))
+        res = ssn_solve(problem, replace(ssn_config, u0=prev_u))
         runtime = time.perf_counter() - start
-        cb = problem.cost(res.u, res.state)
-        rows.append(SweepRow(
-            eta=eta,
-            cost=cb.total,
-            l2norm=l2_norm_p0(res.u),
-            null=res.null_count,
-            iterations=res.iterations,
-            converged=res.converged,
-            runtime=runtime,
-        ))
+        rows.append({
+            "eta": eta,
+            "cost": problem.cost(res.u, res.state).total,
+            "l2norm": l2_norm_p0(res.u),
+            "null": res.null_count,
+            "iterations": res.iterations,
+            "converged": res.converged,
+            "runtime": runtime,
+        })
         prev_u = res.u
     return rows
-
-
-def write_sweep_csv(rows: Sequence[SweepRow], path, cfg: RunConfig) -> None:
-    write_csv(
-        path,
-        SWEEP_COLUMNS,
-        [[r.eta, r.cost, r.l2norm, r.null, r.iterations, r.converged, r.runtime]
-         for r in rows],
-        provenance_lines(cfg),
-    )
 
 
 # ------------------------------------------------------------- grids

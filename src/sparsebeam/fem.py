@@ -27,7 +27,6 @@ import scipy.sparse as sp
 from .meshes import GAUSS_2PT, Mesh1D, P0Field, P1Field, eval_p1, point_values
 
 __all__ = [
-    "STANDARD",
     "LOCKING_FREE",
     "SCHEMES",
     "BeamParams",

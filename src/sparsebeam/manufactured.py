@@ -27,7 +27,7 @@ import sympy as sym
 
 from .fem import BeamParams, LoadData
 
-__all__ = ["ManufacturedCase", "from_fields", "sine_family", "balanced_family"]
+__all__ = ["from_fields", "sine_family", "balanced_family"]
 
 
 @dataclass(frozen=True)

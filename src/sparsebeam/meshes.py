@@ -15,7 +15,6 @@ __all__ = [
     "P1Field",
     "P0Field",
     "QuadratureRule",
-    "MIDPOINT_1PT",
     "GAUSS_2PT",
     "build_uniform_mesh",
     "pi_h",
@@ -23,11 +22,7 @@ __all__ = [
     "eval_p1",
     "point_values",
     "l2_norm_p0",
-    "l1_norm_p0",
-    "linf_norm_p0",
     "l2_norm_p1",
-    "h1_seminorm_p1",
-    "linf_norm_p1",
     "l2_diff_p0",
     "l2_diff_p1",
 ]
@@ -168,7 +163,6 @@ class P0Field:
 class QuadratureRule:
     """Quadrature on the reference element [0, 1]; weights sum to 1."""
 
-    tag: str
     points: np.ndarray
     weights: np.ndarray
 
@@ -181,17 +175,15 @@ class QuadratureRule:
             raise ValueError("reference weights must sum to 1")
 
 
-MIDPOINT_1PT = QuadratureRule("midpoint_1pt", np.array([0.5]), np.array([1.0]))
 GAUSS_2PT = QuadratureRule(
-    "gauss_2pt",
     np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)]),
     np.array([0.5, 0.5]),
 )
 
 
-def _eval_on_elements(fn, mesh: Mesh1D, rule: QuadratureRule) -> np.ndarray:
-    """Evaluate fn at all quadrature points; shape (n_elements, n_points)."""
-    x = mesh.nodes[:-1, None] + mesh.element_sizes[:, None] * rule.points[None, :]
+def _eval_on_elements(fn, mesh: Mesh1D) -> np.ndarray:
+    """Evaluate fn at the two Gauss points of every element; shape (n, 2)."""
+    x = mesh.nodes[:-1, None] + mesh.element_sizes[:, None] * GAUSS_2PT.points[None, :]
     try:
         vals = np.asarray(fn(x), dtype=float)
         if vals.shape != x.shape:
@@ -204,11 +196,11 @@ def _eval_on_elements(fn, mesh: Mesh1D, rule: QuadratureRule) -> np.ndarray:
     return vals
 
 
-def pi_h(u, mesh: Mesh1D, rule: QuadratureRule = GAUSS_2PT) -> P0Field:
+def pi_h(u, mesh: Mesh1D) -> P0Field:
     """Elementwise-mean quasi-interpolation onto piecewise constants.
 
     u may be a P0Field on the same mesh (identity), a scalar, or a callable;
-    callables are averaged with the given quadrature rule.
+    callables are averaged with two-point Gauss quadrature.
     """
     if isinstance(u, P0Field):
         if u.mesh is not mesh and not np.array_equal(u.mesh.nodes, mesh.nodes):
@@ -216,8 +208,8 @@ def pi_h(u, mesh: Mesh1D, rule: QuadratureRule = GAUSS_2PT) -> P0Field:
         return P0Field(mesh, u.values.copy())
     if np.isscalar(u):
         return P0Field.constant(mesh, float(u))
-    vals = _eval_on_elements(u, mesh, rule)
-    return P0Field(mesh, vals @ rule.weights)
+    vals = _eval_on_elements(u, mesh)
+    return P0Field(mesh, vals @ GAUSS_2PT.weights)
 
 
 def p0_average(v: P1Field) -> P0Field:
@@ -260,28 +252,11 @@ def l2_norm_p0(u: P0Field) -> float:
     return float(np.sqrt(np.sum(u.mesh.element_sizes * u.values**2)))
 
 
-def l1_norm_p0(u: P0Field) -> float:
-    return float(np.sum(u.mesh.element_sizes * np.abs(u.values)))
-
-
-def linf_norm_p0(u: P0Field) -> float:
-    return float(np.max(np.abs(u.values))) if u.values.size else 0.0
-
-
 def l2_norm_p1(v: P1Field) -> float:
     # exact: int over element of (linear)^2 = h*(a^2 + a*b + b^2)/3
     a = v.values[:-1]
     b = v.values[1:]
     return float(np.sqrt(np.sum(v.mesh.element_sizes * (a * a + a * b + b * b) / 3.0)))
-
-
-def h1_seminorm_p1(v: P1Field) -> float:
-    d = np.diff(v.values)
-    return float(np.sqrt(np.sum(d * d / v.mesh.element_sizes)))
-
-
-def linf_norm_p1(v: P1Field) -> float:
-    return float(np.max(np.abs(v.values)))
 
 
 # ------------------------------------------ cross-mesh comparisons

@@ -39,7 +39,6 @@ from .problem import ControlProblem
 
 __all__ = [
     "OracleConfig",
-    "OracleResult",
     "ReducedQuadratic",
     "prox_gradient_solve",
     "fd_gradient_check",
@@ -47,13 +46,15 @@ __all__ = [
 ]
 
 
+# FISTA iterations between two polish attempts
+_POLISH_EVERY = 200
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     tol: float = 1e-12
     max_iter: int = 1_000_000
-    accelerate: bool = True
     polish: bool = True
-    polish_every: int = 200
 
 
 @dataclass
@@ -196,23 +197,20 @@ def prox_gradient_solve(problem: ControlProblem, config: OracleConfig = OracleCo
         iterations += 1
         g = rq.gradient(v)
         u_new = rq.prox(v - tau * g, tau)
-        if config.accelerate:
-            # gradient-based adaptive restart
-            if np.dot(v - u_new, u_new - u) > 0:
-                v = u.copy()
-                t = 1.0
-                u_new = rq.prox(u - tau * rq.gradient(u), tau)
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            v = u_new + ((t - 1.0) / t_new) * (u_new - u)
-            t = t_new
-        else:
-            v = u_new
+        # gradient-based adaptive restart
+        if np.dot(v - u_new, u_new - u) > 0:
+            v = u.copy()
+            t = 1.0
+            u_new = rq.prox(u - tau * rq.gradient(u), tau)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        v = u_new + ((t - 1.0) / t_new) * (u_new - u)
+        t = t_new
         u = u_new
         fp = rq.fixed_point_residual(u, tau)
         if fp <= config.tol * (1.0 + np.max(np.abs(u))):
             converged = True
             break
-        if config.polish and iterations % config.polish_every == 0:
+        if config.polish and iterations % _POLISH_EVERY == 0:
             u_p, mu_p, ok, branches = try_polish(u)
             if ok:
                 fp_p = rq.fixed_point_residual(u_p, tau)

@@ -41,7 +41,7 @@ from .fem import (
 )
 from .meshes import Mesh1D, P0Field, eval_p1, p0_average, point_values
 
-__all__ = ["ControlProblem", "OptimalitySystem"]
+__all__ = ["ControlProblem"]
 
 
 class OptimalitySystem:

@@ -40,7 +40,9 @@ cycle between branch patterns; a revisited pattern is detected exactly and
 the iteration is reseeded once from a proximal-point continuation.  Its
 first proximal weight is ten times the secant of the reduced operator
 along the last two iterates (at least nu), and its first center is the
-warm start u0 when one is given.
+warm start u0 when one is given.  The reseed ends on a probe that has
+solved the pattern it hands back at the true weight; the loop takes that
+solve instead of repeating it.
 """
 from __future__ import annotations
 
@@ -309,25 +311,24 @@ def _pdas_stage(ps: _PatternSolver, z_eff: np.ndarray, nu_eff: float, cap: int,
 
     With a shift the stage solves the proximally centered subproblem whose
     classification point is the plain adjoint average plus the shift.
-    Returns the plain adjoint averages and control of the last iterate, the
-    number of pattern solves spent, and whether the pattern stabilized.
+    Returns the plain adjoint averages and the solve (x, y, u) of the last
+    iterate, the number of pattern solves spent, and whether the pattern
+    stabilized.
     """
     branches = classify_branches(z_eff, ps.a, ps.b, nu_eff, ps.eta)
-    z_plain = z_eff if shift is None else z_eff - shift
-    u = fixed_control(branches, ps.a, ps.b)
     count = 0
     stable = False
     for _ in range(cap):
         count += 1
-        _, y, u = ps.solve(branches, nu_eff, shift)
-        z_plain = ps.sys.Avg @ y
+        solved = ps.solve(branches, nu_eff, shift)
+        z_plain = ps.sys.Avg @ solved[1]
         z_eff = z_plain if shift is None else z_plain + shift
         nxt = classify_branches(z_eff, ps.a, ps.b, nu_eff, ps.eta)
         if np.array_equal(nxt, branches):
             stable = True
             break
         branches = nxt
-    return z_plain, u, count, stable
+    return z_plain, solved, count, stable
 
 
 def _continuation_seed(ps: _PatternSolver, z: np.ndarray, tau: float,
@@ -348,25 +349,26 @@ def _continuation_seed(ps: _PatternSolver, z: np.ndarray, tau: float,
     terminates finitely even at tau = 0, so tau is quartered after a stable
     stage and quadrupled, without a cap, after a cycling one; after every
     stable stage one pattern solve at the true weight probes whether the
-    plain iteration now terminates.  Returns the classification point and
-    the number of pattern solves spent.
+    plain iteration now terminates.  Returns the classification point, the
+    number of pattern solves spent, and the settled probe's solve (x, y, u)
+    of the pattern that point classifies to, or None if the budget ran out.
     """
     total = 0
     while total < budget:
         shift = tau * c
-        z_new, u_new, used, stable = _pdas_stage(
+        z_new, solved, used, stable = _pdas_stage(
             ps, z + shift, ps.nu + tau, cap=8, shift=shift)
         total += used
         if not stable:
             tau *= 4.0
             continue
-        z, c = z_new, u_new
-        z_try, _, used, settled = _pdas_stage(ps, z, ps.nu, cap=1)
+        z, c = z_new, solved[2]
+        z_try, probe, used, settled = _pdas_stage(ps, z, ps.nu, cap=1)
         total += used
         if settled:
-            return z_try, total
+            return z_try, total, probe
         tau *= 0.25
-    return z, total
+    return z, total, None
 
 
 def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNResult:
@@ -386,6 +388,7 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
     iterations = 0
     seen_patterns = set()
     reseeded = False
+    probe = None  # a settled probe's solve of the current pattern
 
     for _ in range(config.max_iter):
         key = branches.tobytes()
@@ -401,17 +404,23 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
             du = np.linalg.norm(u_vals - u_prev)
             secant = np.linalg.norm(z - z_prev) / du if du > 0 else 0.0
             center = config.u0.values if config.u0 is not None else shrink(z, eta) / nu
-            z, extra = _continuation_seed(ps, z, 10.0 * max(secant, nu), np.clip(center, a, b))
+            z, extra, probe = _continuation_seed(
+                ps, z, 10.0 * max(secant, nu), np.clip(center, a, b))
             iterations += extra
             seen_patterns.clear()
             branches = classify_branches(z, a, b, nu, eta)
             key = branches.tobytes()
         seen_patterns.add(key)
 
-        iterations += 1
         active_history.append(_free_indices(branches))
         u_prev, z_prev = u_vals, z
-        x, y, u_vals = ps.solve(branches)
+        if probe is None:
+            iterations += 1
+            x, y, u_vals = ps.solve(branches)
+        else:
+            # the reseed already solved this pattern, and counted the solve
+            x, y, u_vals = probe
+            probe = None
         z = s.Avg @ y
         mu_vals = z - nu * u_vals
 

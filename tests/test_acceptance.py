@@ -236,18 +236,18 @@ def test_05_sparsity_sweep():
 
     hard = (
         len(rows) == 10
-        and all(r.converged for r in rows)
-        and all(b.cost >= a.cost for a, b in zip(rows, rows[1:]))
-        and all(b.null >= a.null for a, b in zip(rows, rows[1:]))
-        and rows[0].eta == 0.0 and rows[0].null == 0
-        and rows[-1].null == cfg.n and rows[-1].l2norm == 0.0
+        and all(r["converged"] for r in rows)
+        and all(b["cost"] >= a["cost"] for a, b in zip(rows, rows[1:]))
+        and all(b["null"] >= a["null"] for a, b in zip(rows, rows[1:]))
+        and rows[0]["eta"] == 0.0 and rows[0]["null"] == 0
+        and rows[-1]["null"] == cfg.n and rows[-1]["l2norm"] == 0.0
     )
-    norm_dev = abs(rows[0].l2norm - TARGET_ROWS[0][2]) / TARGET_ROWS[0][2]
-    cost_dev = max(abs(r.cost - t[1]) / t[1] for r, t in zip(rows, TARGET_ROWS))
-    null_dev = max(abs(r.null - t[3]) for r, t in zip(rows, TARGET_ROWS))
+    norm_dev = abs(rows[0]["l2norm"] - TARGET_ROWS[0][2]) / TARGET_ROWS[0][2]
+    cost_dev = max(abs(r["cost"] - t[1]) / t[1] for r, t in zip(rows, TARGET_ROWS))
+    null_dev = max(abs(r["null"] - t[3]) for r, t in zip(rows, TARGET_ROWS))
     report(5, hard and norm_dev <= 0.20 and elapsed < 180.0,
            f"10 converged rows, cost and zero count nondecreasing, final "
-           f"control exactly zero; |u(0)|_L2 = {rows[0].l2norm:.4f} vs target "
+           f"control exactly zero; |u(0)|_L2 = {rows[0]['l2norm']:.4f} vs target "
            f"{TARGET_ROWS[0][2]} (dev {100 * norm_dev:.1f}%, band 20%); logged "
            f"deviations: cost up to {100 * cost_dev:.1f}%, zero count up to "
            f"{null_dev}, {elapsed:.1f}s")

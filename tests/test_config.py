@@ -42,7 +42,6 @@ class TestLoadConfig:
         assert cfg.tol == 1e-10
         assert cfg.max_iter == 50
         assert cfg.f == "zero"
-        assert cfg.study.family == "balanced"
         assert cfg.study.ref_factor == 8
 
     def test_full_roundtrip(self, tmp_path):
@@ -78,7 +77,6 @@ adjoint_theta_term = yes
 etas = 0, 1e-5, 2e-5
 thicknesses = 0.01, 0.001
 mesh_sizes = 16, 32, 64
-family = sine
 ref_factor = 4
 """
         cfg = load_config(write_config(tmp_path, body))
@@ -88,7 +86,6 @@ ref_factor = 4
         assert cfg.adjoint_theta_term is True
         assert cfg.study.etas == (0.0, 1e-5, 2e-5)
         assert cfg.study.mesh_sizes == (16, 32, 64)
-        assert cfg.study.family == "sine"
         assert build_ssn_config(cfg).tol == 1e-9
         assert build_ssn_config(cfg).max_iter == 30
 
@@ -114,7 +111,7 @@ ref_factor = 4
         (MINIMAL + "[data]\nf = zero: 3\n", "takes no arguments"),
         (MINIMAL + "[study]\netas = 1e-5, -2e-5\n", "nonnegative"),
         (MINIMAL + "[study]\nmesh_sizes = 16, 2.5\n", "integers"),
-        (MINIMAL + "[study]\nfamily = cubic\n", "family"),
+        (MINIMAL + "[study]\nfamily = cubic\n", "unknown key 'family'"),
         (MINIMAL + "[study]\nref_factor = 1\n", "ref_factor"),
         ("[geometry]\nn = 16\n\n[control]\nnu = 1\neta = 0\nlower = 0.5\n", "[control]"),
     ])

@@ -12,7 +12,6 @@ from sparsebeam.control import (
     BRANCH_ZERO,
     ControlParams,
     classify_branches,
-    complementarity,
     complementarity_values,
     cost,
     discretize_bounds,
@@ -192,13 +191,6 @@ class TestComplementarity:
         # the lower-bound term mirrors the upper-bound one, so this valid
         # KKT point has a zero residual
         assert np.array_equal(c, [0.0, 0.0]) and kkt_consistent_scalar(-1.0, -2.0, -1.0, 1.0, eta)
-
-    def test_field_wrapper(self):
-        mesh = build_uniform_mesh(3)
-        params = ControlParams(nu=1.0, eta=0.0, a=-1.0, b=1.0)
-        c = complementarity(P0Field.zeros(mesh), P0Field.zeros(mesh), params)
-        assert isinstance(c, P0Field)
-        assert np.all(c.values == 0.0)
 
 
 class TestMultipliers:

@@ -65,14 +65,6 @@ class TestProxGradient:
         assert orc.certified and res.converged
         assert l2_diff_p0(res.u, orc.u) <= 1e-9
 
-    def test_unaccelerated_still_converges(self):
-        prob = toy_problem(n=10, nu=1e-3)
-        p = prob.with_control(eta=0.3 * eta_threshold(prob))
-        plain = prox_gradient_solve(p, OracleConfig(accelerate=False, tol=1e-11))
-        fast = prox_gradient_solve(p, OracleConfig(tol=1e-11))
-        assert plain.converged and fast.converged
-        assert l2_diff_p0(plain.u, fast.u) <= 1e-8
-
     def test_uncertified_path_reports_flag(self):
         prob = toy_problem(n=10, nu=1e-3)
         res = prox_gradient_solve(prob, OracleConfig(max_iter=1, polish=False, tol=1e-16))

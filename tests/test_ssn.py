@@ -17,7 +17,7 @@ from sparsebeam.control import (
     variational_inequality_residual,
 )
 from sparsebeam.fem import BeamParams, LinearSolveError, LoadData
-from sparsebeam.meshes import Mesh1D, P0Field, P1Field, l2_diff_p0
+from sparsebeam.meshes import Mesh1D, P0Field, P1Field, build_uniform_mesh, l2_diff_p0
 from sparsebeam.oracles import OracleConfig, ReducedQuadratic, fd_gradient_check, prox_gradient_solve
 from sparsebeam.problem import ControlProblem
 from sparsebeam.ssn import (
@@ -77,6 +77,28 @@ class TestTermination:
         assert res.iterations == len(res.residual_history)
         assert res.converged == (res.residual_history[-1] <= SSNConfig().tol)
         assert np.array_equal(res.active_set_history[-1], res.active_set_history[-2])
+
+    def test_settled_probe_is_not_solved_again(self, monkeypatch):
+        # at nu = 1e-12 this load cycles and reseeds; the reseed ends on a
+        # probe that has solved the final pattern at the true weight, and
+        # the main loop reuses that solve instead of repeating it
+        prob = ControlProblem(build_uniform_mesh(200), BeamParams(E=1.0, t=0.01),
+                              LoadData(f=lambda x: 100 * np.sin(8 * np.pi * x)),
+                              ControlParams(nu=1e-12, eta=1e-5, a=-60, b=60))
+        solves = []  # (pattern, solved at the true weight) per pattern solve
+        solve = _PatternSolver.solve
+
+        def recorded(self, branches, nu=None, shift=None):
+            solves.append((branches.tobytes(), shift is None and nu in (None, self.nu)))
+            return solve(self, branches, nu, shift)
+
+        monkeypatch.setattr(_PatternSolver, "solve", recorded)
+        res = ssn_solve(prob)
+        assert res.converged
+        assert res.iterations > len(res.residual_history)  # the reseed ran
+        assert res.iterations == len(solves)
+        assert not any(true_a and true_b and pat_a == pat_b
+                       for (pat_a, true_a), (pat_b, true_b) in zip(solves, solves[1:]))
 
     @pytest.mark.parametrize("t", [1e-2, 1e-3])
     @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
