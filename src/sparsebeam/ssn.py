@@ -30,25 +30,27 @@ pattern-independent part is assembled once per solve, on the first pattern
 with a free element, and one band storage is refilled for every pattern.
 Two steps of iterative refinement on the same factor drive the
 componentwise backward error, which partial pivoting alone leaves far above
-roundoff on these badly scaled rows, toward roundoff.  A pattern with no free element decouples into two solves with
-the stiffness operator.
+roundoff on these badly scaled rows, toward roundoff.  A pattern with no
+free element decouples into two solves with the stiffness operator.
 
-Every solve starts from z = 0.  A pattern that repeats at once ends the
-loop: its solve depends on the pattern alone, so its residual is final.
-With a very small L2 weight the iteration can overshoot the bounds and
-cycle between branch patterns; a revisited pattern is detected exactly and
-the iteration is reseeded once from a proximal-point continuation.  Its
-first proximal weight is ten times the secant of the reduced operator
-along the last two iterates (at least nu), and its first center is the
-warm start u0 when one is given.  The reseed ends on a probe that has
-solved the pattern it hands back at the true weight; the loop takes that
-solve instead of repeating it.
+One active-set iteration serves the main loop, the reseed's proximal
+stages and its probes.  The pattern map is deterministic, so it stops at
+the first of three events: a fixed point (its solve depends on the pattern
+alone, so its residual is final), its cap of pattern solves, or a
+recurring pattern (a cycle, which can never settle).  The main loop starts
+from z = 0.  With a very small L2 weight it can overshoot the bounds and
+cycle; it is then reseeded once from a proximal-point continuation, whose
+first weight is ten times the secant of the reduced operator along the
+last two iterates (at least nu) and whose first center is the warm start
+u0 when one is given.  The reseed ends on a probe that has settled at the
+true weight; that probe's solve is the loop's last iterate.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,8 +83,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SSNConfig:
-    """Solver knobs.  u0, clipped to the box, is the first center of the
-    proximal reseed if the iteration cycles.  It does not seed the branch
+    """Solver knobs.  max_iter bounds the main loop's iterations, so the
+    length of residual_history; SSNResult.iterations also counts the
+    reseed's pattern solves, which have their own budget of 800.  u0 must
+    live on the problem's mesh; clipped to the box, it is the first center
+    of the reseed if the iteration cycles.  It does not seed the branch
     classification: along a sweep, the previous control's adjoint average
     lies inside the new weight's zero band, so it would classify every
     element as zero, exactly as a cold start does."""
@@ -94,6 +99,8 @@ class SSNConfig:
     def __post_init__(self):
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
+        if not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError("max_iter must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -106,15 +113,13 @@ class SSNResult:
     adjoint: AdjointSolution
     multipliers: MultiplierState
     converged: bool
+    # "converged" or "repeat_above_tol" (a fixed point that meets tol or
+    # misses it), "max_iter", or "cycle" (a second cycle, after the reseed)
+    stop_reason: str
     iterations: int
     residual_history: List[float] = field(default_factory=list)
     active_set_history: List[np.ndarray] = field(default_factory=list)
-    branches: Optional[np.ndarray] = None
     null_count: int = 0
-
-
-def _free_indices(branches: np.ndarray) -> np.ndarray:
-    return np.nonzero((branches == BRANCH_POS) | (branches == BRANCH_NEG))[0]
 
 
 # Band layout of a pattern system: a slot for every element control and the
@@ -304,69 +309,80 @@ def newton_system(problem: ControlProblem, branches: np.ndarray):
     return A, rhs, free
 
 
-def _pdas_stage(ps: _PatternSolver, z_eff: np.ndarray, nu_eff: float, cap: int,
-                shift: Optional[np.ndarray] = None):
-    """Plain active-set iteration at an effective weight nu_eff, run until
-    the branch pattern repeats or the cap is hit.
+class _Run(NamedTuple):
+    z: np.ndarray  # adjoint average of the last solve
+    branches: np.ndarray  # the last pattern solved
+    solved: tuple  # its solve (x, y, u)
+    solves: int
+    stop: str  # "fixed", "cap" or "cycle"
 
-    With a shift the stage solves the proximally centered subproblem whose
-    classification point is the plain adjoint average plus the shift.
-    Returns the plain adjoint averages and the solve (x, y, u) of the last
-    iterate, the number of pattern solves spent, and whether the pattern
-    stabilized.
+
+def _active_set(ps: _PatternSolver, z: np.ndarray, nu: float, cap: int,
+                shift: Optional[np.ndarray] = None, visit: Optional[Callable] = None) -> _Run:
+    """The active-set iteration at weight nu from the classification point z.
+
+    Classifies z + shift, solves the pattern, takes z from the adjoint
+    average of the solve and reclassifies, until a fixed point, the cap of
+    pattern solves or a recurring pattern.  With a shift it solves the
+    proximally centered subproblem of a reseed stage.  visit(branches,
+    solved, z) is called after every solve.
     """
-    branches = classify_branches(z_eff, ps.a, ps.b, nu_eff, ps.eta)
-    count = 0
-    stable = False
-    for _ in range(cap):
-        count += 1
-        solved = ps.solve(branches, nu_eff, shift)
-        z_plain = ps.sys.Avg @ solved[1]
-        z_eff = z_plain if shift is None else z_plain + shift
-        nxt = classify_branches(z_eff, ps.a, ps.b, nu_eff, ps.eta)
+    def classify(z):
+        return classify_branches(z if shift is None else z + shift, ps.a, ps.b, nu, ps.eta)
+
+    branches, seen, solves = classify(z), set(), 0
+    while True:
+        seen.add(branches.tobytes())
+        solved = ps.solve(branches, nu, shift)
+        solves += 1
+        z = ps.sys.Avg @ solved[1]
+        if visit is not None:
+            visit(branches, solved, z)
+        nxt = classify(z)
         if np.array_equal(nxt, branches):
-            stable = True
-            break
-        branches = nxt
-    return z_plain, solved, count, stable
+            stop = "fixed"
+        elif solves == cap:
+            stop = "cap"
+        elif nxt.tobytes() in seen:
+            stop = "cycle"
+        else:
+            branches = nxt
+            continue
+        return _Run(z, branches, solved, solves, stop)
 
 
 def _continuation_seed(ps: _PatternSolver, z: np.ndarray, tau: float,
                        c: np.ndarray, budget: int = 800):
     """Reseed a cycling iteration from a proximal-point continuation.
 
-    Each stage solves the problem plus tau/2 * ||u - c||^2 centered at c,
-    so the stage optimality map keeps the true weight's sparsity threshold
-    and box while its classification point is shifted by tau*c and its
-    quadratic weight inflated by tau.  The first center is the caller's
-    (a warm start, or the pointwise map of the cycling iterate), later ones
-    the previous stage's solution.  Centering (rather than inflating the
-    weight around zero) keeps the stage solutions converging to the true
-    minimizer as tau shrinks; each stable stage is an exact proximal-point
-    step, which cannot increase the distance to the minimizer.  The
-    active-set map is contractive once tau dominates the reduced operator
-    along the iterates, and in a neighborhood of the minimizer it
-    terminates finitely even at tau = 0, so tau is quartered after a stable
-    stage and quadrupled, without a cap, after a cycling one; after every
-    stable stage one pattern solve at the true weight probes whether the
-    plain iteration now terminates.  Returns the classification point, the
-    number of pattern solves spent, and the settled probe's solve (x, y, u)
-    of the pattern that point classifies to, or None if the budget ran out.
+    Each stage solves the problem plus tau/2 * ||u - c||^2 centered at c:
+    the true weight's sparsity threshold and box, with the classification
+    point shifted by tau*c and the quadratic weight inflated by tau.  The
+    first center is the caller's (a warm start, or the pointwise map of the
+    cycling iterate), later ones the previous stage's solution.  Centering
+    keeps the stage solutions converging to the true minimizer as tau
+    shrinks; each settled stage is an exact proximal-point step, which
+    cannot increase the distance to the minimizer.  The active-set map is
+    contractive once tau dominates the reduced operator along the iterates,
+    and near the minimizer it terminates finitely even at tau = 0, so tau
+    is quartered after a settled stage and quadrupled, without a cap, after
+    one that cycles or spends its 8 solves.  After every settled stage a
+    one-solve probe at the true weight tests whether the plain iteration
+    now terminates.  Returns the classification point, the pattern solves
+    spent, and the settled probe's run, or None if the budget ran out.
     """
     total = 0
     while total < budget:
-        shift = tau * c
-        z_new, solved, used, stable = _pdas_stage(
-            ps, z + shift, ps.nu + tau, cap=8, shift=shift)
-        total += used
-        if not stable:
+        stage = _active_set(ps, z, ps.nu + tau, 8, shift=tau * c)
+        total += stage.solves
+        if stage.stop != "fixed":
             tau *= 4.0
             continue
-        z, c = z_new, solved[2]
-        z_try, probe, used, settled = _pdas_stage(ps, z, ps.nu, cap=1)
-        total += used
-        if settled:
-            return z_try, total, probe
+        z, c = stage.z, stage.solved[2]
+        probe = _active_set(ps, z, ps.nu, 1)
+        total += probe.solves
+        if probe.stop == "fixed":
+            return probe.z, total, probe
         tau *= 0.25
     return z, total, None
 
@@ -375,84 +391,66 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
     """Run the active-set iteration to the finite-termination fixed point."""
     mesh, control = problem.mesh, problem.control
     nu, eta = control.nu, control.eta
+    u0 = config.u0
+    if u0 is not None and not np.array_equal(u0.mesh.nodes, mesh.nodes):
+        raise ValueError("u0 lives on a different mesh")
     ps = _PatternSolver(problem)
     s, a, b = ps.sys, ps.a, ps.b
 
     residual_history: List[float] = []
     active_history: List[np.ndarray] = []
-    # initial classification point z = nu*u + mu = 0, with the previous
-    # iterate (u, z) kept for the reseed's secant
-    z = u_vals = np.zeros(mesh.n)
-    branches = classify_branches(z, a, b, nu, eta)
-    converged = False
-    iterations = 0
-    seen_patterns = set()
-    reseeded = False
-    probe = None  # a settled probe's solve of the current pattern
+    latest = []  # (u, z) of the last two iterates, for the reseed's secant
 
-    for _ in range(config.max_iter):
-        key = branches.tobytes()
-        if key in seen_patterns:
-            # the pattern map is deterministic, so a revisited pattern is a
-            # genuine cycle; reseed once from a proximal continuation.  Since
-            # z = pbar(u), dz = -T du for the reduced operator T, so the
-            # secant |dz|/|du| of the two latest iterates measures T along
-            # the direction the iteration oscillates in and sets the first tau
-            if reseeded:
-                break
-            reseeded = True
-            du = np.linalg.norm(u_vals - u_prev)
-            secant = np.linalg.norm(z - z_prev) / du if du > 0 else 0.0
-            center = config.u0.values if config.u0 is not None else shrink(z, eta) / nu
-            z, extra, probe = _continuation_seed(
-                ps, z, 10.0 * max(secant, nu), np.clip(center, a, b))
-            iterations += extra
-            seen_patterns.clear()
-            branches = classify_branches(z, a, b, nu, eta)
-            key = branches.tobytes()
-        seen_patterns.add(key)
-
-        active_history.append(_free_indices(branches))
-        u_prev, z_prev = u_vals, z
-        if probe is None:
-            iterations += 1
-            x, y, u_vals = ps.solve(branches)
-        else:
-            # the reseed already solved this pattern, and counted the solve
-            x, y, u_vals = probe
-            probe = None
-        z = s.Avg @ y
-        mu_vals = z - nu * u_vals
-
+    def record(branches, solved, z):
+        x, y, u = solved
+        active_history.append(np.nonzero((branches == BRANCH_POS) | (branches == BRANCH_NEG))[0])
+        latest[:] = latest[-1:] + [(u, z)]
         # PDE rows measure the normwise backward error: for thin beams the
         # stiffness carries the 1/t^2 shear scale, so an absolute or
         # load-relative norm would sit above any direct solver's floor
         scale_f = 1.0 + np.max(np.abs(s.Lf)) \
-            + s.K_norm * np.max(np.abs(x)) + s.B_norm * np.max(np.abs(u_vals))
+            + s.K_norm * np.max(np.abs(x)) + s.B_norm * np.max(np.abs(u))
         scale_d = 1.0 + np.max(np.abs(s.Ld)) \
             + s.K_norm * np.max(np.abs(y)) + s.Mt_norm * np.max(np.abs(x))
-        r_state = np.max(np.abs(s.K @ x - s.B @ u_vals - s.Lf)) / scale_f
+        r_state = np.max(np.abs(s.K @ x - s.B @ u - s.Lf)) / scale_f
         r_adj = np.max(np.abs(s.Mt @ x + s.K @ y - s.Ld)) / scale_d
-        c = complementarity_values(u_vals, mu_vals, a, b, nu, eta)
+        c = complementarity_values(u, z - nu * u, a, b, nu, eta)
         # gradient and complementarity rows are normalized by max(1, nu): the
         # nu-scaled Newton row would make an unscaled max-norm vacuous
-        r_c = np.max(np.abs(c)) / max(1.0, nu)
-        residual = max(r_state, r_adj, r_c)
-        residual_history.append(residual)
+        residual_history.append(max(r_state, r_adj, np.max(np.abs(c)) / max(1.0, nu)))
 
-        next_branches = classify_branches(z, a, b, nu, eta)
-        if np.array_equal(next_branches, branches):
-            # a pattern's solve depends on the pattern alone, so a repeated
-            # pattern is final: its residual cannot change.  Record the
-            # repeated set: stabilization is part of the result
-            active_history.append(_free_indices(next_branches))
-            converged = residual <= config.tol
-            break
-        branches = next_branches
+    run = _active_set(ps, np.zeros(mesh.n), nu, config.max_iter, visit=record)
+    iterations = run.solves
+    if run.stop == "cycle":
+        # reseed once from a proximal continuation.  Since z = pbar(u),
+        # dz = -T du for the reduced operator T, so the secant |dz|/|du| of
+        # the two latest iterates measures T along the direction the
+        # iteration oscillates in and sets the first tau
+        (u_prev, z_prev), (u_last, z) = latest
+        du = np.linalg.norm(u_last - u_prev)
+        secant = np.linalg.norm(z - z_prev) / du if du > 0 else 0.0
+        center = u0.values if u0 is not None else shrink(z, eta) / nu
+        z, extra, run = _continuation_seed(ps, z, 10.0 * max(secant, nu), np.clip(center, a, b))
+        iterations += extra
+        if run is None:
+            run = _active_set(ps, z, nu, config.max_iter - len(residual_history), visit=record)
+            iterations += run.solves
+        else:  # the settled probe's solve, counted by the reseed, is the next iterate
+            record(run.branches, run.solved, run.z)
+
+    converged = False
+    if run.stop == "fixed":
+        # a pattern's solve depends on the pattern alone, so its residual is
+        # final; the repeated set is recorded: stabilization is in the result
+        active_history.append(active_history[-1])
+        converged = residual_history[-1] <= config.tol
+        stop_reason = "converged" if converged else "repeat_above_tol"
+    else:
+        stop_reason = "max_iter" if run.stop == "cap" else "cycle"
 
     # final consistency pass through the banded operator so the returned
     # state/adjoint agree with solve_state/solve_adjoint on the returned u
-    u_final = np.clip(u_vals, a, b)
+    u_final = np.clip(run.solved[2], a, b)
     u_field = P0Field(mesh, u_final)
     state = problem.solve_state(u_field)
     adjoint = problem.solve_adjoint(state)
@@ -465,10 +463,10 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
         adjoint=adjoint,
         multipliers=mult,
         converged=converged,
+        stop_reason=stop_reason,
         iterations=iterations,
         residual_history=residual_history,
         active_set_history=active_history,
-        branches=branches,
         null_count=int(np.count_nonzero(u_final == 0.0)),
     )
 

@@ -1,4 +1,6 @@
 """Active-set solver: termination, invariants, oracle agreement."""
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -31,11 +33,32 @@ from sparsebeam.ssn import (
 )
 
 
+def _cycling_sine_problem():
+    """A load that cycles at nu = 1e-12, so the solve reseeds."""
+    return ControlProblem(build_uniform_mesh(200), BeamParams(E=1.0, t=0.01),
+                          LoadData(f=lambda x: 100 * np.sin(8 * np.pi * x)),
+                          ControlParams(nu=1e-12, eta=1e-5, a=-60, b=60))
+
+
+def _recorded_solves(monkeypatch):
+    """Record (pattern, weight, shift given) for every pattern solve."""
+    solves = []
+    solve = _PatternSolver.solve
+
+    def recorded(self, branches, nu=None, shift=None):
+        solves.append((branches.tobytes(), self.nu if nu is None else nu, shift is not None))
+        return solve(self, branches, nu, shift)
+
+    monkeypatch.setattr(_PatternSolver, "solve", recorded)
+    return solves
+
+
 class TestTermination:
     def test_zero_data_converges_immediately(self):
         prob = zero_problem()
         res = ssn_solve(prob)
         assert res.converged
+        assert res.stop_reason == "converged"
         assert res.iterations <= 2
         assert np.all(res.u.values == 0.0)
         assert res.null_count == prob.mesh.n
@@ -67,6 +90,7 @@ class TestTermination:
         prob = toy_problem(nu=1e-6, eta=0.3 * eta_threshold(toy_problem(nu=1e-6)))
         res = ssn_solve(prob, SSNConfig(max_iter=2))
         assert not res.converged
+        assert res.stop_reason == "max_iter"
 
     def test_repeated_pattern_ends_the_loop(self):
         # a thin beam whose first fixed-point pattern misses tol: the
@@ -77,28 +101,50 @@ class TestTermination:
         assert res.iterations == len(res.residual_history)
         assert res.converged == (res.residual_history[-1] <= SSNConfig().tol)
         assert np.array_equal(res.active_set_history[-1], res.active_set_history[-2])
+        assert res.stop_reason == "repeat_above_tol"
 
     def test_settled_probe_is_not_solved_again(self, monkeypatch):
         # at nu = 1e-12 this load cycles and reseeds; the reseed ends on a
         # probe that has solved the final pattern at the true weight, and
         # the main loop reuses that solve instead of repeating it
-        prob = ControlProblem(build_uniform_mesh(200), BeamParams(E=1.0, t=0.01),
-                              LoadData(f=lambda x: 100 * np.sin(8 * np.pi * x)),
-                              ControlParams(nu=1e-12, eta=1e-5, a=-60, b=60))
-        solves = []  # (pattern, solved at the true weight) per pattern solve
-        solve = _PatternSolver.solve
-
-        def recorded(self, branches, nu=None, shift=None):
-            solves.append((branches.tobytes(), shift is None and nu in (None, self.nu)))
-            return solve(self, branches, nu, shift)
-
-        monkeypatch.setattr(_PatternSolver, "solve", recorded)
-        res = ssn_solve(prob)
+        solves = _recorded_solves(monkeypatch)
+        res = ssn_solve(_cycling_sine_problem())
         assert res.converged
         assert res.iterations > len(res.residual_history)  # the reseed ran
         assert res.iterations == len(solves)
-        assert not any(true_a and true_b and pat_a == pat_b
-                       for (pat_a, true_a), (pat_b, true_b) in zip(solves, solves[1:]))
+        # unshifted solves are at the true weight
+        assert not any(not (shift_a or shift_b) and pat_a == pat_b
+                       for (pat_a, _, shift_a), (pat_b, _, shift_b) in zip(solves, solves[1:]))
+
+    def test_no_run_solves_a_pattern_twice(self, monkeypatch):
+        # a run (the main loop, a proximal stage or a probe) is a stretch of
+        # consecutive solves at one weight, shifted or not.  Its pattern map
+        # is deterministic, so a run whose pattern recurs can never settle
+        # and must stop instead of solving the pattern again
+        solves = _recorded_solves(monkeypatch)
+        res = ssn_solve(_cycling_sine_problem())
+        assert res.converged
+        runs = [[pat for pat, _, _ in run]
+                for _, run in itertools.groupby(solves, key=lambda solve: solve[1:])]
+        assert sum(shift for _, _, shift in solves) > 0  # proximal stages ran
+        assert all(len(set(run)) == len(run) for run in runs)
+
+    @pytest.mark.parametrize("nodes", [np.linspace(0.0, 1.0, 31),
+                                       np.linspace(0.0, 1.0, 26) ** 1.5],
+                             ids=["other_n", "same_n_other_nodes"])
+    @pytest.mark.parametrize("nu", [1e-8, 1e-4])
+    def test_u0_from_another_mesh_is_rejected(self, nodes, nu):
+        # at nu = 1e-8 the solve cycles and its reseed would read u0; at
+        # nu = 1e-4 it terminates without one
+        prob = toy_problem(nu=nu)
+        prob = prob.with_control(eta=0.3 * eta_threshold(prob))
+        u0 = P0Field(Mesh1D(nodes), np.ones(nodes.size - 1))
+        with pytest.raises(ValueError, match="different mesh"):
+            ssn_solve(prob, SSNConfig(u0=u0))
+
+    def test_non_integer_max_iter_is_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            SSNConfig(max_iter=2.5)
 
     @pytest.mark.parametrize("t", [1e-2, 1e-3])
     @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
