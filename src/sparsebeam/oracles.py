@@ -9,10 +9,16 @@ and r0 the averaged descent adjoint at u = 0.  The elementwise gradient of
 the smooth part is nu*u + T u - r0 = nu*u - pbar(u); the D-weights cancel
 out of the proximal step, so plain soft-shrinkage plus clipping applies.
 
-prox_gradient_solve runs FISTA with gradient-based adaptive restart; by
-default it periodically attempts an exact "polish": classify branches from
-pbar, solve the free-branch linear system, and verify every Karush-Kuhn-
-Tucker inequality explicitly.  The problem is strictly convex, so a point
+T and r0 do not depend on the control: they are built once per problem,
+by the first ReducedQuadratic, and cached read-only on the problem's
+OptimalitySystem, which with_control copies share.  The active-set solver
+never reads them, so the oracles stay independent of the code they check.
+
+prox_gradient_solve runs FISTA with gradient-based adaptive restart, at one
+dense product T u per iteration (T v follows by linearity).  By default it
+periodically attempts an exact "polish": classify branches from pbar,
+solve the free-branch linear system, and verify every Karush-Kuhn-Tucker
+inequality explicitly.  The problem is strictly convex, so a point
 passing that verification is the unique minimizer -- the returned
 certificate does not depend on iteration counts or tolerances.
 """
@@ -71,22 +77,16 @@ class OracleResult:
 class ReducedQuadratic:
     """Dense reduced form of one control problem.
 
-    Built from the problem's OptimalitySystem by two multi-right-hand-side
-    banded solves; cost O(n) solves of bandwidth-3 systems plus one dense
-    n x n product, fine up to a few thousand elements.
+    T and r0 are the problem's cached OptimalitySystem.reduced: the first
+    ReducedQuadratic of a problem builds them by two multi-right-hand-side
+    banded solves (O(n) solves of bandwidth-3 systems, fine up to a few
+    thousand elements), and every later one, also on a with_control copy,
+    shares them read-only.
     """
 
     def __init__(self, problem: ControlProblem):
         self.problem = problem
-        op, s = problem.operator, problem.system
-
-        # T = Avg K^-1 Mt K^-1 B, column by column via multi-RHS solves
-        W = op.solve(s.B.toarray())
-        V = op.solve(s.Mt @ W)
-        self.T = np.asarray(s.Avg @ V)
-        x0 = op.solve(s.Lf)
-        y0 = op.solve(s.Ld - s.Mt @ x0)
-        self.r0 = np.asarray(s.Avg @ y0)
+        self.T, self.r0 = problem.system.reduced
         self.h = problem.mesh.element_sizes
         self.nu = problem.control.nu
         self.eta = problem.control.eta
@@ -95,10 +95,6 @@ class ReducedQuadratic:
 
     def pbar(self, u: np.ndarray) -> np.ndarray:
         return self.r0 - self.T @ u
-
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        """Elementwise gradient of the smooth part: nu*u - pbar(u)."""
-        return self.nu * u - self.pbar(u)
 
     def partial_objective(self, u: np.ndarray) -> float:
         """Objective up to the u-independent constant."""
@@ -123,8 +119,13 @@ class ReducedQuadratic:
     def prox(self, v: np.ndarray, tau: float) -> np.ndarray:
         return np.clip(shrink(v, tau * self.eta), self.a, self.b)
 
-    def fixed_point_residual(self, u: np.ndarray, tau: float) -> float:
-        return float(np.max(np.abs(u - self.prox(u - tau * self.gradient(u), tau))))
+    def step(self, u: np.ndarray, Tu: np.ndarray, tau: float) -> np.ndarray:
+        """Proximal gradient step from u, given its product Tu = T u; the
+        elementwise gradient of the smooth part is nu*u - pbar(u)."""
+        return self.prox(u - tau * (self.nu * u - (self.r0 - Tu)), tau)
+
+    def fixed_point_residual(self, u: np.ndarray, Tu: np.ndarray, tau: float) -> float:
+        return float(np.max(np.abs(u - self.step(u, Tu, tau))))
 
 
 def _polish(rq: ReducedQuadratic, branches: np.ndarray):
@@ -169,10 +170,13 @@ def prox_gradient_solve(problem: ControlProblem, config: OracleConfig = OracleCo
     rq = ReducedQuadratic(problem)
     n = problem.mesh.n
     tau = 1.0 / rq.lipschitz()
+    # the iterates carry their products with T: one fresh product per
+    # iteration, T u_new, and T v by linearity from two fresh ones
     u = np.zeros(n)
-    v = u.copy()
+    Tu = np.zeros(n)
+    v, Tv = u, Tu
     t = 1.0
-    fp = rq.fixed_point_residual(u, tau)
+    fp = rq.fixed_point_residual(u, Tu, tau)
     iterations = 0
     converged = fp <= config.tol * (1.0 + np.max(np.abs(u)))
 
@@ -188,42 +192,44 @@ def prox_gradient_solve(problem: ControlProblem, config: OracleConfig = OracleCo
             branches=branches,
         )
 
-    def try_polish(u_seed):
-        branches = classify_branches(rq.pbar(u_seed), rq.a, rq.b, rq.nu, rq.eta)
+    def try_polish(pbar):
+        branches = classify_branches(pbar, rq.a, rq.b, rq.nu, rq.eta)
         u_p, mu_p, ok = _polish(rq, branches)
-        return u_p, mu_p, ok, branches
+        if not ok:
+            return None
+        fp_p = rq.fixed_point_residual(u_p, rq.T @ u_p, tau)
+        return finish(np.clip(u_p, rq.a, rq.b), mu_p, True, fp_p, branches)
 
     while not converged and iterations < config.max_iter:
         iterations += 1
-        g = rq.gradient(v)
-        u_new = rq.prox(v - tau * g, tau)
-        # gradient-based adaptive restart
+        u_new = rq.step(v, Tv, tau)
+        # gradient-based adaptive restart: drop the momentum, step from u
         if np.dot(v - u_new, u_new - u) > 0:
-            v = u.copy()
             t = 1.0
-            u_new = rq.prox(u - tau * rq.gradient(u), tau)
+            u_new = rq.step(u, Tu, tau)
+        Tu_new = rq.T @ u_new
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        v = u_new + ((t - 1.0) / t_new) * (u_new - u)
+        beta = (t - 1.0) / t_new
+        v = u_new + beta * (u_new - u)
+        Tv = (1.0 + beta) * Tu_new - beta * Tu
         t = t_new
-        u = u_new
-        fp = rq.fixed_point_residual(u, tau)
+        u, Tu = u_new, Tu_new
+        fp = rq.fixed_point_residual(u, Tu, tau)
         if fp <= config.tol * (1.0 + np.max(np.abs(u))):
             converged = True
             break
         if config.polish and iterations % _POLISH_EVERY == 0:
-            u_p, mu_p, ok, branches = try_polish(u)
-            if ok:
-                fp_p = rq.fixed_point_residual(u_p, tau)
-                return finish(np.clip(u_p, rq.a, rq.b), mu_p, True, fp_p, branches)
+            polished = try_polish(rq.r0 - Tu)
+            if polished is not None:
+                return polished
 
+    pbar = rq.r0 - Tu
     if config.polish:
-        u_p, mu_p, ok, branches = try_polish(u)
-        if ok:
-            fp_p = rq.fixed_point_residual(u_p, tau)
-            return finish(np.clip(u_p, rq.a, rq.b), mu_p, True, fp_p, branches)
-    mu = rq.pbar(u) - rq.nu * u
-    branches = classify_branches(rq.pbar(u), rq.a, rq.b, rq.nu, rq.eta)
-    return finish(u, mu, False, fp, branches)
+        polished = try_polish(pbar)
+        if polished is not None:
+            return polished
+    branches = classify_branches(pbar, rq.a, rq.b, rq.nu, rq.eta)
+    return finish(u, pbar - rq.nu * u, False, fp, branches)
 
 
 def _smooth_cost(problem: ControlProblem, u: P0Field) -> float:
@@ -313,15 +319,14 @@ def dense_kkt_solve(problem: ControlProblem, max_flip: int = 2) -> OracleResult:
     def attempt(branches):
         u_p, mu_p, ok = _polish(rq, branches)
         if ok:
+            u_p = np.clip(u_p, rq.a, rq.b)
             return OracleResult(
-                u=P0Field(problem.mesh, np.clip(u_p, rq.a, rq.b)),
+                u=P0Field(problem.mesh, u_p),
                 mu=P0Field(problem.mesh, mu_p),
                 iterations=seed.iterations,
                 converged=True,
                 certified=True,
-                fixed_point_residual=rq.fixed_point_residual(
-                    np.clip(u_p, rq.a, rq.b), 1.0 / rq.lipschitz()
-                ),
+                fixed_point_residual=rq.fixed_point_residual(u_p, rq.T @ u_p, 1.0 / rq.lipschitz()),
                 branches=branches,
             )
         return None

@@ -13,13 +13,14 @@ the two conventions the optimality layer depends on:
   optimality system of cost() has this off.
 
 The operator and the blocks of the discrete optimality system are built
-once per problem and cached.
+once per problem and cached; so is the dense reduced operator of the
+oracles, lazily, on first use (the semismooth Newton solver never reads it).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,6 +45,11 @@ from .meshes import Mesh1D, P0Field, eval_p1, p0_average, point_values
 __all__ = ["ControlProblem"]
 
 
+class Reduced(NamedTuple):
+    T: np.ndarray  # n x n control-to-averaged-adjoint map
+    r0: np.ndarray  # averaged descent adjoint at u = 0
+
+
 class OptimalitySystem:
     """Pattern-independent blocks of the discrete optimality system
 
@@ -60,7 +66,8 @@ class OptimalitySystem:
     def __init__(self, problem: ControlProblem):
         mesh, beam, loads = problem.mesh, problem.beam, problem.loads
         theta_term = problem.adjoint_theta_term
-        self.K = problem.operator.K
+        self.operator = problem.operator
+        self.K = self.operator.K
         self.B = control_load_matrix(mesh)
         self.Avg = self.B.T.tocsr()
         self.Avg.data[:] = 0.5
@@ -71,6 +78,20 @@ class OptimalitySystem:
         self.K_norm = float(np.max(np.abs(self.K).sum(axis=1)))
         self.Mt_norm = float(np.max(np.abs(self.Mt).sum(axis=1)))
         self.B_norm = float(np.max(np.abs(self.B).sum(axis=1)))
+
+    @cached_property
+    def reduced(self) -> Reduced:
+        """Dense reduced operator T = Avg K^-1 Mt K^-1 B and r0, the adjoint
+        average at u = 0, so that pbar(u) = r0 - T u.  Built on first use by
+        two multi-right-hand-side banded solves (n columns each) and two
+        single ones, then shared read-only by every reader of this system."""
+        op = self.operator
+        T = np.asarray(self.Avg @ op.solve(self.Mt @ op.solve(self.B.toarray())))
+        x0 = op.solve(self.Lf)
+        r0 = np.asarray(self.Avg @ op.solve(self.Ld - self.Mt @ x0))
+        T.flags.writeable = False
+        r0.flags.writeable = False
+        return Reduced(T, r0)
 
 
 @dataclass(frozen=True)

@@ -114,7 +114,8 @@ class SSNResult:
     multipliers: MultiplierState
     converged: bool
     # "converged" or "repeat_above_tol" (a fixed point that meets tol or
-    # misses it), "max_iter", or "cycle" (a second cycle, after the reseed)
+    # misses it), "max_iter", or "reseed_budget" (the reseed spent its 800
+    # solves and the resumed main loop did not reach a fixed point)
     stop_reason: str
     iterations: int
     residual_history: List[float] = field(default_factory=list)
@@ -421,6 +422,7 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
 
     run = _active_set(ps, np.zeros(mesh.n), nu, config.max_iter, visit=record)
     iterations = run.solves
+    reseed_spent = False
     if run.stop == "cycle":
         # reseed once from a proximal continuation.  Since z = pbar(u),
         # dz = -T du for the reduced operator T, so the secant |dz|/|du| of
@@ -432,7 +434,8 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
         center = u0.values if u0 is not None else shrink(z, eta) / nu
         z, extra, run = _continuation_seed(ps, z, 10.0 * max(secant, nu), np.clip(center, a, b))
         iterations += extra
-        if run is None:
+        if run is None:  # the budget is spent: the main loop resumes from z
+            reseed_spent = True
             run = _active_set(ps, z, nu, config.max_iter - len(residual_history), visit=record)
             iterations += run.solves
         else:  # the settled probe's solve, counted by the reseed, is the next iterate
@@ -445,8 +448,9 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
         active_history.append(active_history[-1])
         converged = residual_history[-1] <= config.tol
         stop_reason = "converged" if converged else "repeat_above_tol"
-    else:
-        stop_reason = "max_iter" if run.stop == "cap" else "cycle"
+    else:  # a cycle always reseeds, so a run that did not settle here
+        # either hit max_iter before any cycle or followed a spent reseed
+        stop_reason = "reseed_budget" if reseed_spent else "max_iter"
 
     # final consistency pass through the banded operator so the returned
     # state/adjoint agree with solve_state/solve_adjoint on the returned u

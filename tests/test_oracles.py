@@ -4,10 +4,11 @@ import pytest
 
 from conftest import eta_threshold, toy_problem, zero_problem
 from sparsebeam.control import ControlParams
-from sparsebeam.fem import BeamParams, LoadData
+from sparsebeam.fem import BeamOperator, BeamParams, LoadData
 from sparsebeam.meshes import P0Field, build_uniform_mesh, l2_diff_p0
 from sparsebeam.problem import ControlProblem
 from sparsebeam.oracles import (
+    _POLISH_EVERY,
     OracleConfig,
     ReducedQuadratic,
     dense_kkt_solve,
@@ -15,6 +16,30 @@ from sparsebeam.oracles import (
     prox_gradient_solve,
 )
 from sparsebeam.ssn import ssn_solve
+
+
+def _count_multi_column_solves(monkeypatch):
+    """Count BeamOperator.solve calls with a matrix right-hand side, which
+    only the reduced-operator build makes."""
+    calls = []
+    solve = BeamOperator.solve
+
+    def counted(self, rhs):
+        if np.ndim(rhs) == 2:
+            calls.append(np.shape(rhs)[1])
+        return solve(self, rhs)
+
+    monkeypatch.setattr(BeamOperator, "solve", counted)
+    return calls
+
+
+class _CountingMatrix(np.ndarray):
+    """A dense matrix that counts its products with vectors."""
+    products = 0
+
+    def __matmul__(self, other):
+        _CountingMatrix.products += 1
+        return self.view(np.ndarray) @ other
 
 
 class TestReducedQuadratic:
@@ -44,6 +69,24 @@ class TestReducedQuadratic:
         lam = np.max(np.linalg.eigvalsh(0.5 * (rq.T + rq.T.T))) + rq.nu
         assert rq.lipschitz() >= lam * 0.999
 
+    def test_built_once_per_problem(self, monkeypatch):
+        calls = _count_multi_column_solves(monkeypatch)
+        prob = toy_problem(n=12, nu=1e-4)
+        rq = ReducedQuadratic(prob)
+        assert ReducedQuadratic(prob).T is rq.T
+        # T and r0 do not depend on the control, so copies share them
+        other = ReducedQuadratic(prob.with_control(eta=0.5 * eta_threshold(prob)))
+        assert other.T is rq.T and other.r0 is rq.r0
+        assert other.eta != rq.eta
+        assert calls == [12, 12]
+
+    def test_cached_operator_is_read_only(self):
+        rq = ReducedQuadratic(toy_problem(n=8))
+        with pytest.raises(ValueError):
+            rq.T[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            rq.r0[0] = 1.0
+
 
 class TestProxGradient:
     def test_zero_data(self):
@@ -65,6 +108,21 @@ class TestProxGradient:
         assert orc.certified and res.converged
         assert l2_diff_p0(res.u, orc.u) <= 1e-9
 
+    @pytest.mark.parametrize("polish", [True, False])
+    def test_one_dense_product_per_iteration(self, polish):
+        prob = toy_problem(n=20, nu=1e-5)
+        p = prob.with_control(eta=0.4 * eta_threshold(prob))
+        reduced = p.system.reduced
+        p.system.reduced = reduced._replace(T=reduced.T.view(_CountingMatrix))
+        _CountingMatrix.products = 0
+        res = prox_gradient_solve(p, OracleConfig(tol=0.0, max_iter=600, polish=polish))
+        assert res.iterations >= 200 and res.certified == polish
+        # the power iteration spends 200; each polish attempt spends one
+        # product on the fixed part of its free system and one on its pbar,
+        # and the certified exit one on its fixed-point residual
+        polish_attempts = res.iterations // _POLISH_EVERY + 1 if polish else 0
+        assert _CountingMatrix.products <= res.iterations + 200 + 2 * polish_attempts + 1
+
     def test_uncertified_path_reports_flag(self):
         prob = toy_problem(n=10, nu=1e-3)
         res = prox_gradient_solve(prob, OracleConfig(max_iter=1, polish=False, tol=1e-16))
@@ -79,6 +137,12 @@ class TestDenseKKT:
         assert dk.certified
         res = ssn_solve(p)
         assert l2_diff_p0(res.u, dk.u) <= 1e-9
+
+    def test_builds_the_reduced_operator_once(self, monkeypatch):
+        calls = _count_multi_column_solves(monkeypatch)
+        prob = toy_problem(n=15, nu=1e-5)
+        assert dense_kkt_solve(prob.with_control(eta=0.35 * eta_threshold(prob))).certified
+        assert calls == [15, 15]
 
     def test_large_mesh_refused(self):
         with pytest.raises(ValueError):

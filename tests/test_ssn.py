@@ -129,6 +129,22 @@ class TestTermination:
         assert sum(shift for _, _, shift in solves) > 0  # proximal stages ran
         assert all(len(set(run)) == len(run) for run in runs)
 
+    def test_spent_reseed_budget_has_its_own_stop_reason(self):
+        # a graded thin beam whose reseed spends its 800 solves; the main
+        # loop then resumes and cycles again.  The reseed reacts chaotically
+        # to roundoff in the data: nodes from linspace instead settle in 21
+        mesh = Mesh1D((np.arange(584) / 583) ** 1.5)
+        prob = ControlProblem(
+            mesh, BeamParams(E=1.0, t=4.37837352263112e-05),
+            LoadData(f=lambda x: 172.5441262193364 * np.sin(np.pi * x + 3.7662659171177393)),
+            ControlParams(nu=4.35297230033675e-09, eta=0.0,
+                          a=-49.82415323960112, b=49.82415323960112))
+        prob = prob.with_control(eta=0.5868627403009049 * eta_threshold(prob))
+        res = ssn_solve(prob)
+        assert not res.converged
+        assert res.iterations - len(res.residual_history) >= 800
+        assert res.stop_reason == "reseed_budget"
+
     @pytest.mark.parametrize("nodes", [np.linspace(0.0, 1.0, 31),
                                        np.linspace(0.0, 1.0, 26) ** 1.5],
                              ids=["other_n", "same_n_other_nodes"])
