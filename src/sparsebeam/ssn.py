@@ -28,10 +28,15 @@ mesh size, thickness and grading.  Controls off the free branches keep
 their slots as decoupled unit rows, so the band layout never changes; its
 pattern-independent part is assembled once per solve, on the first pattern
 with a free element, and one band storage is refilled for every pattern.
-Two steps of iterative refinement on the same factor drive the
-componentwise backward error, which partial pivoting alone leaves far above
-roundoff on these badly scaled rows, toward roundoff.  A pattern with no
-free element decouples into two solves with the stiffness operator.
+The stiffness carries the 1/t^2 shear scale, so its rows differ in size by
+orders of magnitude; each state and adjoint row is scaled by a power of two
+that brings its stiffness part to max-norm in [1/2, 1), exactly and once per
+solve.  On the equilibrated rows one step of iterative refinement on the
+same factor, its residual taken from the unscaled system, brings the
+componentwise backward error close to roundoff; on the unscaled rows two
+steps left it orders of magnitude above (Skeel 1980; Higham, Accuracy and
+Stability of Numerical Algorithms, ch. 12).  A pattern with no free element
+decouples into two solves with the stiffness operator.
 
 One active-set iteration serves the main loop, the reseed's proximal
 stages and its probes.  The pattern map is deterministic, so it stops at
@@ -144,7 +149,13 @@ class _PatternBand:
     The pattern-independent stiffness/mass part of the band is assembled
     once; a pattern copies it into one band storage, reused by every
     pattern, and sets the control rows and columns: -B_f, -Avg_f and nu on
-    free elements, a unit diagonal elsewhere.
+    free elements, a unit diagonal elsewhere.  The band is row-equilibrated:
+    the state row and the adjoint row of each interior dof are scaled by
+    2^-e, e the binary exponent of the largest |entry| in that dof's
+    stiffness row, so the stiffness parts of the scaled rows lie in
+    [1/2, 1) in max-norm.  A power of two scales exactly, so the scaled and
+    unscaled systems have the same solution; the control rows keep scale 1,
+    as does the row of a dof without stiffness.
     """
 
     def __init__(self, K: sp.csr_matrix, Mt: sp.csr_matrix, B: sp.csr_matrix,
@@ -163,10 +174,21 @@ class _PatternBand:
         c = np.concatenate([slot(k.col, 0), slot(k.col, 2), slot(mt.col, 0)])
         self.fixed = np.zeros((_KL + _KU + 1, self.size), order="F")
         self.fixed[_KU + r - c, c] = np.concatenate([k.data, k.data, mt.data])
-        # entries of B and Avg per element, at its left [0] and right [1] end node
+        # row scales 2^-e of the stiffness rows, 1 for rows without entries
+        k_max = np.zeros(self.m)
+        rows = np.diff(K.indptr) > 0
+        k_max[rows] = np.maximum.reduceat(np.abs(K.data), K.indptr[:-1][rows])
+        d = np.ldexp(1.0, -np.frexp(k_max)[1])
+        self.scale = self._to_band(d, d, 1.0)
+        # in place through a strided view: band entry [r, j] is the matrix
+        # entry of row j + r - KU, so it takes scale[j + r - KU]
+        padded = np.pad(self.scale, (_KU, _KL), constant_values=1.0)
+        self.fixed.T[...] *= np.lib.stride_tricks.sliding_window_view(padded, _KL + _KU + 1)
+        # entries of B (on the scaled w rows) and Avg per element, at its
+        # left [0] and right [1] end node
         b, avg = B.tocoo(), Avg.tocoo()
         self.b_end = np.zeros((2, n))
-        self.b_end[(b.row != 2 * (b.col - 1)).astype(int), b.col] = b.data
+        self.b_end[(b.row != 2 * (b.col - 1)).astype(int), b.col] = b.data * d[b.row]
         self.avg_end = np.zeros((2, n))
         self.avg_end[(avg.col != 2 * (avg.row - 1)).astype(int), avg.row] = avg.data
         self.ab = np.empty((2 * _KL + _KU + 1, self.size), order="F")
@@ -208,28 +230,28 @@ class _PatternBand:
 
     def solve(self, is_free, nu, f_state, f_adj, f_ctl):
         """Solve K x - B_f u_f = f_state, Mt x + K y = f_adj and
-        nu u_f - Avg_f y = f_ctl on the free set, by banded LU with two
-        refinement steps on the same factor.  Returns (x, y, u) with u zero
-        off the free set."""
+        nu u_f - Avg_f y = f_ctl on the free set, by banded LU of the
+        row-equilibrated system and one refinement step on the same factor,
+        its residual taken from the unscaled blocks.  Returns (x, y, u) with
+        u zero off the free set."""
         lu, piv, info = dgbtrf(self._fill(is_free, nu), _KL, _KU, overwrite_ab=1)
         if info != 0:
             raise LinearSolveError(f"pattern factorization failed (dgbtrf info {info})")
 
         def lu_solve(r):
-            z, info = dgbtrs(lu, _KL, _KU, r, piv)
+            z, info = dgbtrs(lu, _KL, _KU, self.scale * r, piv, overwrite_b=1)
             if info != 0:
                 raise LinearSolveError(f"pattern solve failed (dgbtrs info {info})")
             return z
 
         rhs = self._to_band(f_state, f_adj, np.where(is_free, f_ctl, 0.0))
         z = lu_solve(rhs)
-        for _ in range(2):  # refinement toward the backward-error floor
-            z = z + lu_solve(rhs - self._apply(is_free, nu, z))
+        z += lu_solve(rhs - self._apply(is_free, nu, z))
         return self._from_band(z)
 
     def matrix(self, is_free: np.ndarray, nu: float) -> sp.csc_matrix:
-        """The pattern matrix as newton_system stacks it: rows and columns
-        (state dofs, adjoint dofs, free controls)."""
+        """The unscaled pattern matrix as newton_system stacks it: rows and
+        columns (state dofs, adjoint dofs, free controls)."""
         m = self.m
         band_row, col = np.nonzero(self._fill(is_free, nu)[_KL:])
         row = col + band_row - _KU
@@ -238,7 +260,7 @@ class _PatternBand:
         ctl[free] = 2 * m + np.arange(free.size)
         stacked = self._to_band(np.arange(m), m + np.arange(m), ctl).astype(int)
         keep = (stacked[row] >= 0) & (stacked[col] >= 0)
-        vals = self.ab[_KL + band_row[keep], col[keep]]
+        vals = self.ab[_KL + band_row[keep], col[keep]] / self.scale[row[keep]]
         size = 2 * m + free.size
         return sp.csc_matrix((vals, (stacked[row[keep]], stacked[col[keep]])), shape=(size, size))
 

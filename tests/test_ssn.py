@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from conftest import eta_threshold, toy_problem, zero_problem
+from sparsebeam import ssn
 from sparsebeam.control import (
     BRANCH_LOWER,
     BRANCH_NEG,
@@ -16,6 +17,7 @@ from sparsebeam.control import (
     BRANCH_UPPER,
     BRANCH_ZERO,
     ControlParams,
+    classify_branches,
     variational_inequality_residual,
 )
 from sparsebeam.fem import BeamParams, LinearSolveError, LoadData
@@ -93,15 +95,27 @@ class TestTermination:
         assert res.stop_reason == "max_iter"
 
     def test_repeated_pattern_ends_the_loop(self):
-        # a thin beam whose first fixed-point pattern misses tol: the
-        # pattern's solve cannot improve, so the loop stops there without
-        # reseeding and reports the residual it reached
+        # a fixed-point pattern whose residual misses tol: the pattern's
+        # solve cannot improve, so the loop stops there without reseeding
+        # and reports the residual it reached
         prob = toy_problem(n=200, nu=1e-4, t=1e-5)
-        res = ssn_solve(prob.with_control(eta=0.6 * eta_threshold(prob)))
+        config = SSNConfig(tol=1e-20)
+        res = ssn_solve(prob.with_control(eta=0.6 * eta_threshold(prob)), config)
         assert res.iterations == len(res.residual_history)
-        assert res.converged == (res.residual_history[-1] <= SSNConfig().tol)
+        assert not res.converged
+        assert res.residual_history[-1] > config.tol
         assert np.array_equal(res.active_set_history[-1], res.active_set_history[-2])
         assert res.stop_reason == "repeat_above_tol"
+
+    def test_thin_toy_converges(self):
+        # at t = 1e-5 the 1/t^2 shear scale left the final pattern's
+        # complementarity residual at 1.7e-10 before the band was
+        # row-equilibrated; it now meets tol at the first repeat
+        prob = toy_problem(n=200, nu=1e-4, t=1e-5)
+        res = ssn_solve(prob.with_control(eta=0.6 * eta_threshold(prob)))
+        assert res.converged
+        assert res.stop_reason == "converged"
+        assert res.iterations == len(res.residual_history)
 
     def test_settled_probe_is_not_solved_again(self, monkeypatch):
         # at nu = 1e-12 this load cycles and reseeds; the reseed ends on a
@@ -129,21 +143,17 @@ class TestTermination:
         assert sum(shift for _, _, shift in solves) > 0  # proximal stages ran
         assert all(len(set(run)) == len(run) for run in runs)
 
-    def test_spent_reseed_budget_has_its_own_stop_reason(self):
-        # a graded thin beam whose reseed spends its 800 solves; the main
-        # loop then resumes and cycles again.  The reseed reacts chaotically
-        # to roundoff in the data: nodes from linspace instead settle in 21
-        mesh = Mesh1D((np.arange(584) / 583) ** 1.5)
-        prob = ControlProblem(
-            mesh, BeamParams(E=1.0, t=4.37837352263112e-05),
-            LoadData(f=lambda x: 172.5441262193364 * np.sin(np.pi * x + 3.7662659171177393)),
-            ControlParams(nu=4.35297230033675e-09, eta=0.0,
-                          a=-49.82415323960112, b=49.82415323960112))
-        prob = prob.with_control(eta=0.5868627403009049 * eta_threshold(prob))
-        res = ssn_solve(prob)
-        assert not res.converged
-        assert res.iterations - len(res.residual_history) >= 800
-        assert res.stop_reason == "reseed_budget"
+    def test_spent_reseed_budget_has_its_own_stop_reason(self, monkeypatch):
+        # reseed budgets too small for the cycling load: the reseed stops
+        # before a probe settles, the main loop resumes and cycles again
+        seed = ssn._continuation_seed
+        for budget in (1, 2, 3, 4):
+            monkeypatch.setattr(ssn, "_continuation_seed",
+                                lambda ps, z, tau, c: seed(ps, z, tau, c, budget))
+            res = ssn_solve(_cycling_sine_problem())
+            assert not res.converged
+            assert res.iterations - len(res.residual_history) >= budget
+            assert res.stop_reason == "reseed_budget"
 
     @pytest.mark.parametrize("nodes", [np.linspace(0.0, 1.0, 31),
                                        np.linspace(0.0, 1.0, 26) ** 1.5],
@@ -443,9 +453,9 @@ class TestBandedPatternSolve:
         backward = np.max(residual) / (a_norm * np.max(np.abs(sol)) + np.max(np.abs(rhs)))
         assert backward <= 8 * self.EPS
         if problem.beam.t >= 1e-2:
-            # the refinement steps reach the componentwise backward-error
-            # floor, which the plain factor misses by up to 1e6; at t = 1e-5
-            # the 1/t^2 shear scale puts that floor out of their reach
+            # the refinement step reaches the componentwise backward-error
+            # floor; at t = 1e-5 the 1/t^2 shear scale can leave it a few
+            # eps above that floor
             scale = abs(A) @ np.abs(sol) + np.abs(rhs)
             componentwise = np.divide(residual, scale, out=np.zeros_like(scale), where=scale > 0)
             assert np.max(componentwise) <= 8 * self.EPS
@@ -453,6 +463,35 @@ class TestBandedPatternSolve:
         reference = spsolve(A.tocsc(), rhs)
         kappa = np.linalg.cond(A.toarray(), np.inf)
         assert np.max(np.abs(sol - reference)) <= 10 * kappa * self.EPS * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("t", [1e-2, 1e-3])
+    def test_one_refinement_step_at_large_n(self, monkeypatch, t):
+        # the large-n benchmark's sine load at n = 1e4 and the pattern its
+        # main loop solves first with a free element (classified at the
+        # adjoint average of u = 0): on the row-equilibrated band one
+        # refinement step reaches the componentwise backward-error floor,
+        # which the 1/t^2 shear scale puts out of reach of unscaled rows
+        problem = ControlProblem(build_uniform_mesh(10_000), BeamParams(E=1.0, t=t),
+                                 LoadData(f=lambda x: 100.0 * np.sin(8.0 * np.pi * x)),
+                                 ControlParams(nu=1e-6, eta=1e-5, a=-60.0, b=60.0))
+        c = problem.control
+        pbar = problem.averaged_adjoint(problem.solve_state(problem.zero_control())).values
+        branches = classify_branches(pbar, *problem.bounds, c.nu, c.eta)
+        calls = []
+        dgbtrs = ssn.dgbtrs
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return dgbtrs(*args, **kwargs)
+
+        monkeypatch.setattr(ssn, "dgbtrs", counted)
+        x, y, u = _PatternSolver(problem).solve(branches)
+        assert len(calls) == 2  # the solve and one refinement step
+        A, rhs, free = newton_system(problem, branches)
+        assert free.size > 0
+        sol = np.concatenate([x, y, u[free]])
+        scale = abs(A) @ np.abs(sol) + np.abs(rhs)
+        assert np.max(np.abs(A @ sol - rhs) / scale) <= 8 * self.EPS
 
     def test_zero_pivot_raises(self):
         # without stiffness the rotation columns are empty (no theta
