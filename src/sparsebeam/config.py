@@ -88,8 +88,8 @@ def _int_list(text: str, where: str) -> Tuple[int, ...]:
     vals = _number_list(text, where)
     out = []
     for v in vals:
-        if v != int(v) or v < 1:
-            raise ConfigError(f"{where}: expected positive integers, got {v}")
+        if v != int(v) or v < 2:
+            raise ConfigError(f"{where} must be integers >= 2, got {v}")
         out.append(int(v))
     return tuple(out)
 

@@ -13,7 +13,8 @@ which is algebraically identical to a mixed method with a piecewise-constant
 shear force eliminated elementwise.
 
 The adjoint problem of the control problem reuses the same operator; its
-tracking load is assembled by ControlProblem.solve_adjoint.
+load Ld - Mt x, the tracking residual, comes from the optimality system in
+sparsebeam.problem.
 """
 from __future__ import annotations
 
@@ -126,7 +127,6 @@ class StateSolution:
 class AdjointSolution:
     p: P1Field
     q: P1Field
-    r: P0Field  # recovered adjoint shear force
 
 
 def _check_mesh_params(mesh: Mesh1D, params: BeamParams) -> None:
@@ -309,11 +309,15 @@ class BeamOperator:
         x += sla.cho_solve_banded((self._cb, False), r)
         return x
 
-    # interleaved block <-> field helpers
     def split(self, x: np.ndarray):
         w = P1Field.from_interior(self.mesh, x[0::2])
         th = P1Field.from_interior(self.mesh, x[1::2])
         return w, th
+
+
+def _interleave(a: P1Field, b: P1Field) -> np.ndarray:
+    """Interleaved interior vector of a field pair; inverts BeamOperator.split."""
+    return np.column_stack([a.interior, b.interior]).ravel()
 
 
 def recover_shear(mesh: Mesh1D, params: BeamParams, w: P1Field, theta: P1Field) -> P0Field:
@@ -330,17 +334,15 @@ def solve_state(
     loads: LoadData,
     u: Optional[P0Field] = None,
     scheme: str = LOCKING_FREE,
-    operator: Optional[BeamOperator] = None,
 ) -> StateSolution:
     """Solve the beam problem under load f + u and moment load g."""
-    op = operator if operator is not None else BeamOperator(mesh, params, scheme)
+    op = BeamOperator(mesh, params, scheme)
     rhs = assemble_load(mesh, params, loads.f, loads.g)
     if u is not None:
         # added separately so a callable f keeps its quadrature and the
         # piecewise-constant control is integrated exactly
         rhs = rhs + assemble_load(mesh, params, u, 0.0)
-    x = op.solve(rhs)
-    w, th = op.split(x)
+    w, th = op.split(op.solve(rhs))
     return StateSolution(w, th, recover_shear(mesh, params, w, th))
 
 

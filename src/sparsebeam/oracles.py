@@ -233,9 +233,10 @@ def prox_gradient_solve(problem: ControlProblem, config: OracleConfig = OracleCo
 
 
 def _smooth_cost(problem: ControlProblem, u: P0Field) -> float:
-    """Tracking plus quadratic control cost, with the same quadrature
-    conventions as the adjoint load (so its gradient is exactly
-    h_j*(nu*u_j - pbar_j))."""
+    """Tracking plus quadratic control cost by its own two-point Gauss rule,
+    apart from the solver's blocks.  The rule is exact on the P1 state and
+    integrates the targets as the adjoint load Ld - Mt x does, so the
+    gradient is exactly h_j*(nu*u_j - pbar_j)."""
     state = problem.solve_state(u)
     mesh, beam, loads = problem.mesh, problem.beam, problem.loads
     h = mesh.element_sizes

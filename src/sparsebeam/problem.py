@@ -1,20 +1,19 @@
 """Container for one control problem instance.
 
-Bundles the mesh, beam parameters, loads, and control parameters, and fixes
-the two conventions the optimality layer depends on:
+Bundles the mesh, beam parameters, loads, and control parameters with the
+operator and the blocks of the discrete optimality system, built once per
+problem and cached, as is the oracles' dense reduced operator on first use.
+Every state and adjoint solve goes through those blocks, which fix the two
+conventions the optimality layer depends on:
 
-* the adjoint is solved against the descent residual (w_d - w_h), so that
-  the averaged adjoint pbar enters the optimality system as
+* the adjoint load is the descent residual Ld - Mt x = (w_d - w_h, v), so
+  that the averaged adjoint pbar enters the optimality system as
   nu*u + mu = pbar with mu a (sub)gradient of the nonsmooth term at a
   *minimizer* of the cost;
 * adjoint_theta_term controls whether the rotation tracking term
   (t^2/12)(theta_d - theta_h, beta) is included in the adjoint load.  The
   cost functional tracks the deflection only, so the exact discrete
   optimality system of cost() has this off.
-
-The operator and the blocks of the discrete optimality system are built
-once per problem and cached; so is the dense reduced operator of the
-oracles, lazily, on first use (the semismooth Newton solver never reads it).
 """
 from __future__ import annotations
 
@@ -33,14 +32,14 @@ from .fem import (
     BeamParams,
     LoadData,
     StateSolution,
+    _interleave,
     _scheme_check,
     assemble_load,
     control_load_matrix,
     p1_mass_matrix,
     recover_shear,
-    solve_state,
 )
-from .meshes import Mesh1D, P0Field, eval_p1, p0_average, point_values
+from .meshes import Mesh1D, P0Field, p0_average
 
 __all__ = ["ControlProblem"]
 
@@ -126,21 +125,21 @@ class ControlProblem:
         return P0Field.zeros(self.mesh)
 
     def solve_state(self, u: Optional[P0Field] = None) -> StateSolution:
-        return solve_state(self.mesh, self.beam, self.loads, u=u,
-                           scheme=self.scheme, operator=self.operator)
+        """The state under load f + u and moment load g: K x = Lf + B u."""
+        if u is not None and not np.array_equal(u.mesh.nodes, self.mesh.nodes):
+            raise ValueError("u lives on a different mesh")
+        s = self.system
+        return self._state(self.operator.solve(s.Lf if u is None else s.Lf + s.B @ u.values))
 
     def solve_adjoint(self, state: StateSolution) -> AdjointSolution:
-        """Adjoint with load int (w_d - w) v, plus (t^2/12) int (theta_d -
-        theta) beta when adjoint_theta_term is set."""
-        mesh, beam, loads = self.mesh, self.beam, self.loads
+        """The descent adjoint K y = Ld - Mt x, its load int (w_d - w) v, plus
+        (t^2/12) int (theta_d - theta) beta when adjoint_theta_term is set."""
+        s, op = self.system, self.operator
+        return AdjointSolution(*op.split(op.solve(s.Ld - s.Mt @ _interleave(state.w, state.theta))))
 
-        def residual(target, field):
-            return lambda x: point_values(target, mesh, x) - eval_p1(field, x)
-
-        theta_load = residual(loads.theta_d, state.theta) if self.adjoint_theta_term else 0.0
-        x = self.operator.solve(assemble_load(mesh, beam, residual(loads.w_d, state.w), theta_load))
-        p, q = self.operator.split(x)
-        return AdjointSolution(p, q, recover_shear(mesh, beam, p, q))
+    def _state(self, x: np.ndarray) -> StateSolution:
+        w, theta = self.operator.split(x)
+        return StateSolution(w, theta, recover_shear(self.mesh, self.beam, w, theta))
 
     def averaged_adjoint(self, state: StateSolution) -> P0Field:
         return p0_average(self.solve_adjoint(state).p)

@@ -49,6 +49,8 @@ first weight is ten times the secant of the reduced operator along the
 last two iterates (at least nu) and whose first center is the warm start
 u0 when one is given.  The reseed ends on a probe that has settled at the
 true weight; that probe's solve is the loop's last iterate.
+The solve returns the last pattern solve, the one its stop tested, so
+converged describes the returned point.
 """
 from __future__ import annotations
 
@@ -72,7 +74,7 @@ from .control import (
     shrink,
     variational_inequality_residual,
 )
-from .fem import AdjointSolution, LinearSolveError, StateSolution
+from .fem import AdjointSolution, LinearSolveError, StateSolution, _interleave
 from .meshes import P0Field, p0_average
 from .problem import ControlProblem
 
@@ -112,15 +114,17 @@ class SSNConfig:
 
 @dataclass
 class SSNResult:
+    """The last pattern solve: its control clipped to the box, its state and
+    adjoint, and mu = pbar - nu*u from its adjoint average.  stop_reason is
+    "converged" or "repeat_above_tol" at a fixed point that meets tol or
+    misses it.  On "max_iter", or "reseed_budget" (the reseed spent its 800
+    solves and the resumed main loop did not settle), it is the last iterate."""
     u: P0Field
     mu: P0Field
     state: StateSolution
     adjoint: AdjointSolution
     multipliers: MultiplierState
     converged: bool
-    # "converged" or "repeat_above_tol" (a fixed point that meets tol or
-    # misses it), "max_iter", or "reseed_budget" (the reseed spent its 800
-    # solves and the resumed main loop did not reach a fixed point)
     stop_reason: str
     iterations: int
     residual_history: List[float] = field(default_factory=list)
@@ -411,7 +415,8 @@ def _continuation_seed(ps: _PatternSolver, z: np.ndarray, tau: float,
 
 
 def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNResult:
-    """Run the active-set iteration to the finite-termination fixed point."""
+    """Run the active-set iteration to the finite-termination fixed point
+    and return its last pattern solve (see SSNResult)."""
     mesh, control = problem.mesh, problem.control
     nu, eta = control.nu, control.eta
     u0 = config.u0
@@ -474,20 +479,16 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
         # either hit max_iter before any cycle or followed a spent reseed
         stop_reason = "reseed_budget" if reseed_spent else "max_iter"
 
-    # final consistency pass through the banded operator so the returned
-    # state/adjoint agree with solve_state/solve_adjoint on the returned u
-    u_final = np.clip(run.solved[2], a, b)
+    x, y, u = run.solved
+    u_final = np.clip(u, a, b)
     u_field = P0Field(mesh, u_final)
-    state = problem.solve_state(u_field)
-    adjoint = problem.solve_adjoint(state)
-    mu_field = P0Field(mesh, p0_average(adjoint.p).values - nu * u_final)
-    mult = reconstruct_multipliers(u_field, mu_field, control)
+    mu_field = P0Field(mesh, run.z - nu * u_final)
     return SSNResult(
         u=u_field,
         mu=mu_field,
-        state=state,
-        adjoint=adjoint,
-        multipliers=mult,
+        state=problem._state(x),
+        adjoint=AdjointSolution(*problem.operator.split(y)),
+        multipliers=reconstruct_multipliers(u_field, mu_field, control),
         converged=converged,
         stop_reason=stop_reason,
         iterations=iterations,
@@ -513,12 +514,8 @@ def residual(problem: ControlProblem, u: P0Field, mu: P0Field,
         state = problem.solve_state(u)
     if adjoint is None:
         adjoint = problem.solve_adjoint(state)
-    x = np.empty(s.K.shape[0])
-    x[0::2] = state.w.interior
-    x[1::2] = state.theta.interior
-    y = np.empty(s.K.shape[0])
-    y[0::2] = adjoint.p.interior
-    y[1::2] = adjoint.q.interior
+    x = _interleave(state.w, state.theta)
+    y = _interleave(adjoint.p, adjoint.q)
     pbar = p0_average(adjoint.p).values
     f1 = s.K @ x - s.B @ u.values - s.Lf
     f2 = nu * u.values + mu.values - pbar

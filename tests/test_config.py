@@ -111,6 +111,7 @@ ref_factor = 4
         (MINIMAL + "[data]\nf = zero: 3\n", "takes no arguments"),
         (MINIMAL + "[study]\netas = 1e-5, -2e-5\n", "nonnegative"),
         (MINIMAL + "[study]\nmesh_sizes = 16, 2.5\n", "integers"),
+        (MINIMAL + "[study]\nmesh_sizes = 1, 16\n", "[study] mesh_sizes"),
         (MINIMAL + "[study]\nfamily = cubic\n", "unknown key 'family'"),
         (MINIMAL + "[study]\nref_factor = 1\n", "ref_factor"),
         ("[geometry]\nn = 16\n\n[control]\nnu = 1\neta = 0\nlower = 0.5\n", "[control]"),

@@ -1,4 +1,6 @@
-"""The package surface: a light import and resolvable __all__ lists."""
+"""The package surface: a light import, resolvable __all__ lists and no
+unused imports."""
+import ast
 import importlib
 import pkgutil
 import subprocess
@@ -29,3 +31,28 @@ def test_all_names_resolve(name):
     assert module.__all__
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports but never references: a stdlib stand-in for a
+    linter's unused-import rule.  A name counts as used where it appears as
+    an identifier, including as the base of an attribute access."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_import_check_flags_a_planted_import():
+    source = "import os\nimport numpy as np\nfrom .meshes import P0Field, eval_p1\nnp.zeros(P0Field)\n"
+    assert unused_imports(source) == ["eval_p1", "os"]
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "sparsebeam").glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -7,7 +7,15 @@ import pytest
 from conftest import toy_problem, zero_problem
 from sparsebeam.control import ControlParams
 from sparsebeam.fem import BeamParams, LoadData, assemble_load, solve_state
-from sparsebeam.meshes import P0Field, P1Field, build_uniform_mesh, eval_p1, p0_average
+from sparsebeam.meshes import (
+    Mesh1D,
+    P0Field,
+    P1Field,
+    build_uniform_mesh,
+    eval_p1,
+    p0_average,
+    point_values,
+)
 from sparsebeam.problem import ControlProblem
 from sparsebeam.ssn import kkt_residual
 
@@ -37,24 +45,61 @@ def test_system_is_cached_and_shares_the_stiffness():
     assert prob.system.K is prob.operator.K
 
 
-def test_state_matches_module_level_solve():
-    prob = toy_problem(n=10)
-    u = P0Field.constant(prob.mesh, 1.5)
-    st = prob.solve_state(u)
-    st2 = solve_state(prob.mesh, prob.beam, prob.loads, u=u, scheme=prob.scheme)
-    assert np.allclose(st.w.values, st2.w.values, atol=1e-15)
+def _mesh(graded, n=12):
+    return Mesh1D(np.linspace(0.0, 1.0, n + 1) ** (2.0 if graded else 1.0))
 
 
-def test_adjoint_uses_descent_sign():
-    # the descent adjoint is the negative of the plain tracking adjoint,
-    # whose load is int (w - w_d) v
-    prob = toy_problem(n=10)
-    st = prob.solve_state(P0Field.constant(prob.mesh, 1.0))
-    w_d = prob.loads.w_d
-    plain = prob.operator.solve(
-        assemble_load(prob.mesh, prob.beam, lambda x: eval_p1(st.w, x) - w_d(x), 0.0))
+@pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+@pytest.mark.parametrize("load", ["callable", "p0"])
+def test_state_matches_module_level_solve(graded, load):
+    # K x = Lf + B u on the cached blocks is the module-level assembly bit for bit
+    mesh = _mesh(graded)
+    f = (lambda x: 40.0 * np.sin(2.0 * np.pi * x)) if load == "callable" \
+        else P0Field(mesh, np.cos(3.0 * mesh.midpoints))
+    prob = ControlProblem(mesh, BeamParams(E=1.0, t=0.01, kappa_override=1.0),
+                          LoadData(f=f, g=lambda x: x), ControlParams(nu=1.0, eta=0.0))
+    u = P0Field(mesh, 1.5 + np.arange(mesh.n) % 3)
+    for control in (None, u):
+        st = prob.solve_state(control)
+        st2 = solve_state(prob.mesh, prob.beam, prob.loads, u=control, scheme=prob.scheme)
+        for name in ("w", "theta", "gamma"):
+            assert np.array_equal(getattr(st, name).values, getattr(st2, name).values)
+
+
+def test_state_rejects_control_on_another_mesh():
+    prob = toy_problem(n=12)
+    with pytest.raises(ValueError, match="different mesh"):
+        prob.solve_state(P0Field.constant(_mesh(True), 1.0))
+
+
+@pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+@pytest.mark.parametrize("theta_term", [False, True], ids=["w-only", "theta-term"])
+@pytest.mark.parametrize("kind", ["scalar", "callable", "p0", "p1"])
+def test_adjoint_uses_descent_sign(kind, theta_term, graded):
+    # the descent adjoint Ld - Mt x is the negative of the plain tracking
+    # adjoint, whose load int (w - w_d) v (+ the theta term) is integrated
+    # here at the Gauss points of the targets.  The two loads differ by an
+    # ulp, which the operator amplifies by its conditioning: up to 4.6e-11
+    # at t = 1e-2 and 8.9e-5 at t = 1e-5 (n = 200), so the check stays on a
+    # thick beam
+    mesh = _mesh(graded)
+    fn = lambda x: 0.01 * np.sin(np.pi * x)  # noqa: E731
+    target = {"scalar": 0.01, "callable": fn, "p0": P0Field(mesh, fn(mesh.midpoints)),
+              "p1": P1Field.from_callable(mesh, fn)}[kind]
+    prob = ControlProblem(mesh, BeamParams(E=1.0, t=0.1, kappa_override=1.0),
+                          LoadData(f=lambda x: 40.0 * np.sin(2.0 * np.pi * x), w_d=target,
+                                   theta_d=target),
+                          ControlParams(nu=1.0, eta=0.0), adjoint_theta_term=theta_term)
+    st = prob.solve_state(P0Field.constant(mesh, 1.0))
+
+    def tracking(target, field):
+        return lambda x: eval_p1(field, x) - point_values(target, mesh, x)
+
+    theta_load = tracking(target, st.theta) if theta_term else 0.0
+    plain = prob.operator.solve(assemble_load(mesh, prob.beam, tracking(target, st.w), theta_load))
     adj = prob.solve_adjoint(st)
-    assert np.allclose(adj.p.interior, -plain[0::2], atol=1e-15)
+    for field, ref in ((adj.p, plain[0::2]), (adj.q, plain[1::2])):
+        assert np.max(np.abs(field.interior + ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def beam_problem(loads, t=0.01, theta_term=False):

@@ -18,6 +18,7 @@ from sparsebeam.control import (
     BRANCH_ZERO,
     ControlParams,
     classify_branches,
+    complementarity_values,
     variational_inequality_residual,
 )
 from sparsebeam.fem import BeamParams, LinearSolveError, LoadData
@@ -251,6 +252,27 @@ class TestResultInvariants:
         assert all(r.converged for r in runs)
         for other in runs[1:]:
             assert l2_diff_p0(runs[0].u, other.u) <= 1e-8
+
+    @pytest.mark.parametrize("instance", ["thin_toy", "fine_sine"])
+    def test_returned_point_meets_tol(self, instance):
+        # the returned u, mu, state and adjoint are the pattern solve whose
+        # residual passed the stopping test, so C(u, mu) meets tol there too;
+        # re-solving the state and adjoint after the loop left it at 2.8e-8
+        # (thin toy) and 2.7e-10 (n = 2e4, t = 1e-3)
+        if instance == "thin_toy":
+            prob = toy_problem(n=200, nu=1e-4, t=1e-5)
+            prob = prob.with_control(eta=0.6 * eta_threshold(prob))
+        else:
+            prob = ControlProblem(build_uniform_mesh(20_000), BeamParams(E=1.0, t=1e-3),
+                                  LoadData(f=lambda x: 100.0 * np.sin(8.0 * np.pi * x)),
+                                  ControlParams(nu=1e-6, eta=1e-5, a=-60.0, b=60.0))
+        res = ssn_solve(prob)
+        assert res.converged
+        nu, eta = prob.control.nu, prob.control.eta
+        c = complementarity_values(res.u.values, res.mu.values, *prob.bounds, nu, eta)
+        assert np.max(np.abs(c)) / max(1.0, nu) <= SSNConfig().tol
+        if instance == "thin_toy":
+            assert variational_inequality_residual(res.u, res.adjoint.p, prob.control) <= 1e-12
 
     def test_gradient_consistency_of_returned_multiplier(self):
         prob = toy_problem(nu=1e-5)
