@@ -40,7 +40,6 @@ __all__ = [
     "control_load_matrix",
     "p1_mass_matrix",
     "BeamOperator",
-    "solve_state",
     "recover_shear",
     "assemble_mixed_blocks",
     "condense_mixed_system",
@@ -141,39 +140,54 @@ def _scheme_check(scheme: str) -> None:
 
 # ------------------------------------------------------------- assembly
 
-def _element_matrices(mesh: Mesh1D, params: BeamParams, scheme: str):
-    """Per-element 4x4 blocks in local order (w0, w1, th0, th1)."""
-    n = mesh.n
+def _stiffness_band(mesh: Mesh1D, params: BeamParams, scheme: str) -> np.ndarray:
+    """Upper band of the stiffness in LAPACK storage, band[3 - d, j] = K[j - d, j].
+
+    The element entries are summed straight into the diagonals: an entry
+    takes at most two element terms (those of the elements on either side
+    of its node), which sum the same in any order.
+    """
     h = mesh.element_sizes
     Eb = params.E / 12.0
     ks = params.kappa / params.t**2
-
-    Ke = np.zeros((n, 4, 4))
-    # bending on theta
-    Ke[:, 2, 2] += Eb / h
-    Ke[:, 3, 3] += Eb / h
-    Ke[:, 2, 3] -= Eb / h
-    Ke[:, 3, 2] -= Eb / h
-    # shear: w'w', w'theta cross terms (exact under both rules)
-    Ke[:, 0, 0] += ks / h
-    Ke[:, 1, 1] += ks / h
-    Ke[:, 0, 1] -= ks / h
-    Ke[:, 1, 0] -= ks / h
-    for a, sign in ((0, +0.5), (1, -0.5)):
-        for b in (2, 3):
-            Ke[:, a, b] += sign * ks
-            Ke[:, b, a] += sign * ks
-    # shear theta-theta block: exact mass vs one-point midpoint rule
+    shear = ks / h  # w'w' entry of each element
+    half = 0.5 * ks  # w'theta entries are +-half
+    # theta-theta: bending plus the shear mass, exact or one-point rule
     if scheme == STANDARD:
-        Ke[:, 2, 2] += ks * h / 3.0
-        Ke[:, 3, 3] += ks * h / 3.0
-        Ke[:, 2, 3] += ks * h / 6.0
-        Ke[:, 3, 2] += ks * h / 6.0
+        tt_diag, tt_off = Eb / h + ks * h / 3.0, ks * h / 6.0 - Eb / h
     else:
-        for a in (2, 3):
-            for b in (2, 3):
-                Ke[:, a, b] += ks * h / 4.0
-    return Ke
+        tt_diag, tt_off = Eb / h + ks * h / 4.0, ks * h / 4.0 - Eb / h
+    band = np.zeros((4, 2 * (mesh.n - 1)))
+    w, th = band[:, 0::2], band[:, 1::2]  # columns of w_i and theta_i, i = 1..n-1
+    w[3] = shear[:-1] + shear[1:]
+    th[3] = tt_diag[:-1] + tt_diag[1:]
+    w[2, 1:] = -half  # K[theta_{i-1}, w_i]
+    w[1, 1:] = -shear[1:-1]  # K[w_{i-1}, w_i]
+    th[1, 1:] = tt_off[1:-1]  # K[theta_{i-1}, theta_i]
+    th[0, 1:] = half  # K[w_{i-1}, theta_i]
+    return band
+
+
+def _band_csr(band: np.ndarray) -> sp.csr_matrix:
+    """The symmetric CSR matrix of an upper band of a 2x2-block tridiagonal
+    matrix on interleaved dofs, with both entries of every coupled node pair
+    stored (an exact zero included) in sorted column order."""
+    m = band.shape[1]
+    node = (band[:, 0::2], band[:, 1::2])  # columns of the w and theta dofs
+    # row 2q + a holds K[2q + a, 2(q + t - 1) + b]: node q's block with
+    # node q - 1 (t = 0), itself (t = 1) and node q + 1 (t = 2)
+    blocks = np.empty((m // 2, 2, 3, 2))
+    for a in (0, 1):
+        for b in (0, 1):
+            blocks[:, a, 1, b] = node[max(a, b)][3 - abs(a - b)]
+            blocks[:-1, a, 2, b] = node[b][1 + a - b, 1:]
+            blocks[1:, a, 0, b] = node[a][1 + b - a, 1:]
+    first = np.arange(-2, m - 2, 2, dtype=np.int32)  # first column of node q's rows
+    cols = np.repeat(first[:, None, None] + np.arange(6, dtype=np.int32), 2, axis=1)
+    keep = (cols >= 0) & (cols < m)  # the first node has no left, the last no right block
+    r = np.arange(m + 1, dtype=np.int32)  # rows of the first and the last node hold 4 entries
+    indptr = 6 * r - 2 * np.minimum(r, 2) - 2 * np.maximum(r - m + 2, 0)
+    return sp.csr_matrix((blocks.reshape(m // 2, 2, 6)[keep], cols[keep], indptr), shape=(m, m))
 
 
 def assemble_stiffness(mesh: Mesh1D, params: BeamParams, scheme: str = LOCKING_FREE) -> sp.csr_matrix:
@@ -183,25 +197,7 @@ def assemble_stiffness(mesh: Mesh1D, params: BeamParams, scheme: str = LOCKING_F
     """
     _check_mesh_params(mesh, params)
     _scheme_check(scheme)
-    n = mesh.n
-    m = 2 * (n - 1)
-    Ke = _element_matrices(mesh, params, scheme)
-
-    elems = np.arange(n)
-    local_nodes = np.stack([elems, elems + 1, elems, elems + 1], axis=1)  # (n, 4)
-    local_comp = np.array([0, 0, 1, 1])
-    dofs = 2 * (local_nodes - 1) + local_comp[None, :]
-    keep = (local_nodes >= 1) & (local_nodes <= n - 1)
-
-    rows = np.repeat(dofs[:, :, None], 4, axis=2)
-    cols = np.repeat(dofs[:, None, :], 4, axis=1)
-    mask = np.repeat(keep[:, :, None], 4, axis=2) & np.repeat(keep[:, None, :], 4, axis=1)
-
-    K = sp.coo_matrix(
-        (Ke[mask], (rows[mask], cols[mask])), shape=(m, m)
-    ).tocsr()
-    K.sum_duplicates()
-    return K
+    return _band_csr(_stiffness_band(mesh, params, scheme))
 
 
 def _p0_values(data: ScalarData, mesh: Mesh1D) -> np.ndarray:
@@ -277,7 +273,8 @@ def p1_mass_matrix(mesh: Mesh1D) -> sp.csr_matrix:
 # ------------------------------------------------------------- operator
 
 class BeamOperator:
-    """Assembled stiffness with a banded Cholesky factorization.
+    """Assembled stiffness, as the upper band K_band and as the CSR matrix K,
+    with a banded Cholesky factorization.
 
     Immutable after construction; reusable across state and adjoint solves
     (the weak form is symmetric so both share one factorization).
@@ -289,16 +286,10 @@ class BeamOperator:
         self.mesh = mesh
         self.params = params
         self.scheme = scheme
-        self.K = assemble_stiffness(mesh, params, scheme)
-        m = self.K.shape[0]
-        # upper banded storage, bandwidth 3
-        nb = 3
-        ab = np.zeros((nb + 1, m))
-        for d in range(nb + 1):
-            diag = self.K.diagonal(d)
-            ab[nb - d, d:] = diag
+        self.K_band = _stiffness_band(mesh, params, scheme)  # upper band, bandwidth 3
+        self.K = _band_csr(self.K_band)
         try:
-            self._cb = sla.cholesky_banded(ab, lower=False)
+            self._cb = sla.cholesky_banded(self.K_band, lower=False)
         except sla.LinAlgError as exc:  # pragma: no cover - SPD by construction
             raise LinearSolveError(f"stiffness factorization failed: {exc}") from exc
 
@@ -326,24 +317,6 @@ def recover_shear(mesh: Mesh1D, params: BeamParams, w: P1Field, theta: P1Field) 
     dw = np.diff(w.values) / mesh.element_sizes
     tbar = 0.5 * (theta.values[:-1] + theta.values[1:])
     return P0Field(mesh, (params.kappa / params.t**2) * (dw - tbar))
-
-
-def solve_state(
-    mesh: Mesh1D,
-    params: BeamParams,
-    loads: LoadData,
-    u: Optional[P0Field] = None,
-    scheme: str = LOCKING_FREE,
-) -> StateSolution:
-    """Solve the beam problem under load f + u and moment load g."""
-    op = BeamOperator(mesh, params, scheme)
-    rhs = assemble_load(mesh, params, loads.f, loads.g)
-    if u is not None:
-        # added separately so a callable f keeps its quadrature and the
-        # piecewise-constant control is integrated exactly
-        rhs = rhs + assemble_load(mesh, params, u, 0.0)
-    w, th = op.split(op.solve(rhs))
-    return StateSolution(w, th, recover_shear(mesh, params, w, th))
 
 
 # ------------------------------------------------------- mixed system

@@ -26,8 +26,9 @@ interleaved with the (w, theta, p, q) unknowns of the interior nodes -- the
 element-local blocks give a band of 7 sub- and 6 superdiagonals at every
 mesh size, thickness and grading.  Controls off the free branches keep
 their slots as decoupled unit rows, so the band layout never changes; its
-pattern-independent part is assembled once per solve, on the first pattern
-with a free element, and one band storage is refilled for every pattern.
+pattern-independent part is written once per solve, on the first pattern
+with a free element, straight from the diagonals of the stiffness and the
+tracking mass, and one band storage is refilled for every pattern.
 The stiffness carries the 1/t^2 shear scale, so its rows differ in size by
 orders of magnitude; each state and adjoint row is scaled by a power of two
 that brings its stiffness part to max-norm in [1/2, 1), exactly and once per
@@ -145,49 +146,50 @@ class SSNResult:
 _KL, _KU = 7, 6
 _DIAG = _KL + _KU  # band row of the main diagonal in LAPACK band storage
 _SLOTS = 5  # slots per element: its control and its right end node
+_CHUNK = 4096  # nodes of the band template written at a time, about 2 MB
 
 
 class _PatternBand:
     """Banded LU of the coupled system of one branch pattern.
 
-    The pattern-independent stiffness/mass part of the band is assembled
-    once; a pattern copies it into one band storage, reused by every
-    pattern, and sets the control rows and columns: -B_f, -Avg_f and nu on
-    free elements, a unit diagonal elsewhere.  The band is row-equilibrated:
-    the state row and the adjoint row of each interior dof are scaled by
-    2^-e, e the binary exponent of the largest |entry| in that dof's
-    stiffness row, so the stiffness parts of the scaled rows lie in
+    Its pattern-independent part, [[K, 0], [Mt, K]] on the state and
+    adjoint slots, is written once into a template from the upper bands of
+    K and Mt, one strided slice per diagonal and column parity; a pattern
+    copies the template into one band storage, reused by every pattern, and
+    sets the control rows and columns: -B_f, -Avg_f and nu on free elements,
+    a unit diagonal elsewhere.  The band is row-equilibrated as it is
+    written: the state row and the adjoint row of each interior dof are
+    scaled by 2^-e, e the binary exponent of the largest |entry| in that
+    dof's stiffness row, so the stiffness parts of the scaled rows lie in
     [1/2, 1) in max-norm.  A power of two scales exactly, so the scaled and
     unscaled systems have the same solution; the control rows keep scale 1,
     as does the row of a dof without stiffness.
     """
 
-    def __init__(self, K: sp.csr_matrix, Mt: sp.csr_matrix, B: sp.csr_matrix,
-                 Avg: sp.csr_matrix):
+    def __init__(self, K_band: np.ndarray, K: sp.csr_matrix, Mt: sp.csr_matrix,
+                 B: sp.csr_matrix, Avg: sp.csr_matrix):
         self.K, self.Mt, self.B, self.Avg = K, Mt, B, Avg
         n = B.shape[1]
         self.m = K.shape[0]
         self.size = _SLOTS * n - 4
-
-        def slot(dof, comp):  # interleaved dof -> band slot; comp 2 for the adjoint
-            return _SLOTS * (dof // 2) + 1 + comp + dof % 2
-
-        # the blocks [[K, 0], [Mt, K]] of the state and adjoint rows
-        k, mt = K.tocoo(), Mt.tocoo()
-        r = np.concatenate([slot(k.row, 0), slot(k.row, 2), slot(mt.row, 2)])
-        c = np.concatenate([slot(k.col, 0), slot(k.col, 2), slot(mt.col, 0)])
-        self.fixed = np.zeros((_KL + _KU + 1, self.size), order="F")
-        self.fixed[_KU + r - c, c] = np.concatenate([k.data, k.data, mt.data])
-        # row scales 2^-e of the stiffness rows, 1 for rows without entries
-        k_max = np.zeros(self.m)
-        rows = np.diff(K.indptr) > 0
-        k_max[rows] = np.maximum.reduceat(np.abs(K.data), K.indptr[:-1][rows])
+        # row scales 2^-e of the stiffness rows, 1 for rows without entries:
+        # row r holds column r of the upper band and K[r, r + e] = band[3 - e, r + e]
+        k_max = np.abs(K_band).max(axis=0)
+        for e in (1, 2, 3):
+            np.maximum(k_max[:-e], np.abs(K_band[3 - e, e:]), out=k_max[:-e])
         d = np.ldexp(1.0, -np.frexp(k_max)[1])
         self.scale = self._to_band(d, d, 1.0)
-        # in place through a strided view: band entry [r, j] is the matrix
-        # entry of row j + r - KU, so it takes scale[j + r - KU]
-        padded = np.pad(self.scale, (_KU, _KL), constant_values=1.0)
-        self.fixed.T[...] *= np.lib.stride_tricks.sliding_window_view(padded, _KL + _KU + 1)
+        # the blocks of the template, symmetric of bandwidth 3 like K
+        Mt_band = np.zeros_like(K_band)
+        for e in (0, 2):
+            Mt_band[3 - e, e:] = Mt.diagonal(e)
+        blocks = [(upper, row_comp, col_comp, e)  # all but zero diagonals, such as Mt's odd ones
+                  for upper, row_comp, col_comp in ((K_band, 0, 0), (K_band, 2, 2), (Mt_band, 2, 0))
+                  for e in range(-3, 4) if upper[3 - abs(e)].any()]
+        self.fixed = np.zeros((_KL + _KU + 1, self.size), order="F")
+        for c0 in range(0, self.m, 2 * _CHUNK):
+            for block in blocks:
+                self._put(*block, d, c0, min(c0 + 2 * _CHUNK, self.m))
         # entries of B (on the scaled w rows) and Avg per element, at its
         # left [0] and right [1] end node
         b, avg = B.tocoo(), Avg.tocoo()
@@ -196,6 +198,20 @@ class _PatternBand:
         self.avg_end = np.zeros((2, n))
         self.avg_end[(avg.col != 2 * (avg.row - 1)).astype(int), avg.row] = avg.data
         self.ab = np.empty((2 * _KL + _KU + 1, self.size), order="F")
+
+    def _put(self, upper, row_comp, col_comp, e, d, c0, c1):
+        """Write the entries A[c + e, c], c0 <= c < c1, of a block given by
+        its upper band into the state (comp 0) or adjoint (comp 2) rows and
+        columns of the template, scaled by the row scales d.  Along one
+        column parity the band row is constant and the slot advances by 5."""
+        lo, hi = max(c0, -e), min(c1, self.m - e)  # the columns whose row c + e exists
+        for c in range(lo, min(lo + 2, hi)):
+            # the slots of column dof c and row dof c + e, and their band row
+            start = _SLOTS * (c // 2) + 1 + col_comp + c % 2
+            row = _KU + _SLOTS * ((c + e) // 2) + 1 + row_comp + (c + e) % 2 - start
+            if 0 <= row <= _KU + _KL:  # outside it: w and theta two nodes apart, zero
+                src = upper[3 + e, c:hi:2] if e <= 0 else upper[3 - e, c + e:hi + e:2]
+                np.multiply(src, d[c + e:hi + e:2], out=self.fixed[row, start::_SLOTS][:src.size])
 
     def _fill(self, is_free: np.ndarray, nu: float) -> np.ndarray:
         ab = self.ab
@@ -286,7 +302,7 @@ class _PatternSolver:
     @cached_property
     def band(self) -> _PatternBand:
         s = self.sys
-        return _PatternBand(s.K, s.Mt, s.B, s.Avg)
+        return _PatternBand(s.operator.K_band, s.K, s.Mt, s.B, s.Avg)
 
     def rhs(self, branches: np.ndarray, shift: Optional[np.ndarray] = None):
         """Right-hand side of the coupled system for one branch pattern.

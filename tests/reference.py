@@ -1,0 +1,102 @@
+"""Reference implementations kept apart from the package.
+
+``assemble_stiffness`` scatters the per-element 4x4 blocks as COO triplets
+and lets scipy sum the duplicates; the package sums the same element
+entries straight into the stiffness diagonals, and the tests hold the two
+to exact equality.  ``solve_state`` is the one-shot state solve that builds
+its own operator and loads, against which ``ControlProblem.solve_state``
+and the manufactured-solution rates are checked.
+"""
+from typing import Optional
+
+import numpy as np
+import scipy.sparse as sp
+
+from sparsebeam.fem import (
+    LOCKING_FREE,
+    STANDARD,
+    BeamOperator,
+    BeamParams,
+    LoadData,
+    StateSolution,
+    assemble_load,
+    recover_shear,
+)
+from sparsebeam.meshes import Mesh1D, P0Field
+
+
+def element_matrices(mesh: Mesh1D, params: BeamParams, scheme: str) -> np.ndarray:
+    """Per-element 4x4 blocks in local order (w0, w1, th0, th1)."""
+    n = mesh.n
+    h = mesh.element_sizes
+    Eb = params.E / 12.0
+    ks = params.kappa / params.t**2
+
+    Ke = np.zeros((n, 4, 4))
+    # bending on theta
+    Ke[:, 2, 2] += Eb / h
+    Ke[:, 3, 3] += Eb / h
+    Ke[:, 2, 3] -= Eb / h
+    Ke[:, 3, 2] -= Eb / h
+    # shear: w'w', w'theta cross terms (exact under both rules)
+    Ke[:, 0, 0] += ks / h
+    Ke[:, 1, 1] += ks / h
+    Ke[:, 0, 1] -= ks / h
+    Ke[:, 1, 0] -= ks / h
+    for a, sign in ((0, +0.5), (1, -0.5)):
+        for b in (2, 3):
+            Ke[:, a, b] += sign * ks
+            Ke[:, b, a] += sign * ks
+    # shear theta-theta block: exact mass vs one-point midpoint rule
+    if scheme == STANDARD:
+        Ke[:, 2, 2] += ks * h / 3.0
+        Ke[:, 3, 3] += ks * h / 3.0
+        Ke[:, 2, 3] += ks * h / 6.0
+        Ke[:, 3, 2] += ks * h / 6.0
+    else:
+        for a in (2, 3):
+            for b in (2, 3):
+                Ke[:, a, b] += ks * h / 4.0
+    return Ke
+
+
+def assemble_stiffness(mesh: Mesh1D, params: BeamParams, scheme: str = LOCKING_FREE) -> sp.csr_matrix:
+    """Stiffness on the interleaved interior dofs (w_1, theta_1, w_2, ...),
+    assembled from COO triplets of the element blocks."""
+    n = mesh.n
+    m = 2 * (n - 1)
+    Ke = element_matrices(mesh, params, scheme)
+
+    elems = np.arange(n)
+    local_nodes = np.stack([elems, elems + 1, elems, elems + 1], axis=1)  # (n, 4)
+    local_comp = np.array([0, 0, 1, 1])
+    dofs = 2 * (local_nodes - 1) + local_comp[None, :]
+    keep = (local_nodes >= 1) & (local_nodes <= n - 1)
+
+    rows = np.repeat(dofs[:, :, None], 4, axis=2)
+    cols = np.repeat(dofs[:, None, :], 4, axis=1)
+    mask = np.repeat(keep[:, :, None], 4, axis=2) & np.repeat(keep[:, None, :], 4, axis=1)
+
+    K = sp.coo_matrix(
+        (Ke[mask], (rows[mask], cols[mask])), shape=(m, m)
+    ).tocsr()
+    K.sum_duplicates()
+    return K
+
+
+def solve_state(
+    mesh: Mesh1D,
+    params: BeamParams,
+    loads: LoadData,
+    u: Optional[P0Field] = None,
+    scheme: str = LOCKING_FREE,
+) -> StateSolution:
+    """Solve the beam problem under load f + u and moment load g."""
+    op = BeamOperator(mesh, params, scheme)
+    rhs = assemble_load(mesh, params, loads.f, loads.g)
+    if u is not None:
+        # added separately so a callable f keeps its quadrature and the
+        # piecewise-constant control is integrated exactly
+        rhs = rhs + assemble_load(mesh, params, u, 0.0)
+    w, th = op.split(op.solve(rhs))
+    return StateSolution(w, th, recover_shear(mesh, params, w, th))

@@ -37,7 +37,6 @@ from sparsebeam.fem import (
     assemble_stiffness,
     condense_mixed_system,
     error_norms,
-    solve_state,
 )
 from sparsebeam.manufactured import balanced_family
 from sparsebeam.meshes import build_uniform_mesh, l2_diff_p0, pi_h
@@ -51,6 +50,7 @@ from sparsebeam.problem import ControlProblem
 from sparsebeam.ssn import SSNConfig, kkt_residual, ssn_solve
 
 from conftest import eta_threshold, toy_problem, zero_problem
+from reference import solve_state
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

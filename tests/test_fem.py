@@ -1,9 +1,14 @@
 """Assembly, direct solves, and the analytic clamped-beam solution."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sparsebeam.fem import (
+    SCHEMES,
     BeamOperator,
     BeamParams,
     LinearSolveError,
@@ -16,11 +21,12 @@ from sparsebeam.fem import (
     error_norms,
     p1_mass_matrix,
     recover_shear,
-    solve_state,
 )
 from sparsebeam.control import ControlParams
 from sparsebeam.meshes import Mesh1D, P0Field, P1Field, build_uniform_mesh, eval_p1
 from sparsebeam.problem import ControlProblem
+from reference import assemble_stiffness as coo_stiffness
+from reference import solve_state
 
 
 def analytic_constant_load(params, q=1.0):
@@ -102,6 +108,24 @@ class TestStiffness:
         Kc = condense_mixed_system(self.mesh, params)
         scale = np.max(np.abs(K))
         assert np.max(np.abs(K - Kc)) <= 1e-12 * scale
+
+    @given(n=st.integers(2, 300), grading=st.sampled_from([1.0, 2.0, 3.0]),
+           scheme=st.sampled_from(SCHEMES), log_t=st.floats(-5.0, 0.0),
+           kappa=st.one_of(st.none(), st.floats(1e-2, 1e2)))
+    def test_diagonal_assembly_equals_coo_reference(self, n, grading, scheme, log_t, kappa):
+        mesh = Mesh1D(np.linspace(0.0, 1.0, n + 1) ** grading)
+        params = BeamParams(E=1.3, t=10.0**log_t, kappa_override=kappa)
+        K = assemble_stiffness(mesh, params, scheme)
+        K_ref = coo_stiffness(mesh, params, scheme)
+        diff = K - K_ref
+        diff.eliminate_zeros()
+        assert diff.nnz == 0
+        # the same stored entries in the same order, so products agree bit for bit
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(K, name), getattr(K_ref, name))
+        band = BeamOperator(mesh, params, scheme).K_band
+        for d in range(4):
+            assert np.array_equal(band[3 - d, d:], K_ref.diagonal(d))
 
     def test_mixed_blocks_shapes(self):
         A, C, Mg = assemble_mixed_blocks(self.mesh, self.params)
@@ -211,6 +235,20 @@ class TestStateSolve:
         knorm = np.max(np.abs(op.K).sum(axis=1))
         floor = 1e-15 * (knorm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
         assert np.max(np.abs(op.K @ x - rhs)) <= floor
+
+    def test_operator_build_peaks_below_twice_what_it_keeps(self):
+        # the operator keeps K, its upper band and the Cholesky factor;
+        # assembling them from the element entries needs less scratch than that
+        mesh = build_uniform_mesh(20_000)
+        params = BeamParams(E=1.0, t=0.01)
+        tracemalloc.start()
+        try:
+            op = BeamOperator(mesh, params)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.K.shape == (2 * 19_999, 2 * 19_999)
+        assert peak <= 2 * kept
 
     def test_recover_shear_definition(self):
         mesh = build_uniform_mesh(4)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import toy_problem, zero_problem
+from reference import solve_state
 from sparsebeam.control import ControlParams
-from sparsebeam.fem import BeamParams, LoadData, assemble_load, solve_state
+from sparsebeam.fem import BeamParams, LoadData, assemble_load
 from sparsebeam.meshes import (
     Mesh1D,
     P0Field,
@@ -43,6 +44,19 @@ def test_system_is_cached_and_shares_the_stiffness():
     prob = toy_problem(n=8)
     assert prob.system is prob.system
     assert prob.system.K is prob.operator.K
+
+
+def test_blocks_are_built_on_first_use():
+    prob = toy_problem(n=8)
+    prob.solve_state(P0Field.constant(prob.mesh, 1.0))
+    built = prob.system.__dict__
+    assert {"B", "Lf"} <= built.keys()
+    assert not {"Mt", "Ld", "Avg", "K_norm", "Mt_norm", "B_norm"} & built.keys()
+    prob.solve_adjoint(prob.solve_state())
+    assert {"Mt", "Ld"} <= built.keys()
+    assert "Avg" not in built
+    # a copy with another control shares the blocks built so far and later
+    assert prob.with_control(eta=0.5).system.Avg is prob.system.Avg
 
 
 def _mesh(graded, n=12):

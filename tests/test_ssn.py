@@ -21,7 +21,7 @@ from sparsebeam.control import (
     complementarity_values,
     variational_inequality_residual,
 )
-from sparsebeam.fem import BeamParams, LinearSolveError, LoadData
+from sparsebeam.fem import SCHEMES, BeamParams, LinearSolveError, LoadData
 from sparsebeam.meshes import Mesh1D, P0Field, P1Field, build_uniform_mesh, l2_diff_p0
 from sparsebeam.oracles import OracleConfig, ReducedQuadratic, fd_gradient_check, prox_gradient_solve
 from sparsebeam.problem import ControlProblem
@@ -423,6 +423,7 @@ def pattern_cases(draw):
         LoadData(f=lambda x: 100.0 * np.sin(3.0 * x), w_d=lambda x: 0.01 * x,
                  theta_d=lambda x: 0.02 * x),
         ControlParams(nu=nu, eta=1e-3, a=-5.0, b=5.0),
+        scheme=draw(st.sampled_from(SCHEMES)),
         adjoint_theta_term=draw(st.booleans()),
     )
     seed = draw(st.integers(0, 2**32 - 1))
@@ -519,7 +520,7 @@ class TestBandedPatternSolve:
         # without stiffness the rotation columns are empty (no theta
         # tracking term), so dgbtrf meets an exact zero pivot
         s = toy_problem(n=6, nu=1e-3).system
-        band = _PatternBand(sp.csr_matrix(s.K.shape), s.Mt, s.B, s.Avg)
+        band = _PatternBand(np.zeros_like(s.operator.K_band), sp.csr_matrix(s.K.shape), s.Mt, s.B, s.Avg)
         is_free = np.ones(6, dtype=bool)
         with pytest.raises(LinearSolveError):
             band.solve(is_free, 1e-3, s.Lf, s.Ld, np.zeros(6))
