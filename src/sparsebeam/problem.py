@@ -59,35 +59,24 @@ class OptimalitySystem:
     the adjoint deflection (B = Avg^T diag(h), so Avg is B's pattern with
     every entry 1/2), and Mt is the tracking mass, with the rotation term
     when the problem has adjoint_theta_term.  K_norm, Mt_norm and B_norm
-    are max row sums, which scale backward-error residuals.  Each block is
-    built on first use: a state solve reads K, B and Lf, an adjoint adds Mt
-    and Ld, and the SSN solver Avg and the norms.
+    are max row sums, which scale backward-error residuals.
     """
 
     def __init__(self, problem: ControlProblem):
-        self.mesh, self.beam, self.loads = problem.mesh, problem.beam, problem.loads
-        self.theta_term = problem.adjoint_theta_term
+        mesh, beam, loads = problem.mesh, problem.beam, problem.loads
+        theta_term = problem.adjoint_theta_term
         self.operator = problem.operator
         self.K = self.operator.K
-
-    B = cached_property(lambda self: control_load_matrix(self.mesh))
-    Lf = cached_property(lambda self: assemble_load(self.mesh, self.beam, self.loads.f, self.loads.g))
-    Ld = cached_property(lambda self: assemble_load(
-        self.mesh, self.beam, self.loads.w_d, self.loads.theta_d if self.theta_term else 0.0))
-    K_norm = cached_property(lambda self: float(np.max(np.abs(self.K).sum(axis=1))))
-    Mt_norm = cached_property(lambda self: float(np.max(np.abs(self.Mt).sum(axis=1))))
-    B_norm = cached_property(lambda self: float(np.max(np.abs(self.B).sum(axis=1))))
-
-    @cached_property
-    def Avg(self) -> sp.csr_matrix:
-        Avg = self.B.T.tocsr()
-        Avg.data[:] = 0.5
-        return Avg
-
-    @cached_property
-    def Mt(self) -> sp.csr_matrix:
-        theta_weight = self.beam.t**2 / 12.0 if self.theta_term else 0.0
-        return sp.kron(p1_mass_matrix(self.mesh), np.diag([1.0, theta_weight]), format="csr")
+        self.B = control_load_matrix(mesh)
+        self.Avg = self.B.T.tocsr()
+        self.Avg.data[:] = 0.5
+        theta_weight = beam.t**2 / 12.0 if theta_term else 0.0
+        self.Mt = sp.kron(p1_mass_matrix(mesh), np.diag([1.0, theta_weight]), format="csr")
+        self.Lf = assemble_load(mesh, beam, loads.f, loads.g)
+        self.Ld = assemble_load(mesh, beam, loads.w_d, loads.theta_d if theta_term else 0.0)
+        self.K_norm = float(np.max(np.abs(self.K).sum(axis=1)))
+        self.Mt_norm = float(np.max(np.abs(self.Mt).sum(axis=1)))
+        self.B_norm = float(np.max(np.abs(self.B).sum(axis=1)))
 
     @cached_property
     def reduced(self) -> Reduced:

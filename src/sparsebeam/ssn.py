@@ -75,7 +75,7 @@ from .control import (
     shrink,
     variational_inequality_residual,
 )
-from .fem import AdjointSolution, LinearSolveError, StateSolution, _interleave
+from .fem import AdjointSolution, BeamOperator, LinearSolveError, StateSolution, _interleave
 from .meshes import P0Field, p0_average
 from .problem import ControlProblem
 
@@ -146,7 +146,7 @@ class SSNResult:
 _KL, _KU = 7, 6
 _DIAG = _KL + _KU  # band row of the main diagonal in LAPACK band storage
 _SLOTS = 5  # slots per element: its control and its right end node
-_CHUNK = 4096  # nodes of the band template written at a time, about 2 MB
+_CHUNK = 4096  # nodes of the band template written per pass over its blocks, a 2.3 MB slice
 
 
 class _PatternBand:
@@ -166,8 +166,9 @@ class _PatternBand:
     as does the row of a dof without stiffness.
     """
 
-    def __init__(self, K_band: np.ndarray, K: sp.csr_matrix, Mt: sp.csr_matrix,
-                 B: sp.csr_matrix, Avg: sp.csr_matrix):
+    def __init__(self, operator: BeamOperator, Mt: sp.csr_matrix, B: sp.csr_matrix,
+                 Avg: sp.csr_matrix):
+        K_band, K = operator.K_band, operator.K
         self.K, self.Mt, self.B, self.Avg = K, Mt, B, Avg
         n = B.shape[1]
         self.m = K.shape[0]
@@ -302,7 +303,7 @@ class _PatternSolver:
     @cached_property
     def band(self) -> _PatternBand:
         s = self.sys
-        return _PatternBand(s.operator.K_band, s.K, s.Mt, s.B, s.Avg)
+        return _PatternBand(s.operator, s.Mt, s.B, s.Avg)
 
     def rhs(self, branches: np.ndarray, shift: Optional[np.ndarray] = None):
         """Right-hand side of the coupled system for one branch pattern.

@@ -46,19 +46,6 @@ def test_system_is_cached_and_shares_the_stiffness():
     assert prob.system.K is prob.operator.K
 
 
-def test_blocks_are_built_on_first_use():
-    prob = toy_problem(n=8)
-    prob.solve_state(P0Field.constant(prob.mesh, 1.0))
-    built = prob.system.__dict__
-    assert {"B", "Lf"} <= built.keys()
-    assert not {"Mt", "Ld", "Avg", "K_norm", "Mt_norm", "B_norm"} & built.keys()
-    prob.solve_adjoint(prob.solve_state())
-    assert {"Mt", "Ld"} <= built.keys()
-    assert "Avg" not in built
-    # a copy with another control shares the blocks built so far and later
-    assert prob.with_control(eta=0.5).system.Avg is prob.system.Avg
-
-
 def _mesh(graded, n=12):
     return Mesh1D(np.linspace(0.0, 1.0, n + 1) ** (2.0 if graded else 1.0))
 

@@ -1,5 +1,6 @@
 """Active-set solver: termination, invariants, oracle agreement."""
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -520,7 +521,8 @@ class TestBandedPatternSolve:
         # without stiffness the rotation columns are empty (no theta
         # tracking term), so dgbtrf meets an exact zero pivot
         s = toy_problem(n=6, nu=1e-3).system
-        band = _PatternBand(np.zeros_like(s.operator.K_band), sp.csr_matrix(s.K.shape), s.Mt, s.B, s.Avg)
+        no_stiffness = SimpleNamespace(K_band=np.zeros_like(s.operator.K_band), K=sp.csr_matrix(s.K.shape))
+        band = _PatternBand(no_stiffness, s.Mt, s.B, s.Avg)
         is_free = np.ones(6, dtype=bool)
         with pytest.raises(LinearSolveError):
             band.solve(is_free, 1e-3, s.Lf, s.Ld, np.zeros(6))
