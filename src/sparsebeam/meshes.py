@@ -3,6 +3,9 @@
 Displacement-type quantities live in the space of continuous piecewise-linear
 functions vanishing at both ends of the interval (P1Field); controls, shear
 forces and multipliers live in the space of piecewise constants (P0Field).
+
+A nested coarse mesh keeps every k-th node of a mesh (coarsen); P0 fields
+are restricted to it by h-weighted means (restrict_p0).
 """
 from __future__ import annotations
 
@@ -17,6 +20,8 @@ __all__ = [
     "QuadratureRule",
     "GAUSS_2PT",
     "build_uniform_mesh",
+    "coarsen",
+    "restrict_p0",
     "pi_h",
     "p0_average",
     "eval_p1",
@@ -94,6 +99,15 @@ def build_uniform_mesh(n: int, L: float = 1.0) -> Mesh1D:
     if not (L > 0):
         raise ValueError("L must be positive")
     return Mesh1D(np.linspace(0.0, float(L), int(n) + 1))
+
+
+def coarsen(mesh: Mesh1D, k: int) -> Mesh1D:
+    """The nested mesh of every k-th node of mesh, plus its last node.
+
+    Coarse element J holds the fine elements k*J to k*J + k - 1; when k does
+    not divide n the last coarse element holds the n mod k remaining ones.
+    """
+    return Mesh1D(np.append(mesh.nodes[:-1:k], mesh.nodes[-1]))
 
 
 @dataclass(frozen=True)
@@ -216,6 +230,19 @@ def p0_average(v: P1Field) -> P0Field:
     """Elementwise mean of a P1 field (equals its midpoint values)."""
     w = v.values
     return P0Field(v.mesh, 0.5 * (w[:-1] + w[1:]))
+
+
+def restrict_p0(u: P0Field, coarse: Mesh1D) -> P0Field:
+    """The h-weighted mean of u over the fine elements of each element of a
+    coarse mesh whose nodes are nodes of u's mesh, so each coarse element
+    keeps u's integral to roundoff (and a field of one sign keeps it)."""
+    fine = u.mesh
+    starts = np.searchsorted(fine.nodes, coarse.nodes)
+    if starts[-1] != fine.n or not np.array_equal(fine.nodes[starts], coarse.nodes):
+        raise ValueError("coarse mesh is not nested in the field's mesh")
+    h = fine.element_sizes
+    return P0Field(coarse, np.add.reduceat(h * u.values, starts[:-1])
+                   / np.add.reduceat(h, starts[:-1]))
 
 
 def eval_p1(v: P1Field, x):

@@ -17,7 +17,7 @@ conventions the optimality layer depends on:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -39,7 +39,7 @@ from .fem import (
     p1_mass_matrix,
     recover_shear,
 )
-from .meshes import Mesh1D, P0Field, p0_average
+from .meshes import Mesh1D, P0Field, p0_average, restrict_p0
 
 __all__ = ["ControlProblem"]
 
@@ -47,6 +47,14 @@ __all__ = ["ControlProblem"]
 class Reduced(NamedTuple):
     T: np.ndarray  # n x n control-to-averaged-adjoint map
     r0: np.ndarray  # averaged descent adjoint at u = 0
+
+
+def _max_row_sum(A: sp.csr_matrix) -> float:
+    """max_i sum_j |A_ij| without copying A: the sums of the non-empty rows
+    are grouped as scipy's np.abs(A).sum(axis=1) groups them, so the value
+    is bit-identical to it."""
+    rows = np.flatnonzero(np.diff(A.indptr))
+    return float(np.max(np.add.reduceat(np.abs(A.data), A.indptr[rows]), initial=0.0))
 
 
 class OptimalitySystem:
@@ -74,9 +82,9 @@ class OptimalitySystem:
         self.Mt = sp.kron(p1_mass_matrix(mesh), np.diag([1.0, theta_weight]), format="csr")
         self.Lf = assemble_load(mesh, beam, loads.f, loads.g)
         self.Ld = assemble_load(mesh, beam, loads.w_d, loads.theta_d if theta_term else 0.0)
-        self.K_norm = float(np.max(np.abs(self.K).sum(axis=1)))
-        self.Mt_norm = float(np.max(np.abs(self.Mt).sum(axis=1)))
-        self.B_norm = float(np.max(np.abs(self.B).sum(axis=1)))
+        self.K_norm = _max_row_sum(self.K)
+        self.Mt_norm = _max_row_sum(self.Mt)
+        self.B_norm = _max_row_sum(self.B)
 
     @cached_property
     def reduced(self) -> Reduced:
@@ -151,6 +159,19 @@ class ControlProblem:
 
     def with_mesh(self, mesh: Mesh1D) -> "ControlProblem":
         return replace(self, mesh=mesh)
+
+    def restricted(self, coarse: Mesh1D) -> "ControlProblem":
+        """A copy on a coarse mesh nested in this one.  P0 loads and bounds
+        are restricted to their h-weighted means over each coarse element;
+        constants, callables and P1 fields are evaluated on any mesh and
+        pass through unchanged."""
+        def restrict(data):
+            return restrict_p0(data, coarse) if isinstance(data, P0Field) else data
+
+        loads = replace(self.loads, **{f.name: restrict(getattr(self.loads, f.name))
+                                       for f in fields(self.loads)})
+        control = replace(self.control, a=restrict(self.control.a), b=restrict(self.control.b))
+        return replace(self, mesh=coarse, loads=loads, control=control)
 
     def with_control(self, **changes) -> "ControlProblem":
         """A copy with changed control parameters.  The operator and the

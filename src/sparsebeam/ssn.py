@@ -44,19 +44,35 @@ stages and its probes.  The pattern map is deterministic, so it stops at
 the first of three events: a fixed point (its solve depends on the pattern
 alone, so its residual is final), its cap of pattern solves, or a
 recurring pattern (a cycle, which can never settle).  The main loop starts
-from z = 0.  With a very small L2 weight it can overshoot the bounds and
-cycle; it is then reseeded once from a proximal-point continuation, whose
-first weight is ten times the secant of the reduced operator along the
-last two iterates (at least nu) and whose first center is the warm start
-u0 when one is given.  The reseed ends on a probe that has settled at the
-true weight; that probe's solve is the loop's last iterate.
-The solve returns the last pattern solve, the one its stop tested, so
-converged describes the returned point.
+from z = 0, or from the nested seed below.  With a very small L2 weight it
+can overshoot the bounds and cycle; it is then reseeded once from a
+proximal-point continuation, whose first weight is ten times the secant of
+the reduced operator along the last two iterates (at least nu) and whose
+first center is the warm start u0 when one is given.  The reseed ends on a
+probe that has settled at the true weight; that probe's solve is the loop's
+last iterate.  The solve returns the last pattern solve, the one its stop
+tested, so converged describes the returned point.
+
+On a mesh of at least _NEST_MIN elements the solve is seeded by nested
+iteration.  It first solves the same problem on the mesh of every 16th
+node (P0 data restricted to h-weighted means), through ssn_solve, so a
+coarse mesh that is still large nests again.  The fine main loop then
+classifies its first pattern from the coarse z = mu + nu*u, each fine
+element taking the value of the coarse element that holds it, and without
+a u0 the prolonged coarse control is the reseed's first center.  The
+discrete controls converge at O(h) uniformly in the thickness, and
+semismooth Newton is mesh-independent (Hintermueller and Ulbrich, A
+mesh-independence result for semismooth Newton methods, Math. Program.
+2004), so the coarse pattern is nearly the fine one: the fine loop mostly
+ends after two pattern solves.  The seed changes only where the iteration
+starts.  A pattern's solve depends on the pattern alone, so a seeded solve
+that settles on the cold solve's pattern returns the same control, bit for
+bit.
 """
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, List, NamedTuple, Optional
 
@@ -76,7 +92,7 @@ from .control import (
     variational_inequality_residual,
 )
 from .fem import AdjointSolution, BeamOperator, LinearSolveError, StateSolution, _interleave
-from .meshes import P0Field, p0_average
+from .meshes import P0Field, coarsen, p0_average, restrict_p0
 from .problem import ControlProblem
 
 __all__ = [
@@ -91,14 +107,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SSNConfig:
-    """Solver knobs.  max_iter bounds the main loop's iterations, so the
-    length of residual_history; SSNResult.iterations also counts the
-    reseed's pattern solves, which have their own budget of 800.  u0 must
-    live on the problem's mesh; clipped to the box, it is the first center
-    of the reseed if the iteration cycles.  It does not seed the branch
-    classification: along a sweep, the previous control's adjoint average
-    lies inside the new weight's zero band, so it would classify every
-    element as zero, exactly as a cold start does."""
+    """Solver knobs, shared by every level of a nested solve.
+
+    tol bounds the residual of a converged solve.  max_iter bounds the main
+    loop of each level (the problem's mesh and each coarse mesh) on its
+    own, so the length of residual_history; SSNResult.iterations also
+    counts the reseed's pattern solves, which have their own budget of 800.
+    u0 must live on the problem's mesh; clipped to the box, it is the first
+    center of the reseed if the iteration cycles, and a nested solve
+    restricts it to the coarse mesh for the coarse solve.  It does not seed
+    the branch classification: along a sweep, the previous control's
+    adjoint average lies inside the new weight's zero band, so it would
+    classify every element as zero, exactly as a cold start does."""
 
     tol: float = 1e-10
     max_iter: int = 50
@@ -119,7 +139,12 @@ class SSNResult:
     adjoint, and mu = pbar - nu*u from its adjoint average.  stop_reason is
     "converged" or "repeat_above_tol" at a fixed point that meets tol or
     misses it.  On "max_iter", or "reseed_budget" (the reseed spent its 800
-    solves and the resumed main loop did not settle), it is the last iterate."""
+    solves and the resumed main loop did not settle), it is the last iterate.
+
+    iterations counts the pattern solves on the problem's own mesh, main
+    loop and reseed together; coarse_iterations counts those of all the
+    coarse levels of a nested solve, 0 below the nesting size.  The
+    histories are those of the problem's own mesh."""
     u: P0Field
     mu: P0Field
     state: StateSolution
@@ -128,6 +153,7 @@ class SSNResult:
     converged: bool
     stop_reason: str
     iterations: int
+    coarse_iterations: int = 0
     residual_history: List[float] = field(default_factory=list)
     active_set_history: List[np.ndarray] = field(default_factory=list)
     null_count: int = 0
@@ -147,6 +173,14 @@ _KL, _KU = 7, 6
 _DIAG = _KL + _KU  # band row of the main diagonal in LAPACK band storage
 _SLOTS = 5  # slots per element: its control and its right end node
 _CHUNK = 4096  # nodes of the band template written per pass over its blocks, a 2.3 MB slice
+
+# Nested iteration: a solve on at least _NEST_MIN elements first solves the
+# problem on the mesh of every _NEST_K-th node and classifies its first
+# pattern from that solve.  On the sine loads at nu = 1e-6 the nested solve
+# overtook the cold one between 1024 and 2048 elements; one power of two
+# above that it won on every load measured (crossover table in ROADMAP.md).
+_NEST_MIN = 4096
+_NEST_K = 16
 
 
 class _PatternBand:
@@ -432,13 +466,25 @@ def _continuation_seed(ps: _PatternSolver, z: np.ndarray, tau: float,
 
 
 def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNResult:
-    """Run the active-set iteration to the finite-termination fixed point
-    and return its last pattern solve (see SSNResult)."""
+    """Run the active-set iteration to the finite-termination fixed point,
+    seeded from a coarse solve on at least _NEST_MIN elements, and return
+    its last pattern solve (see SSNResult)."""
     mesh, control = problem.mesh, problem.control
     nu, eta = control.nu, control.eta
     u0 = config.u0
     if u0 is not None and not np.array_equal(u0.mesh.nodes, mesh.nodes):
         raise ValueError("u0 lives on a different mesh")
+    z0, coarse_iterations = np.zeros(mesh.n), 0
+    center = None if u0 is None else u0.values
+    if mesh.n >= _NEST_MIN:
+        coarse = coarsen(mesh, _NEST_K)
+        seed = ssn_solve(problem.restricted(coarse),
+                         replace(config, u0=None if u0 is None else restrict_p0(u0, coarse)))
+        coarse_iterations = seed.iterations + seed.coarse_iterations
+        owner = np.arange(mesh.n) // _NEST_K  # the coarse element holding each fine one
+        z0 = (seed.mu.values + nu * seed.u.values)[owner]
+        if center is None:
+            center = seed.u.values[owner]
     ps = _PatternSolver(problem)
     s, a, b = ps.sys, ps.a, ps.b
 
@@ -464,7 +510,7 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
         # nu-scaled Newton row would make an unscaled max-norm vacuous
         residual_history.append(max(r_state, r_adj, np.max(np.abs(c)) / max(1.0, nu)))
 
-    run = _active_set(ps, np.zeros(mesh.n), nu, config.max_iter, visit=record)
+    run = _active_set(ps, z0, nu, config.max_iter, visit=record)
     iterations = run.solves
     reseed_spent = False
     if run.stop == "cycle":
@@ -475,7 +521,8 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
         (u_prev, z_prev), (u_last, z) = latest
         du = np.linalg.norm(u_last - u_prev)
         secant = np.linalg.norm(z - z_prev) / du if du > 0 else 0.0
-        center = u0.values if u0 is not None else shrink(z, eta) / nu
+        if center is None:
+            center = shrink(z, eta) / nu
         z, extra, run = _continuation_seed(ps, z, 10.0 * max(secant, nu), np.clip(center, a, b))
         iterations += extra
         if run is None:  # the budget is spent: the main loop resumes from z
@@ -509,6 +556,7 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
         converged=converged,
         stop_reason=stop_reason,
         iterations=iterations,
+        coarse_iterations=coarse_iterations,
         residual_history=residual_history,
         active_set_history=active_history,
         null_count=int(np.count_nonzero(u_final == 0.0)),

@@ -11,6 +11,7 @@ from sparsebeam.meshes import (
     P1Field,
     QuadratureRule,
     build_uniform_mesh,
+    coarsen,
     eval_p1,
     l2_diff_p0,
     l2_diff_p1,
@@ -18,6 +19,7 @@ from sparsebeam.meshes import (
     l2_norm_p1,
     p0_average,
     pi_h,
+    restrict_p0,
 )
 
 
@@ -185,3 +187,52 @@ class TestCrossMeshDiffs:
         with pytest.raises(ValueError):
             l2_diff_p0(P0Field.zeros(build_uniform_mesh(4, 1.0)),
                        P0Field.zeros(build_uniform_mesh(4, 2.0)))
+
+
+def _fine_mesh(n, graded):
+    return Mesh1D(np.linspace(0.0, 1.0, n + 1) ** (1.5 if graded else 1.0))
+
+
+class TestRestriction:
+    @pytest.mark.parametrize("n, k", [(64, 16), (70, 16), (17, 16), (9, 4)])
+    def test_coarse_mesh_keeps_every_kth_node_and_the_last(self, n, k):
+        fine = _fine_mesh(n, graded=True)
+        coarse = coarsen(fine, k)
+        assert coarse.n == -(-n // k)
+        assert np.array_equal(coarse.nodes[:-1], fine.nodes[:-1:k])
+        assert coarse.nodes[-1] == fine.nodes[-1]
+
+    @given(st.integers(2, 200), st.sampled_from([2, 4, 16]), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_restriction_keeps_each_coarse_integral(self, n, k, graded, seed):
+        fine = _fine_mesh(max(n, k + 1), graded)
+        coarse = coarsen(fine, k)
+        u = P0Field(fine, np.random.default_rng(seed).normal(size=fine.n))
+        r = restrict_p0(u, coarse)
+        # integral of u over each coarse element, from the fine elements it holds
+        fine_integrals = np.add.reduceat(fine.element_sizes * u.values, np.arange(0, fine.n, k))
+        scale = np.add.reduceat(fine.element_sizes * np.abs(u.values), np.arange(0, fine.n, k))
+        assert np.all(np.abs(coarse.element_sizes * r.values - fine_integrals) <= 1e-14 * scale)
+
+    @given(st.integers(17, 300), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_restricted_bounds_keep_their_sign(self, n, graded, seed):
+        fine = _fine_mesh(n, graded)
+        coarse = coarsen(fine, 16)
+        rng = np.random.default_rng(seed)
+        mag = 10.0 ** rng.uniform(-300, 300, fine.n) * (rng.uniform(size=fine.n) < 0.7)
+        a = restrict_p0(P0Field(fine, -mag), coarse).values
+        b = restrict_p0(P0Field(fine, np.where(rng.uniform(size=fine.n) < 0.1, np.inf, mag)),
+                        coarse).values
+        assert np.all(a <= 0.0) and np.all(b >= 0.0)
+
+    def test_constant_field_stays_constant(self):
+        fine = _fine_mesh(100, graded=True)
+        r = restrict_p0(P0Field.constant(fine, 3.0), coarsen(fine, 16))
+        assert np.allclose(r.values, 3.0, rtol=1e-15, atol=0.0)
+
+    def test_mesh_that_is_not_nested_is_rejected(self):
+        u = P0Field.zeros(build_uniform_mesh(8))
+        with pytest.raises(ValueError, match="nested"):
+            restrict_p0(u, build_uniform_mesh(3))
+        with pytest.raises(ValueError, match="nested"):
+            restrict_p0(u, Mesh1D(np.array([0.0, 0.5, 2.0])))

@@ -13,9 +13,11 @@ from sparsebeam.meshes import (
     P0Field,
     P1Field,
     build_uniform_mesh,
+    coarsen,
     eval_p1,
     p0_average,
     point_values,
+    restrict_p0,
 )
 from sparsebeam.problem import ControlProblem
 from sparsebeam.ssn import kkt_residual
@@ -44,6 +46,19 @@ def test_system_is_cached_and_shares_the_stiffness():
     prob = toy_problem(n=8)
     assert prob.system is prob.system
     assert prob.system.K is prob.operator.K
+
+
+@pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+@pytest.mark.parametrize("theta_term", [False, True])
+@pytest.mark.parametrize("scheme", ["locking_free", "standard"])
+def test_row_sum_norms_equal_scipy_row_sums(graded, theta_term, scheme):
+    # the norms scale the residual history, so they must not move by a bit
+    prob = replace(toy_problem(n=37, t=1e-3, scheme=scheme), adjoint_theta_term=theta_term)
+    prob = prob.with_mesh(_mesh(graded, n=37))
+    s = prob.system
+    for A, norm in ((s.K, s.K_norm), (s.Mt, s.Mt_norm), (s.B, s.B_norm)):
+        assert norm == float(np.max(np.abs(A).sum(axis=1)))
+    assert (s.Mt.getnnz(axis=1) == 0).any() != theta_term  # empty theta rows without the term
 
 
 def _mesh(graded, n=12):
@@ -177,3 +192,22 @@ def test_with_control_shares_control_independent_caches():
     # an unbuilt cache stays unbuilt until it is read
     fresh = toy_problem(n=8)
     assert "operator" not in fresh.with_control(eta=0.5).__dict__
+
+
+def test_restricted_problem_restricts_p0_data_only():
+    mesh = _mesh(True, n=40)
+    coarse = coarsen(mesh, 16)
+    f = P0Field(mesh, np.cos(3.0 * mesh.midpoints))
+    w_d = P1Field.from_callable(mesh, lambda x: x * (1.0 - x))
+    g = lambda x: np.sin(x)  # noqa: E731
+    a = P0Field(mesh, -1.0 - mesh.midpoints)
+    prob = ControlProblem(mesh, BeamParams(E=1.0, t=0.01), LoadData(f=f, g=g, w_d=w_d, theta_d=0.5),
+                          ControlParams(nu=1e-4, eta=1e-3, a=a, b=2.0))
+    c = prob.restricted(coarse)
+    assert c.mesh is coarse and c.beam is prob.beam and c.scheme == prob.scheme
+    assert np.array_equal(c.loads.f.values, restrict_p0(f, coarse).values)
+    assert np.array_equal(c.control.a.values, restrict_p0(a, coarse).values)
+    assert c.loads.g is g and c.loads.w_d is w_d and c.loads.theta_d == 0.5
+    assert c.control.b == 2.0 and (c.control.nu, c.control.eta) == (1e-4, 1e-3)
+    assert c.bounds[0].shape == (coarse.n,) and np.all(c.bounds[0] <= -1.0)
+    assert c.system.B.shape == (2 * (coarse.n - 1), coarse.n)

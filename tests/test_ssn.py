@@ -23,7 +23,15 @@ from sparsebeam.control import (
     variational_inequality_residual,
 )
 from sparsebeam.fem import SCHEMES, BeamParams, LinearSolveError, LoadData
-from sparsebeam.meshes import Mesh1D, P0Field, P1Field, build_uniform_mesh, l2_diff_p0
+from sparsebeam.meshes import (
+    Mesh1D,
+    P0Field,
+    P1Field,
+    build_uniform_mesh,
+    coarsen,
+    l2_diff_p0,
+    restrict_p0,
+)
 from sparsebeam.oracles import OracleConfig, ReducedQuadratic, fd_gradient_check, prox_gradient_solve
 from sparsebeam.problem import ControlProblem
 from sparsebeam.ssn import (
@@ -195,6 +203,75 @@ class TestTermination:
         assert gap <= 1e-12 * max(1.0, prob.cost(res.u, res.state).total)
         if nu == 1e-6:
             assert l2_diff_p0(res.u, orc.u) <= 1e-8
+
+
+def _p0_problem(mesh, nu=1e-6):
+    """P0 load and P0 bounds, so the coarse problem restricts all its data."""
+    x = mesh.midpoints
+    f = P0Field(mesh, 100.0 * np.sin(8.0 * np.pi * x) + 5.0 * np.cos(40.0 * x))
+    return ControlProblem(mesh, BeamParams(E=1.0, t=1e-2), LoadData(f=f),
+                          ControlParams(nu=nu, eta=1e-5, a=P0Field(mesh, -40.0 - 20.0 * x),
+                                        b=P0Field(mesh, 60.0 - 10.0 * x)))
+
+
+def _spied_solves(monkeypatch):
+    """Record (mesh, config) of every ssn_solve, the nested ones included."""
+    calls = []
+    solve = ssn.ssn_solve
+
+    def spy(problem, config=SSNConfig()):
+        calls.append((problem.mesh, config))
+        return solve(problem, config)
+
+    monkeypatch.setattr(ssn, "ssn_solve", spy)
+    return calls
+
+
+class TestNestedSeed:
+    @pytest.mark.parametrize("nodes", [np.linspace(0.0, 1.0, 4097),
+                                       np.linspace(0.0, 1.0, 4097) ** 1.5,
+                                       np.linspace(0.0, 1.0, 4108)],
+                             ids=["uniform", "graded", "n_not_multiple_of_16"])
+    def test_nested_control_equals_cold(self, monkeypatch, nodes):
+        # the seed moves only the start: the pattern a solve settles on, and
+        # so its control, are the cold solve's
+        problem = _p0_problem(Mesh1D(nodes))
+        nested = ssn_solve(problem)
+        monkeypatch.setattr(ssn, "_NEST_MIN", problem.mesh.n + 1)
+        cold = ssn_solve(problem)
+        assert nested.converged and cold.converged
+        assert nested.coarse_iterations > 0 and cold.coarse_iterations == 0
+        assert nested.iterations <= cold.iterations
+        assert np.array_equal(nested.u.values, cold.u.values)
+
+    def test_small_weight_settles_in_few_fine_solves(self):
+        # cold, this solve cycles and reseeds: 67 pattern solves on 8192 elements
+        problem = ControlProblem(build_uniform_mesh(8192), BeamParams(E=1.0, t=1e-2),
+                                 LoadData(f=lambda x: 100 * np.sin(8 * np.pi * x)),
+                                 ControlParams(nu=1e-9, eta=1e-5, a=-60, b=60))
+        res = ssn_solve(problem)
+        assert res.converged
+        assert res.iterations <= 3 and res.coarse_iterations > 0
+
+    def test_below_the_size_there_is_no_coarse_solve(self, monkeypatch):
+        calls = _spied_solves(monkeypatch)
+        res = ssn.ssn_solve(_p0_problem(build_uniform_mesh(ssn._NEST_MIN - 1)))
+        assert res.converged and res.coarse_iterations == 0 and len(calls) == 1
+
+    def test_coarse_levels_nest_and_are_counted_apart(self, monkeypatch):
+        calls = _spied_solves(monkeypatch)
+        monkeypatch.setattr(ssn, "_NEST_MIN", 64)
+        mesh = Mesh1D(np.linspace(0.0, 1.0, 1201) ** 1.5)
+        u0 = P0Field(mesh, np.linspace(-1.0, 1.0, mesh.n))
+        res = ssn.ssn_solve(_p0_problem(mesh, nu=1e-8), SSNConfig(u0=u0, max_iter=30))
+        assert [m.n for m, _ in calls] == [1200, 75, 5]
+        (_, fine), (mid, c1), (low, c2) = calls
+        # u0 is restricted level by level; tol and max_iter hold at each level
+        assert c1.u0.mesh is mid and np.array_equal(c1.u0.values, restrict_p0(u0, mid).values)
+        assert c2.u0.mesh is low and np.array_equal(c2.u0.values, restrict_p0(c1.u0, low).values)
+        assert all((c.tol, c.max_iter) == (fine.tol, fine.max_iter) for c in (c1, c2))
+        assert np.array_equal(mid.nodes, coarsen(mesh, 16).nodes)
+        assert res.coarse_iterations > 0 and len(res.residual_history) <= 30
 
 
 class TestResultInvariants:
