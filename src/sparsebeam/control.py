@@ -39,7 +39,6 @@ __all__ = [
     "variational_inequality_residual",
     "cost",
     "reconstruct_multipliers",
-    "kkt_consistent_scalar",
     "BRANCH_ZERO",
     "BRANCH_LOWER",
     "BRANCH_UPPER",
@@ -238,23 +237,3 @@ def reconstruct_multipliers(u: P0Field, mu: P0Field, params: ControlParams) -> M
     lam_a = np.maximum(-rest, 0.0)
     mesh = u.mesh
     return MultiplierState(mu, P0Field(mesh, lam), P0Field(mesh, lam_a), P0Field(mesh, lam_b))
-
-
-def kkt_consistent_scalar(u: float, mu: float, a: float, b: float, eta: float,
-                          tol: float = 0.0) -> bool:
-    """Branch-enumerated scalar test: does (u, mu) satisfy the pointwise system?
-
-    Enumerates the five branches (u=0, u in (0,b), u=b, u in (a,0), u=a).
-    Used as an independent oracle for the complementarity function.
-    """
-    if u < a - tol or u > b + tol:
-        return False
-    if abs(u) <= tol:
-        return abs(mu) <= eta + tol
-    if u > 0:
-        if abs(u - b) <= tol:
-            return mu >= eta - tol
-        return abs(mu - eta) <= tol
-    if abs(u - a) <= tol:
-        return mu <= -eta + tol
-    return abs(mu + eta) <= tol

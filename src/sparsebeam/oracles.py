@@ -11,13 +11,23 @@ out of the proximal step, so plain soft-shrinkage plus clipping applies.
 
 T and r0 do not depend on the control: they are built once per problem,
 by the first ReducedQuadratic, and cached read-only on the problem's
-OptimalitySystem, which with_control copies share.  The active-set solver
-never reads them, so the oracles stay independent of the code they check.
+OptimalitySystem, which with_control copies share, next to H, the symmetric
+part of DT.  The active-set solver never reads them, so the oracles stay
+independent of the code they check.
+
+Two products serve two purposes.  The iterations -- FISTA's and the power
+iteration's -- use T u = (H u) / h, a symmetric product that reads one
+triangle of H, half the memory of T u.  Everything a certificate rests on
+reads T itself: pbar, the branch classification, the polish, the
+fixed-point residual and partial_objective.  So a certified control depends
+only on T, r0 and its branch pattern.
 
 prox_gradient_solve runs FISTA with gradient-based adaptive restart, at one
-dense product T u per iteration (T v follows by linearity).  By default it
-periodically attempts an exact "polish": classify branches from pbar,
-solve the free-branch linear system, and verify every Karush-Kuhn-Tucker
+symmetric product per iteration (T v follows by linearity).  Every
+_POLISH_EVERY iterations, and once on exit, a checkpoint spends one exact
+product T u on pbar and the fixed-point residual, tests the tolerance and,
+by default, attempts an exact "polish": classify branches from pbar, solve
+the free-branch linear system, and verify every Karush-Kuhn-Tucker
 inequality explicitly.  The problem is strictly convex, so a point
 passing that verification is the unique minimizer -- the returned
 certificate does not depend on iteration counts or tolerances.
@@ -29,6 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.blas import dsymv
 
 from .control import (
     BRANCH_LOWER,
@@ -52,8 +63,12 @@ __all__ = [
 ]
 
 
-# FISTA iterations between two polish attempts
+# FISTA iterations between two checkpoints (residual, tolerance, polish)
 _POLISH_EVERY = 200
+
+# the power iteration stops once two estimates agree to this, relatively
+_POWER_RTOL = 1e-12
+_POWER_MAX = 200
 
 
 @dataclass(frozen=True)
@@ -77,16 +92,18 @@ class OracleResult:
 class ReducedQuadratic:
     """Dense reduced form of one control problem.
 
-    T and r0 are the problem's cached OptimalitySystem.reduced: the first
-    ReducedQuadratic of a problem builds them by two multi-right-hand-side
-    banded solves (O(n) solves of bandwidth-3 systems, fine up to a few
-    thousand elements), and every later one, also on a with_control copy,
-    shares them read-only.
+    T, r0 and H are the problem's cached OptimalitySystem.reduced: the
+    first ReducedQuadratic of a problem builds them by two
+    multi-right-hand-side banded solves (O(n) solves of bandwidth-3
+    systems, fine up to a few thousand elements), and every later one, also
+    on a with_control copy, shares them read-only.  sym_product, the
+    product of FISTA and of the power iteration, reads H; pbar,
+    partial_objective and the polish read T.
     """
 
     def __init__(self, problem: ControlProblem):
         self.problem = problem
-        self.T, self.r0 = problem.system.reduced
+        self.T, self.r0, self.H = problem.system.reduced
         self.h = problem.mesh.element_sizes
         self.nu = problem.control.nu
         self.eta = problem.control.eta
@@ -101,18 +118,31 @@ class ReducedQuadratic:
         q = 0.5 * self.nu * u * u + 0.5 * u * (self.T @ u) - u * self.r0
         return float(np.sum(self.h * q) + self.eta * np.sum(self.h * np.abs(u)))
 
+    def sym_product(self, u: np.ndarray) -> np.ndarray:
+        """T u as (H u) / h, a product that reads one triangle of H, the
+        symmetric part of D T.  It differs from T @ u by roundoff and by the
+        build's asymmetry, so only iterations use it, never a certificate."""
+        return dsymv(1.0, self.H, u) / self.h
+
     def lipschitz(self) -> float:
-        """Largest eigenvalue of nu*I + T (power iteration, deterministic start)."""
+        """Largest eigenvalue of nu*I + T (power iteration from the all-ones
+        vector, on symmetric products).  Where T's entries are positive, as
+        on the clamped beams measured, so is its top eigenvector (Perron-
+        Frobenius), and the start lies close to it: the iteration stops once
+        two estimates agree to _POWER_RTOL, in a handful of products, or
+        after _POWER_MAX."""
         if self._lip is None:
             v = np.ones(self.T.shape[0])
             v /= np.linalg.norm(v)
             lam = 0.0
-            for _ in range(200):
-                w = self.nu * v + self.T @ v
-                lam = float(np.linalg.norm(w))
+            for _ in range(_POWER_MAX):
+                w = self.nu * v + self.sym_product(v)
+                lam, prev = float(np.linalg.norm(w)), lam
                 if lam == 0.0:
                     break
                 v = w / lam
+                if abs(lam - prev) <= _POWER_RTOL * lam:
+                    break
             self._lip = lam * 1.02 + self.nu
         return self._lip
 
@@ -165,20 +195,20 @@ def prox_gradient_solve(problem: ControlProblem, config: OracleConfig = OracleCo
 
     Certification (config.polish) makes the answer tolerance-independent:
     once the iterate's branch pattern verifies, the polished point is the
-    exact minimizer up to one dense linear solve.
+    exact minimizer up to one dense linear solve.  The fixed-point residual,
+    and with it the tolerance test, is measured at the checkpoints only;
+    the returned one is that of the returned point.
     """
     rq = ReducedQuadratic(problem)
     n = problem.mesh.n
     tau = 1.0 / rq.lipschitz()
-    # the iterates carry their products with T: one fresh product per
+    # the iterates carry their symmetric products: one fresh product per
     # iteration, T u_new, and T v by linearity from two fresh ones
     u = np.zeros(n)
     Tu = np.zeros(n)
     v, Tv = u, Tu
     t = 1.0
-    fp = rq.fixed_point_residual(u, Tu, tau)
     iterations = 0
-    converged = fp <= config.tol * (1.0 + np.max(np.abs(u)))
 
     def finish(u, mu, certified, fp, branches):
         mesh = problem.mesh
@@ -197,33 +227,37 @@ def prox_gradient_solve(problem: ControlProblem, config: OracleConfig = OracleCo
         u_p, mu_p, ok = _polish(rq, branches)
         if not ok:
             return None
+        u_p = np.clip(u_p, rq.a, rq.b)
         fp_p = rq.fixed_point_residual(u_p, rq.T @ u_p, tau)
-        return finish(np.clip(u_p, rq.a, rq.b), mu_p, True, fp_p, branches)
+        return finish(u_p, mu_p, True, fp_p, branches)
 
-    while not converged and iterations < config.max_iter:
+    while True:
+        if iterations % _POLISH_EVERY == 0 or iterations >= config.max_iter:
+            # checkpoint: one exact product gives pbar and the residual of u
+            Tu_exact = rq.T @ u
+            pbar = rq.r0 - Tu_exact
+            fp = rq.fixed_point_residual(u, Tu_exact, tau)
+            converged = fp <= config.tol * (1.0 + np.max(np.abs(u)))
+            if converged or iterations >= config.max_iter:
+                break
+            if config.polish and iterations:
+                polished = try_polish(pbar)
+                if polished is not None:
+                    return polished
         iterations += 1
         u_new = rq.step(v, Tv, tau)
         # gradient-based adaptive restart: drop the momentum, step from u
         if np.dot(v - u_new, u_new - u) > 0:
             t = 1.0
             u_new = rq.step(u, Tu, tau)
-        Tu_new = rq.T @ u_new
+        Tu_new = rq.sym_product(u_new)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new
         v = u_new + beta * (u_new - u)
         Tv = (1.0 + beta) * Tu_new - beta * Tu
         t = t_new
         u, Tu = u_new, Tu_new
-        fp = rq.fixed_point_residual(u, Tu, tau)
-        if fp <= config.tol * (1.0 + np.max(np.abs(u))):
-            converged = True
-            break
-        if config.polish and iterations % _POLISH_EVERY == 0:
-            polished = try_polish(rq.r0 - Tu)
-            if polished is not None:
-                return polished
 
-    pbar = rq.r0 - Tu
     if config.polish:
         polished = try_polish(pbar)
         if polished is not None:

@@ -45,8 +45,9 @@ __all__ = ["ControlProblem"]
 
 
 class Reduced(NamedTuple):
-    T: np.ndarray  # n x n control-to-averaged-adjoint map
+    T: np.ndarray  # n x n control-to-averaged-adjoint map, as built
     r0: np.ndarray  # averaged descent adjoint at u = 0
+    H: np.ndarray  # 1/2 (DT + (DT)^T), D = diag(h): exactly symmetric, F-ordered
 
 
 def _max_row_sum(A: sp.csr_matrix) -> float:
@@ -91,14 +92,23 @@ class OptimalitySystem:
         """Dense reduced operator T = Avg K^-1 Mt K^-1 B and r0, the adjoint
         average at u = 0, so that pbar(u) = r0 - T u.  Built on first use by
         two multi-right-hand-side banded solves (n columns each) and two
-        single ones, then shared read-only by every reader of this system."""
+        single ones, then shared read-only by every reader of this system.
+
+        DT = diag(h) T = B^T K^-1 Mt K^-1 B is symmetric in exact arithmetic
+        but not in the two-solve build; H is its symmetric part, which a
+        symmetric product reads one triangle of.  H is symmetric bit for bit,
+        so its C-ordered sum is stored transposed, as a Fortran-ordered
+        array with the same entries."""
         op = self.operator
         T = np.asarray(self.Avg @ op.solve(self.Mt @ op.solve(self.B.toarray())))
         x0 = op.solve(self.Lf)
         r0 = np.asarray(self.Avg @ op.solve(self.Ld - self.Mt @ x0))
-        T.flags.writeable = False
-        r0.flags.writeable = False
-        return Reduced(T, r0)
+        DT = op.mesh.element_sizes[:, None] * T
+        H = np.add(DT, DT.T)
+        H *= 0.5
+        for a in (T, r0, H):
+            a.flags.writeable = False
+        return Reduced(T, r0, H.T)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ and lets scipy sum the duplicates; the package sums the same element
 entries straight into the stiffness diagonals, and the tests hold the two
 to exact equality.  ``solve_state`` is the one-shot state solve that builds
 its own operator and loads, against which ``ControlProblem.solve_state``
-and the manufactured-solution rates are checked.
+and the manufactured-solution rates are checked.  ``kkt_consistent_scalar``
+enumerates the five branches of the pointwise optimality system for one
+element, against which the complementarity function's root set is checked.
 """
 from typing import Optional
 
@@ -100,3 +102,22 @@ def solve_state(
         rhs = rhs + assemble_load(mesh, params, u, 0.0)
     w, th = op.split(op.solve(rhs))
     return StateSolution(w, th, recover_shear(mesh, params, w, th))
+
+
+def kkt_consistent_scalar(u: float, mu: float, a: float, b: float, eta: float,
+                          tol: float = 0.0) -> bool:
+    """Branch-enumerated scalar test: does (u, mu) satisfy the pointwise system?
+
+    Enumerates the five branches (u=0, u in (0,b), u=b, u in (a,0), u=a).
+    """
+    if u < a - tol or u > b + tol:
+        return False
+    if abs(u) <= tol:
+        return abs(mu) <= eta + tol
+    if u > 0:
+        if abs(u - b) <= tol:
+            return mu >= eta - tol
+        return abs(mu - eta) <= tol
+    if abs(u - a) <= tol:
+        return mu <= -eta + tol
+    return abs(mu + eta) <= tol

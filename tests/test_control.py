@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import kkt_consistent_scalar
 from sparsebeam.control import (
     BRANCH_LOWER,
     BRANCH_NEG,
@@ -15,7 +16,6 @@ from sparsebeam.control import (
     complementarity_values,
     cost,
     discretize_bounds,
-    kkt_consistent_scalar,
     pointwise_optimal_control,
     reconstruct_multipliers,
     shrink,

@@ -1,16 +1,22 @@
 """Independent optimizers and the discrete gradient check."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg.blas import dsymv
 
 from conftest import eta_threshold, toy_problem, zero_problem
+from sparsebeam import oracles
 from sparsebeam.control import ControlParams
 from sparsebeam.fem import BeamOperator, BeamParams, LoadData
-from sparsebeam.meshes import P0Field, build_uniform_mesh, l2_diff_p0
+from sparsebeam.meshes import Mesh1D, P0Field, build_uniform_mesh, l2_diff_p0
 from sparsebeam.problem import ControlProblem
 from sparsebeam.oracles import (
     _POLISH_EVERY,
+    _POWER_MAX,
     OracleConfig,
     ReducedQuadratic,
+    _polish,
     dense_kkt_solve,
     fd_gradient_check,
     prox_gradient_solve,
@@ -42,6 +48,30 @@ class _CountingMatrix(np.ndarray):
         return self.view(np.ndarray) @ other
 
 
+def _count_symmetric_products(monkeypatch):
+    """Count the symmetric products with H, the iterations' products."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return dsymv(*args)
+
+    monkeypatch.setattr(oracles, "dsymv", counted)
+    return calls
+
+
+def _thin_problem():
+    prob = toy_problem(n=80, nu=1e-6, t=1e-3)
+    return prob.with_control(eta=0.3 * eta_threshold(prob))
+
+
+def _graded_theta_problem():
+    prob = toy_problem(n=80, nu=1e-6)
+    prob = replace(prob.with_mesh(Mesh1D(np.linspace(0.0, 1.0, 81) ** 1.5)),
+                   adjoint_theta_term=True)
+    return prob.with_control(eta=0.3 * eta_threshold(prob))
+
+
 class TestReducedQuadratic:
     def test_pbar_matches_solver_chain(self):
         prob = toy_problem(n=12, nu=1e-4)
@@ -69,14 +99,41 @@ class TestReducedQuadratic:
         lam = np.max(np.linalg.eigvalsh(0.5 * (rq.T + rq.T.T))) + rq.nu
         assert rq.lipschitz() >= lam * 0.999
 
+    @pytest.mark.parametrize("make", [_thin_problem, _graded_theta_problem])
+    def test_power_iteration_stops_once_estimates_agree(self, make, monkeypatch):
+        # the all-ones start lies close to T's positive top eigenvector, so a
+        # handful of products pins the top eigenvalue of nu*I + T
+        prob = make()
+        calls = _count_symmetric_products(monkeypatch)
+        rq = ReducedQuadratic(prob)
+        lip = rq.lipschitz()
+        assert len(calls) <= 20 < _POWER_MAX
+        top = np.max(np.linalg.eigvals(rq.T).real) + rq.nu
+        assert lip == pytest.approx(1.02 * top + rq.nu, rel=1e-10)
+
+    @pytest.mark.parametrize("make", [_thin_problem, _graded_theta_problem])
+    def test_symmetric_copy(self, make):
+        prob = make()
+        rq = ReducedQuadratic(prob)
+        H = rq.H
+        assert not H.flags.writeable and H.flags.f_contiguous
+        DT = rq.h[:, None] * rq.T
+        assert np.array_equal(H, 0.5 * (DT + DT.T))
+        assert np.array_equal(H, H.T)
+        # the symmetric product is T u up to roundoff and the build's
+        # asymmetry, which on the thin beam reaches 1e-8 of DT
+        u = np.random.default_rng(3).normal(size=prob.mesh.n)
+        Tu = rq.T @ u
+        assert np.max(np.abs(rq.sym_product(u) - Tu)) <= 1e-7 * np.max(np.abs(Tu))
+
     def test_built_once_per_problem(self, monkeypatch):
         calls = _count_multi_column_solves(monkeypatch)
         prob = toy_problem(n=12, nu=1e-4)
         rq = ReducedQuadratic(prob)
         assert ReducedQuadratic(prob).T is rq.T
-        # T and r0 do not depend on the control, so copies share them
+        # T, r0 and H do not depend on the control, so copies share them
         other = ReducedQuadratic(prob.with_control(eta=0.5 * eta_threshold(prob)))
-        assert other.T is rq.T and other.r0 is rq.r0
+        assert other.T is rq.T and other.r0 is rq.r0 and other.H is rq.H
         assert other.eta != rq.eta
         assert calls == [12, 12]
 
@@ -86,6 +143,8 @@ class TestReducedQuadratic:
             rq.T[0, 0] = 1.0
         with pytest.raises(ValueError):
             rq.r0[0] = 1.0
+        with pytest.raises(ValueError):
+            rq.H[0, 0] = 1.0
 
 
 class TestProxGradient:
@@ -109,19 +168,66 @@ class TestProxGradient:
         assert l2_diff_p0(res.u, orc.u) <= 1e-9
 
     @pytest.mark.parametrize("polish", [True, False])
-    def test_one_dense_product_per_iteration(self, polish):
+    def test_one_dense_product_per_iteration(self, polish, monkeypatch):
         prob = toy_problem(n=20, nu=1e-5)
         p = prob.with_control(eta=0.4 * eta_threshold(prob))
         reduced = p.system.reduced
         p.system.reduced = reduced._replace(T=reduced.T.view(_CountingMatrix))
+        symmetric = _count_symmetric_products(monkeypatch)
+        ReducedQuadratic(p).lipschitz()
+        power = len(symmetric)
+        symmetric.clear()
         _CountingMatrix.products = 0
         res = prox_gradient_solve(p, OracleConfig(tol=0.0, max_iter=600, polish=polish))
-        assert res.iterations >= 200 and res.certified == polish
-        # the power iteration spends 200; each polish attempt spends one
-        # product on the fixed part of its free system and one on its pbar,
-        # and the certified exit one on its fixed-point residual
-        polish_attempts = res.iterations // _POLISH_EVERY + 1 if polish else 0
-        assert _CountingMatrix.products <= res.iterations + 200 + 2 * polish_attempts + 1
+        assert res.iterations >= _POLISH_EVERY and res.certified == polish
+        # one symmetric product per FISTA iteration, after the power
+        # iteration's, which stops well before its cap
+        assert len(symmetric) == res.iterations + power and power < _POWER_MAX
+        # exact products: one per checkpoint (iteration 0, every
+        # _POLISH_EVERY iterations and the exit); each polish attempt, at
+        # every checkpoint after the first, spends one on the fixed part of
+        # its free system and one on its pbar, and a certified exit one on
+        # its fixed-point residual
+        checkpoints = 1 + -(-res.iterations // _POLISH_EVERY)
+        if polish:
+            assert _CountingMatrix.products <= checkpoints + 2 * (checkpoints - 1) + 1
+        else:
+            assert _CountingMatrix.products == checkpoints
+
+    @pytest.mark.parametrize("make", [_thin_problem, _graded_theta_problem])
+    def test_certificate_reads_only_the_two_solve_operator(self, make):
+        # the iterations run on H, the certified control is the polish of
+        # its branch pattern on T: H never reaches it, so a perturbed H
+        # leaves the certified control unchanged bit for bit
+        prob = make()
+        res = prox_gradient_solve(prob)
+        assert res.certified
+        rq = ReducedQuadratic(prob)
+        u, _, ok = _polish(rq, res.branches)
+        assert ok and np.array_equal(res.u.values, np.clip(u, rq.a, rq.b))
+        other = make()
+        reduced = other.system.reduced
+        noise = np.random.default_rng(5).uniform(-1e-9, 1e-9, size=reduced.H.shape)
+        H = np.asfortranarray(reduced.H * (1.0 + noise + noise.T))
+        other.system.reduced = reduced._replace(H=H)
+        moved = prox_gradient_solve(other)
+        assert moved.certified and np.array_equal(moved.u.values, res.u.values)
+
+    @pytest.mark.parametrize("config, certified, converged", [
+        (OracleConfig(), True, True),
+        (OracleConfig(tol=1e-6, polish=False), False, True),
+        (OracleConfig(tol=0.0, max_iter=_POLISH_EVERY + 37, polish=False), False, False),
+    ], ids=["certified", "tolerance", "max_iter"])
+    def test_fixed_point_residual_describes_returned_point(self, config, certified, converged):
+        prob = _thin_problem()
+        res = prox_gradient_solve(prob, config)
+        assert (res.certified, res.converged) == (certified, converged)
+        if not converged:
+            assert res.iterations == config.max_iter
+        rq = ReducedQuadratic(prob)
+        u = res.u.values
+        tau = 1.0 / rq.lipschitz()
+        assert res.fixed_point_residual == rq.fixed_point_residual(u, rq.T @ u, tau)
 
     def test_uncertified_path_reports_flag(self):
         prob = toy_problem(n=10, nu=1e-3)
