@@ -1,11 +1,11 @@
 """Command-line entry point.
 
     sparsebeam solve        --config run.ini --out results/
-    sparsebeam sweep        --config run.ini --out results/ [--jobs N]
+    sparsebeam sweep        --config run.ini --out results/
     sparsebeam locking      --config run.ini --out results/ [--jobs N]
     sparsebeam convergence  --config run.ini --out results/ [--jobs N]
 
-Exit codes: 0 success, 1 configuration error, 2 solver non-convergence.
+Exit codes: 0 success, 1 usage or configuration error, 2 non-convergence.
 """
 from __future__ import annotations
 
@@ -30,8 +30,13 @@ from .experiments import (
 __all__ = ["main"]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1 like a config error: argparse's 2 means non-convergence here
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sparsebeam",
         description="Sparse box-constrained optimal control of a static "
                     "Timoshenko beam (locking-free FEM + semismooth Newton).",
@@ -46,15 +51,16 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="INI configuration file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for grid studies")
+        if name in ("locking", "convergence"):
+            p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         cfg = load_config(args.config)
-        if args.jobs < 1:
+        if getattr(args, "jobs", 1) < 1:
             raise ConfigError("--jobs must be at least 1")
         out = Path(args.out)
 
@@ -69,12 +75,8 @@ def main(argv=None) -> int:
         else:
             rows, slopes = run_convergence(cfg, jobs=args.jobs)
             columns = CONVERGENCE_COLUMNS
-            write_csv(
-                out / "convergence_slopes.csv",
-                ["quantity", "slope"],
-                [[k, v] for k, v in sorted(slopes.items())],
-                provenance_lines(cfg),
-            )
+            write_csv(out / "convergence_slopes.csv", ["quantity", "slope"],
+                      sorted(slopes.items()), provenance_lines(cfg))
         write_rows_csv(rows, columns, out / f"{args.command}.csv", cfg)
         return 0 if all(r["converged"] for r in rows) else 2
     except ConfigError as exc:

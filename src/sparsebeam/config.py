@@ -6,9 +6,8 @@ Sections and keys (defaults in brackets):
     [material]  youngs_modulus [1.44e9], thickness [0.01],
                 shear_correction [5/6], poisson [0.35], kappa_override [unset]
     [control]   nu (required), eta (required), lower [-inf], upper [inf]
-    [data]      f, g, w_d, theta_d  [zero]
-    [solver]    scheme [locking_free], tol [1e-10], max_iter [50],
-                adjoint_theta_term [false]
+    [data]      f, g, w_d  [zero]
+    [solver]    scheme [locking_free], tol [1e-10], max_iter [50]
     [study]     etas, thicknesses, mesh_sizes (comma lists), ref_factor [8]
 
 Numeric values accept plain fractions ("5/6").  Data entries use a small
@@ -56,8 +55,8 @@ _ALLOWED = {
     "geometry": {"n", "length"},
     "material": {"youngs_modulus", "thickness", "shear_correction", "poisson", "kappa_override"},
     "control": {"nu", "eta", "lower", "upper"},
-    "data": {"f", "g", "w_d", "theta_d"},
-    "solver": {"scheme", "tol", "max_iter", "adjoint_theta_term"},
+    "data": {"f", "g", "w_d"},
+    "solver": {"scheme", "tol", "max_iter"},
     "study": {"etas", "thicknesses", "mesh_sizes", "ref_factor"},
 }
 
@@ -111,9 +110,7 @@ class RunConfig:
     f: str = "zero"
     g: str = "zero"
     w_d: str = "zero"
-    theta_d: str = "zero"
     scheme: str = LOCKING_FREE
-    adjoint_theta_term: bool = False
     tol: float = 1e-10
     max_iter: int = 50
     study: StudyConfig = field(default_factory=StudyConfig)
@@ -233,7 +230,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"[control]: {exc}") from exc
 
     specs = {}
-    for key in ("f", "g", "w_d", "theta_d"):
+    for key in ("f", "g", "w_d"):
         specs[key] = _validate_spec(get("data", key, "zero"), f"[data] {key}")
 
     scheme = get("solver", "scheme", LOCKING_FREE)
@@ -243,12 +240,6 @@ def load_config(path) -> RunConfig:
     max_iter_val = _number(get("solver", "max_iter", "50"), "[solver] max_iter")
     if tol <= 0 or max_iter_val < 1 or max_iter_val != int(max_iter_val):
         raise ConfigError("[solver] tol must be positive and max_iter a positive integer")
-    adjoint_theta = False
-    if cp.has_option("solver", "adjoint_theta_term"):
-        try:
-            adjoint_theta = cp.getboolean("solver", "adjoint_theta_term")
-        except ValueError as exc:
-            raise ConfigError("[solver] adjoint_theta_term must be a boolean") from exc
 
     study_kw = {}
     if cp.has_option("study", "etas"):
@@ -272,12 +263,8 @@ def load_config(path) -> RunConfig:
         length=length,
         beam=beam,
         control=control,
-        f=specs["f"],
-        g=specs["g"],
-        w_d=specs["w_d"],
-        theta_d=specs["theta_d"],
+        **specs,
         scheme=scheme,
-        adjoint_theta_term=adjoint_theta,
         tol=tol,
         max_iter=int(max_iter_val),
         study=StudyConfig(**study_kw),
@@ -296,7 +283,6 @@ def build_problem(cfg: RunConfig, n: Optional[int] = None, thickness: Optional[f
             f=realize_field(cfg.f, mesh, cfg.length, cfg.base_dir),
             g=realize_field(cfg.g, mesh, cfg.length, cfg.base_dir),
             w_d=realize_field(cfg.w_d, mesh, cfg.length, cfg.base_dir),
-            theta_d=realize_field(cfg.theta_d, mesh, cfg.length, cfg.base_dir),
         )
     return ControlProblem(
         mesh=mesh,
@@ -304,7 +290,6 @@ def build_problem(cfg: RunConfig, n: Optional[int] = None, thickness: Optional[f
         loads=loads,
         control=cfg.control,
         scheme=scheme if scheme is not None else cfg.scheme,
-        adjoint_theta_term=cfg.adjoint_theta_term,
     )
 
 

@@ -76,9 +76,7 @@ def provenance_lines(cfg: RunConfig) -> List[str]:
         ("f", cfg.f),
         ("g", cfg.g),
         ("w_d", cfg.w_d),
-        ("theta_d", cfg.theta_d),
         ("scheme", cfg.scheme),
-        ("adjoint_theta_term", cfg.adjoint_theta_term),
         ("tol", cfg.tol),
         ("max_iter", cfg.max_iter),
     ]

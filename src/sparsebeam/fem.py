@@ -101,7 +101,7 @@ class BeamParams:
 
 @dataclass(frozen=True)
 class LoadData:
-    """Problem data: transverse load f, moment load g, target w_d, theta_d.
+    """Problem data: transverse load f, moment load g, deflection target w_d.
 
     Each entry may be a constant, a callable of x, a P0Field or a P1Field.
     Constants and P0 fields are integrated exactly, the others by two-point
@@ -112,7 +112,6 @@ class LoadData:
     f: ScalarData = 0.0
     g: ScalarData = 0.0
     w_d: ScalarData = 0.0
-    theta_d: ScalarData = 0.0
 
 
 @dataclass(frozen=True)

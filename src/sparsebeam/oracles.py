@@ -269,10 +269,10 @@ def prox_gradient_solve(problem: ControlProblem, config: OracleConfig = OracleCo
 def _smooth_cost(problem: ControlProblem, u: P0Field) -> float:
     """Tracking plus quadratic control cost by its own two-point Gauss rule,
     apart from the solver's blocks.  The rule is exact on the P1 state and
-    integrates the targets as the adjoint load Ld - Mt x does, so the
+    integrates the target as the adjoint load Ld - Mt x does, so the
     gradient is exactly h_j*(nu*u_j - pbar_j)."""
     state = problem.solve_state(u)
-    mesh, beam, loads = problem.mesh, problem.beam, problem.loads
+    mesh = problem.mesh
     h = mesh.element_sizes
 
     def as_fun(data):
@@ -285,16 +285,12 @@ def _smooth_cost(problem: ControlProblem, u: P0Field) -> float:
             return lambda x: np.full_like(np.asarray(x, dtype=float), float(data))
         return data
 
-    wd = as_fun(loads.w_d)
+    wd = as_fun(problem.loads.w_d)
     val = 0.0
     for qpt, wq in zip(GAUSS_2PT.points, GAUSS_2PT.weights):
         x = mesh.nodes[:-1] + h * qpt
         d = eval_p1(state.w, x) - np.asarray(wd(x), dtype=float)
         val += 0.5 * wq * float(np.sum(h * d * d))
-        if problem.adjoint_theta_term:
-            td = as_fun(loads.theta_d)
-            dt = eval_p1(state.theta, x) - np.asarray(td(x), dtype=float)
-            val += 0.5 * wq * (beam.t**2 / 12.0) * float(np.sum(h * dt * dt))
     val += 0.5 * problem.control.nu * float(np.sum(h * u.values**2))
     return val
 

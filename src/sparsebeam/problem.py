@@ -10,10 +10,8 @@ conventions the optimality layer depends on:
   that the averaged adjoint pbar enters the optimality system as
   nu*u + mu = pbar with mu a (sub)gradient of the nonsmooth term at a
   *minimizer* of the cost;
-* adjoint_theta_term controls whether the rotation tracking term
-  (t^2/12)(theta_d - theta_h, beta) is included in the adjoint load.  The
-  cost functional tracks the deflection only, so the exact discrete
-  optimality system of cost() has this off.
+* the cost tracks the deflection only: Mt and Ld vanish on the theta rows,
+  and the blocks are the exact discrete optimality system of cost().
 """
 from __future__ import annotations
 
@@ -66,23 +64,21 @@ class OptimalitySystem:
     on the interleaved interior dofs x = (w, theta) and y = (p, q).  B maps
     a P0 control to its deflection load, Avg takes the elementwise mean of
     the adjoint deflection (B = Avg^T diag(h), so Avg is B's pattern with
-    every entry 1/2), and Mt is the tracking mass, with the rotation term
-    when the problem has adjoint_theta_term.  K_norm, Mt_norm and B_norm
-    are max row sums, which scale backward-error residuals.
+    every entry 1/2), and Mt is the deflection tracking mass, zero on the
+    theta rows.  K_norm, Mt_norm and B_norm are max row sums, which scale
+    backward-error residuals.
     """
 
     def __init__(self, problem: ControlProblem):
         mesh, beam, loads = problem.mesh, problem.beam, problem.loads
-        theta_term = problem.adjoint_theta_term
         self.operator = problem.operator
         self.K = self.operator.K
         self.B = control_load_matrix(mesh)
         self.Avg = self.B.T.tocsr()
         self.Avg.data[:] = 0.5
-        theta_weight = beam.t**2 / 12.0 if theta_term else 0.0
-        self.Mt = sp.kron(p1_mass_matrix(mesh), np.diag([1.0, theta_weight]), format="csr")
+        self.Mt = sp.kron(p1_mass_matrix(mesh), np.diag([1.0, 0.0]), format="csr")
         self.Lf = assemble_load(mesh, beam, loads.f, loads.g)
-        self.Ld = assemble_load(mesh, beam, loads.w_d, loads.theta_d if theta_term else 0.0)
+        self.Ld = assemble_load(mesh, beam, loads.w_d, 0.0)
         self.K_norm = _max_row_sum(self.K)
         self.Mt_norm = _max_row_sum(self.Mt)
         self.B_norm = _max_row_sum(self.B)
@@ -118,7 +114,6 @@ class ControlProblem:
     loads: LoadData
     control: ControlParams
     scheme: str = LOCKING_FREE
-    adjoint_theta_term: bool = False
 
     def __post_init__(self):
         _scheme_check(self.scheme)
@@ -150,8 +145,7 @@ class ControlProblem:
         return self._state(self.operator.solve(s.Lf if u is None else s.Lf + s.B @ u.values))
 
     def solve_adjoint(self, state: StateSolution) -> AdjointSolution:
-        """The descent adjoint K y = Ld - Mt x, its load int (w_d - w) v, plus
-        (t^2/12) int (theta_d - theta) beta when adjoint_theta_term is set."""
+        """The descent adjoint K y = Ld - Mt x, its load int (w_d - w) v."""
         s, op = self.system, self.operator
         return AdjointSolution(*op.split(op.solve(s.Ld - s.Mt @ _interleave(state.w, state.theta))))
 

@@ -39,7 +39,7 @@ from sparsebeam.fem import (
     error_norms,
 )
 from sparsebeam.manufactured import balanced_family
-from sparsebeam.meshes import build_uniform_mesh, l2_diff_p0, pi_h
+from sparsebeam.meshes import Mesh1D, P1Field, build_uniform_mesh, l2_diff_p0, pi_h
 from sparsebeam.oracles import (
     OracleConfig,
     ReducedQuadratic,
@@ -339,12 +339,16 @@ def test_07_optimality_certificates_on_every_converged_run():
 # ------------------------------------------------------------------ 8
 
 def test_08_adjoint_gradient_matches_finite_differences():
+    # the toy beam, and the same beam on an x^1.5-graded mesh with a P1 target
     base = toy_problem(n=20, nu=1e-4)
-    probe = pi_h(lambda x: 5.0 * np.sin(3.0 * np.pi * x), base.mesh)
-    with_theta = dataclasses.replace(base, adjoint_theta_term=True)
+    wave = lambda x: 5.0 * np.sin(3.0 * np.pi * x)  # noqa: E731
+    mesh = Mesh1D(np.linspace(0.0, 1.0, 21) ** 1.5)
+    target = P1Field.from_callable(mesh, lambda x: 0.01 * np.sin(np.pi * x))
+    graded = dataclasses.replace(base.with_mesh(mesh),
+                                 loads=dataclasses.replace(base.loads, w_d=target))
     worst = 0.0
-    for prob, u in ((base, base.zero_control()), (base, probe),
-                    (with_theta, probe)):
+    for prob, u in ((base, base.zero_control()), (base, pi_h(wave, base.mesh)),
+                    (graded, pi_h(wave, mesh))):
         for step in (1e-3, 1e-4, 1e-5):
             worst = max(worst, fd_gradient_check(prob, u, step=step))
     report(8, worst <= 1e-6,

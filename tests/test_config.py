@@ -38,7 +38,6 @@ class TestLoadConfig:
         assert cfg.beam.poisson == 0.35
         assert cfg.control.nu == 1e-6
         assert cfg.scheme == "locking_free"
-        assert cfg.adjoint_theta_term is False
         assert cfg.tol == 1e-10
         assert cfg.max_iter == 50
         assert cfg.f == "zero"
@@ -71,7 +70,6 @@ w_d = constant: 0.01
 scheme = standard
 tol = 1e-9
 max_iter = 30
-adjoint_theta_term = yes
 
 [study]
 etas = 0, 1e-5, 2e-5
@@ -83,7 +81,6 @@ ref_factor = 4
         assert cfg.beam.kappa == 0.75
         assert cfg.control.a == -10.0 and cfg.control.b == 12.5
         assert cfg.scheme == "standard"
-        assert cfg.adjoint_theta_term is True
         assert cfg.study.etas == (0.0, 1e-5, 2e-5)
         assert cfg.study.mesh_sizes == (16, 32, 64)
         assert build_ssn_config(cfg).tol == 1e-9
@@ -104,6 +101,8 @@ ref_factor = 4
         ("[geometry]\nn = 16\n\n[control]\nnu = bogus\neta = 0\n", "[control] nu"),
         (MINIMAL + "[snacks]\nkind = pretzel\n", "unknown section"),
         (MINIMAL + "[solver]\nwarp = 9\n", "unknown key"),
+        (MINIMAL + "[solver]\nadjoint_theta_term = yes\n", "unknown key"),
+        (MINIMAL + "[data]\ntheta_d = zero\n", "unknown key"),
         (MINIMAL + "[solver]\nscheme = exotic\n", "scheme"),
         (MINIMAL + "[solver]\ntol = -1\n", "tol"),
         (MINIMAL + "[data]\nf = sine: 1\n", "sine takes 2 or 3"),

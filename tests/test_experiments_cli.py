@@ -259,7 +259,24 @@ class TestCLI:
         assert "locking_free" in text and "standard" in text
 
     def test_bad_jobs_rejected(self, tmp_path, capsys):
-        path = write_config(tmp_path, TOY.format(eta="0") + STUDY)
-        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x"),
+        path = write_config(tmp_path, TOY.format(eta="1e-4") + GRID)
+        code = main(["locking", "--config", str(path), "--out", str(tmp_path / "x"),
                      "--jobs", "0"])
         assert code == 1
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--out", "r"],  # no --config
+        ["solve", "--config", "run.ini", "--out", "r", "--bogus"],
+        ["sweep", "--config", "run.ini", "--out", "r", "--jobs", "2"],  # grid studies only
+    ], ids=["missing-config", "unknown-flag", "sweep-jobs"])
+    def test_usage_error_exit_one(self, capsys, argv):
+        # exit 2 is kept for non-convergence, so usage errors exit 1 as well
+        assert main(argv) == 1
+        assert "configuration error:" in capsys.readouterr().err
+
+    def test_help_exit_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out

@@ -1,5 +1,4 @@
 """Independent optimizers and the discrete gradient check."""
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,10 +64,8 @@ def _thin_problem():
     return prob.with_control(eta=0.3 * eta_threshold(prob))
 
 
-def _graded_theta_problem():
-    prob = toy_problem(n=80, nu=1e-6)
-    prob = replace(prob.with_mesh(Mesh1D(np.linspace(0.0, 1.0, 81) ** 1.5)),
-                   adjoint_theta_term=True)
+def _graded_problem():
+    prob = toy_problem(n=80, nu=1e-6).with_mesh(Mesh1D(np.linspace(0.0, 1.0, 81) ** 1.5))
     return prob.with_control(eta=0.3 * eta_threshold(prob))
 
 
@@ -99,7 +96,7 @@ class TestReducedQuadratic:
         lam = np.max(np.linalg.eigvalsh(0.5 * (rq.T + rq.T.T))) + rq.nu
         assert rq.lipschitz() >= lam * 0.999
 
-    @pytest.mark.parametrize("make", [_thin_problem, _graded_theta_problem])
+    @pytest.mark.parametrize("make", [_thin_problem, _graded_problem])
     def test_power_iteration_stops_once_estimates_agree(self, make, monkeypatch):
         # the all-ones start lies close to T's positive top eigenvector, so a
         # handful of products pins the top eigenvalue of nu*I + T
@@ -111,7 +108,7 @@ class TestReducedQuadratic:
         top = np.max(np.linalg.eigvals(rq.T).real) + rq.nu
         assert lip == pytest.approx(1.02 * top + rq.nu, rel=1e-10)
 
-    @pytest.mark.parametrize("make", [_thin_problem, _graded_theta_problem])
+    @pytest.mark.parametrize("make", [_thin_problem, _graded_problem])
     def test_symmetric_copy(self, make):
         prob = make()
         rq = ReducedQuadratic(prob)
@@ -194,7 +191,7 @@ class TestProxGradient:
         else:
             assert _CountingMatrix.products == checkpoints
 
-    @pytest.mark.parametrize("make", [_thin_problem, _graded_theta_problem])
+    @pytest.mark.parametrize("make", [_thin_problem, _graded_problem])
     def test_certificate_reads_only_the_two_solve_operator(self, make):
         # the iterations run on H, the certified control is the polish of
         # its branch pattern on T: H never reaches it, so a perturbed H
@@ -288,11 +285,3 @@ class TestGradientCheck:
         assert res.converged
         assert np.mean(np.abs(res.u.values) == 60.0) >= 0.99
         assert fd_gradient_check(prob, res.u) <= 1e-6
-
-    def test_with_theta_tracking_term(self):
-        from dataclasses import replace
-
-        prob = replace(toy_problem(n=16, nu=1e-4), adjoint_theta_term=True)
-        rng = np.random.default_rng(9)
-        u = P0Field(prob.mesh, rng.uniform(-2, 2, size=16))
-        assert fd_gradient_check(prob, u) <= 1e-6

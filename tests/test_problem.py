@@ -49,16 +49,14 @@ def test_system_is_cached_and_shares_the_stiffness():
 
 
 @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
-@pytest.mark.parametrize("theta_term", [False, True])
 @pytest.mark.parametrize("scheme", ["locking_free", "standard"])
-def test_row_sum_norms_equal_scipy_row_sums(graded, theta_term, scheme):
+def test_row_sum_norms_equal_scipy_row_sums(graded, scheme):
     # the norms scale the residual history, so they must not move by a bit
-    prob = replace(toy_problem(n=37, t=1e-3, scheme=scheme), adjoint_theta_term=theta_term)
-    prob = prob.with_mesh(_mesh(graded, n=37))
+    prob = toy_problem(n=37, t=1e-3, scheme=scheme).with_mesh(_mesh(graded, n=37))
     s = prob.system
     for A, norm in ((s.K, s.K_norm), (s.Mt, s.Mt_norm), (s.B, s.B_norm)):
         assert norm == float(np.max(np.abs(A).sum(axis=1)))
-    assert (s.Mt.getnnz(axis=1) == 0).any() != theta_term  # empty theta rows without the term
+    assert np.all(s.Mt.getnnz(axis=1)[1::2] == 0)  # the cost tracks no rotation
 
 
 def _mesh(graded, n=12):
@@ -89,38 +87,34 @@ def test_state_rejects_control_on_another_mesh():
 
 
 @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
-@pytest.mark.parametrize("theta_term", [False, True], ids=["w-only", "theta-term"])
 @pytest.mark.parametrize("kind", ["scalar", "callable", "p0", "p1"])
-def test_adjoint_uses_descent_sign(kind, theta_term, graded):
+def test_adjoint_uses_descent_sign(kind, graded):
     # the descent adjoint Ld - Mt x is the negative of the plain tracking
-    # adjoint, whose load int (w - w_d) v (+ the theta term) is integrated
-    # here at the Gauss points of the targets.  The two loads differ by an
-    # ulp, which the operator amplifies by its conditioning: up to 4.6e-11
-    # at t = 1e-2 and 8.9e-5 at t = 1e-5 (n = 200), so the check stays on a
-    # thick beam
+    # adjoint, whose load int (w - w_d) v is integrated here at the Gauss
+    # points of the target.  The two loads differ by an ulp, which the
+    # operator amplifies by its conditioning: up to 4.6e-11 at t = 1e-2 and
+    # 8.9e-5 at t = 1e-5 (n = 200), so the check stays on a thick beam
     mesh = _mesh(graded)
     fn = lambda x: 0.01 * np.sin(np.pi * x)  # noqa: E731
     target = {"scalar": 0.01, "callable": fn, "p0": P0Field(mesh, fn(mesh.midpoints)),
               "p1": P1Field.from_callable(mesh, fn)}[kind]
     prob = ControlProblem(mesh, BeamParams(E=1.0, t=0.1, kappa_override=1.0),
-                          LoadData(f=lambda x: 40.0 * np.sin(2.0 * np.pi * x), w_d=target,
-                                   theta_d=target),
-                          ControlParams(nu=1.0, eta=0.0), adjoint_theta_term=theta_term)
+                          LoadData(f=lambda x: 40.0 * np.sin(2.0 * np.pi * x), w_d=target),
+                          ControlParams(nu=1.0, eta=0.0))
     st = prob.solve_state(P0Field.constant(mesh, 1.0))
 
     def tracking(target, field):
         return lambda x: eval_p1(field, x) - point_values(target, mesh, x)
 
-    theta_load = tracking(target, st.theta) if theta_term else 0.0
-    plain = prob.operator.solve(assemble_load(mesh, prob.beam, tracking(target, st.w), theta_load))
+    plain = prob.operator.solve(assemble_load(mesh, prob.beam, tracking(target, st.w), 0.0))
     adj = prob.solve_adjoint(st)
     for field, ref in ((adj.p, plain[0::2]), (adj.q, plain[1::2])):
         assert np.max(np.abs(field.interior + ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def beam_problem(loads, t=0.01, theta_term=False):
-    return ControlProblem(build_uniform_mesh(10), BeamParams(E=1.0, t=t, kappa_override=1.0),
-                          loads, ControlParams(nu=1.0, eta=0.0), adjoint_theta_term=theta_term)
+def beam_problem(loads):
+    return ControlProblem(build_uniform_mesh(10), BeamParams(E=1.0, t=0.01, kappa_override=1.0),
+                          loads, ControlParams(nu=1.0, eta=0.0))
 
 
 class TestAdjointSolve:
@@ -134,16 +128,9 @@ class TestAdjointSolve:
 
     def test_matched_target_zeroes_adjoint(self):
         st = beam_problem(LoadData(f=1.0)).solve_state()
-        matched = beam_problem(LoadData(f=1.0, w_d=st.w, theta_d=st.theta), theta_term=True)
+        matched = beam_problem(LoadData(f=1.0, w_d=st.w))
         adj = matched.solve_adjoint(st)
         assert np.max(np.abs(adj.p.values)) < 1e-14
-
-    def test_theta_term_changes_rotation_rhs_only(self):
-        loads = LoadData(f=1.0, theta_d=0.0)
-        st = beam_problem(loads, t=0.3).solve_state()
-        with_term = beam_problem(loads, t=0.3, theta_term=True).solve_adjoint(st)
-        without = beam_problem(loads, t=0.3).solve_adjoint(st)
-        assert not np.allclose(with_term.p.values, without.p.values)
 
 
 def test_averaged_adjoint_matches_p0_average():
@@ -201,13 +188,13 @@ def test_restricted_problem_restricts_p0_data_only():
     w_d = P1Field.from_callable(mesh, lambda x: x * (1.0 - x))
     g = lambda x: np.sin(x)  # noqa: E731
     a = P0Field(mesh, -1.0 - mesh.midpoints)
-    prob = ControlProblem(mesh, BeamParams(E=1.0, t=0.01), LoadData(f=f, g=g, w_d=w_d, theta_d=0.5),
+    prob = ControlProblem(mesh, BeamParams(E=1.0, t=0.01), LoadData(f=f, g=g, w_d=w_d),
                           ControlParams(nu=1e-4, eta=1e-3, a=a, b=2.0))
     c = prob.restricted(coarse)
     assert c.mesh is coarse and c.beam is prob.beam and c.scheme == prob.scheme
     assert np.array_equal(c.loads.f.values, restrict_p0(f, coarse).values)
     assert np.array_equal(c.control.a.values, restrict_p0(a, coarse).values)
-    assert c.loads.g is g and c.loads.w_d is w_d and c.loads.theta_d == 0.5
+    assert c.loads.g is g and c.loads.w_d is w_d
     assert c.control.b == 2.0 and (c.control.nu, c.control.eta) == (1e-4, 1e-3)
     assert c.bounds[0].shape == (coarse.n,) and np.all(c.bounds[0] <= -1.0)
     assert c.system.B.shape == (2 * (coarse.n - 1), coarse.n)

@@ -372,15 +372,13 @@ def _target(kind, mesh, fn):
 
 
 class TestTargetKinds:
-    @pytest.mark.parametrize("theta_term", [False, True], ids=["w", "w+theta"])
     @pytest.mark.parametrize("kind", ["scalar", "callable", "p0", "p1"])
-    def test_solve_converges_and_is_certified(self, kind, theta_term):
+    def test_solve_converges_and_is_certified(self, kind):
         base = toy_problem(nu=1e-4)
         mesh = base.mesh
         loads = LoadData(f=base.loads.f,
-                         w_d=_target(kind, mesh, lambda x: 0.01 * np.sin(np.pi * x)),
-                         theta_d=_target(kind, mesh, lambda x: 0.02 * np.cos(np.pi * x)))
-        prob = ControlProblem(mesh, base.beam, loads, base.control, adjoint_theta_term=theta_term)
+                         w_d=_target(kind, mesh, lambda x: 0.01 * np.sin(np.pi * x)))
+        prob = ControlProblem(mesh, base.beam, loads, base.control)
         prob = prob.with_control(eta=0.3 * eta_threshold(prob))
         res = ssn_solve(prob)
         assert res.converged
@@ -498,11 +496,9 @@ def pattern_cases(draw):
     nu = 10.0 ** draw(st.floats(-12.0, 0.0))
     problem = ControlProblem(
         Mesh1D(nodes), BeamParams(E=1.0, t=t),
-        LoadData(f=lambda x: 100.0 * np.sin(3.0 * x), w_d=lambda x: 0.01 * x,
-                 theta_d=lambda x: 0.02 * x),
+        LoadData(f=lambda x: 100.0 * np.sin(3.0 * x), w_d=lambda x: 0.01 * x),
         ControlParams(nu=nu, eta=1e-3, a=-5.0, b=5.0),
         scheme=draw(st.sampled_from(SCHEMES)),
-        adjoint_theta_term=draw(st.booleans()),
     )
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
