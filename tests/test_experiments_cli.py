@@ -196,6 +196,21 @@ class TestCLI:
         assert code == 1
         assert "configuration error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,line", [
+        ("[solver]\n", "adjoint_theta_term = yes"),
+        ("[data]\n", "theta_d = zero"),
+    ], ids=["adjoint_theta_term", "theta_d"])
+    def test_removed_rotation_keys_exit_one(self, tmp_path, capsys, section, line):
+        # the cost tracks the deflection only: an old rotation-tracking config
+        # fails instead of solving a different problem
+        body = (TOY.format(eta="1e-4") + "\n[solver]\n").replace(section, section + line + "\n")
+        path = write_config(tmp_path, body)
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "configuration error:" in err and "unknown key" in err and line.split()[0] in err
+        assert not (tmp_path / "r").exists()
+
     def test_missing_config_exit_one(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "gone.ini"),
                      "--out", str(tmp_path / "r")])
@@ -269,14 +284,23 @@ class TestCLI:
         ["solve", "--out", "r"],  # no --config
         ["solve", "--config", "run.ini", "--out", "r", "--bogus"],
         ["sweep", "--config", "run.ini", "--out", "r", "--jobs", "2"],  # grid studies only
-    ], ids=["missing-config", "unknown-flag", "sweep-jobs"])
+        ["solve", "--config", "run.ini", "--out", "r", "--jobs", "2"],
+        ["anneal", "--config", "run.ini", "--out", "r"],  # no such subcommand
+        [],  # no subcommand
+    ], ids=["missing-config", "unknown-flag", "sweep-jobs", "solve-jobs", "unknown-command",
+            "no-command"])
     def test_usage_error_exit_one(self, capsys, argv):
         # exit 2 is kept for non-convergence, so usage errors exit 1 as well
         assert main(argv) == 1
         assert "configuration error:" in capsys.readouterr().err
 
-    def test_help_exit_zero(self, capsys):
+    @pytest.mark.parametrize("command,jobs", [
+        ("solve", False), ("sweep", False), ("locking", True), ("convergence", True),
+    ])
+    def test_help_exit_zero(self, capsys, command, jobs):
         with pytest.raises(SystemExit) as exc:
-            main(["solve", "--help"])
+            main([command, "--help"])
         assert exc.value.code == 0
-        assert "--config" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "--config" in out
+        assert ("--jobs" in out) == jobs  # only the grid studies read it

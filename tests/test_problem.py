@@ -87,8 +87,9 @@ def test_state_rejects_control_on_another_mesh():
 
 
 @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+@pytest.mark.parametrize("scheme", ["locking_free", "standard"])
 @pytest.mark.parametrize("kind", ["scalar", "callable", "p0", "p1"])
-def test_adjoint_uses_descent_sign(kind, graded):
+def test_adjoint_uses_descent_sign(kind, scheme, graded):
     # the descent adjoint Ld - Mt x is the negative of the plain tracking
     # adjoint, whose load int (w - w_d) v is integrated here at the Gauss
     # points of the target.  The two loads differ by an ulp, which the
@@ -100,7 +101,7 @@ def test_adjoint_uses_descent_sign(kind, graded):
               "p1": P1Field.from_callable(mesh, fn)}[kind]
     prob = ControlProblem(mesh, BeamParams(E=1.0, t=0.1, kappa_override=1.0),
                           LoadData(f=lambda x: 40.0 * np.sin(2.0 * np.pi * x), w_d=target),
-                          ControlParams(nu=1.0, eta=0.0))
+                          ControlParams(nu=1.0, eta=0.0), scheme=scheme)
     st = prob.solve_state(P0Field.constant(mesh, 1.0))
 
     def tracking(target, field):

@@ -372,13 +372,14 @@ def _target(kind, mesh, fn):
 
 
 class TestTargetKinds:
+    @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("kind", ["scalar", "callable", "p0", "p1"])
-    def test_solve_converges_and_is_certified(self, kind):
-        base = toy_problem(nu=1e-4)
+    def test_solve_converges_and_is_certified(self, kind, scheme):
+        base = toy_problem(nu=1e-4, scheme=scheme)
         mesh = base.mesh
         loads = LoadData(f=base.loads.f,
                          w_d=_target(kind, mesh, lambda x: 0.01 * np.sin(np.pi * x)))
-        prob = ControlProblem(mesh, base.beam, loads, base.control)
+        prob = ControlProblem(mesh, base.beam, loads, base.control, scheme=scheme)
         prob = prob.with_control(eta=0.3 * eta_threshold(prob))
         res = ssn_solve(prob)
         assert res.converged
