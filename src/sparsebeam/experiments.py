@@ -157,10 +157,10 @@ def run_solve(cfg: RunConfig, out_dir) -> SSNResult:
     write_csv(
         out / "summary.csv",
         ["eta", "nu", "cost", "tracking_cost", "l2_cost", "l1_cost",
-         "l2norm", "null", "iterations", "converged", "residual"],
+         "l2norm", "null", "iterations", "stop_reason", "converged", "residual"],
         [[cfg.control.eta, cfg.control.nu, cb.total, cb.tracking, cb.l2_term,
           cb.l1_term, l2_norm_p0(res.u), res.null_count, res.iterations,
-          res.converged, final_residual]],
+          res.stop_reason, res.converged, final_residual]],
         prov,
     )
     return res
@@ -168,13 +168,14 @@ def run_solve(cfg: RunConfig, out_dir) -> SSNResult:
 
 # ------------------------------------------------------------- sweep
 
-SWEEP_COLUMNS = ("eta", "cost", "l2norm", "null", "iterations", "converged", "runtime")
+SWEEP_COLUMNS = ("eta", "cost", "l2norm", "null", "iterations", "stop_reason", "converged",
+                 "runtime")
 
 
 def run_sweep(cfg: RunConfig) -> List[Dict]:
     """Solves along the ascending eta list of the study.  They share one
     operator and one optimality system, and each passes the previous eta's
-    control as u0, the center of its reseed if it cycles."""
+    control as u0, the first center of the reseed it starts in."""
     etas = cfg.study.etas
     if not etas:
         raise ConfigError("[study] etas is required for a sweep")
@@ -195,6 +196,7 @@ def run_sweep(cfg: RunConfig) -> List[Dict]:
             "l2norm": l2_norm_p0(res.u),
             "null": res.null_count,
             "iterations": res.iterations,
+            "stop_reason": res.stop_reason,
             "converged": res.converged,
             "runtime": runtime,
         })
@@ -217,6 +219,7 @@ def _control_cell(args) -> Dict:
         "w": res.state.w.values,
         "p": res.adjoint.p.values,
         "iterations": res.iterations,
+        "stop_reason": res.stop_reason,
         "converged": res.converged,
     }
 
@@ -245,7 +248,7 @@ def _cell_errors(cell: Dict, cfg: RunConfig, ref: Dict) -> Dict:
 
 
 LOCKING_COLUMNS = ("scheme", "thickness", "n", "h", "control_error",
-                   "state_error", "iterations", "converged")
+                   "state_error", "iterations", "stop_reason", "converged")
 
 
 def run_locking(cfg: RunConfig, jobs: int = 1) -> List[Dict]:
@@ -277,6 +280,7 @@ def run_locking(cfg: RunConfig, jobs: int = 1) -> List[Dict]:
             "control_error": err["control_error"],
             "state_error": err["state_error"],
             "iterations": cell["iterations"],
+            "stop_reason": cell["stop_reason"],
             "converged": cell["converged"],
         })
     rows.sort(key=lambda r: (r["scheme"], r["thickness"], r["n"]))
@@ -284,7 +288,7 @@ def run_locking(cfg: RunConfig, jobs: int = 1) -> List[Dict]:
 
 
 CONVERGENCE_COLUMNS = ("n", "h", "control_error", "state_error",
-                       "adjoint_error", "iterations", "converged")
+                       "adjoint_error", "iterations", "stop_reason", "converged")
 
 
 def run_convergence(cfg: RunConfig, jobs: int = 1):
@@ -307,6 +311,7 @@ def run_convergence(cfg: RunConfig, jobs: int = 1):
             "state_error": err["state_error"],
             "adjoint_error": err["adjoint_error"],
             "iterations": cell["iterations"],
+            "stop_reason": cell["stop_reason"],
             "converged": cell["converged"],
         })
     rows.sort(key=lambda r: r["n"])

@@ -48,10 +48,18 @@ from z = 0, or from the nested seed below.  With a very small L2 weight it
 can overshoot the bounds and cycle; it is then reseeded once from a
 proximal-point continuation, whose first weight is ten times the secant of
 the reduced operator along the last two iterates (at least nu) and whose
-first center is the warm start u0 when one is given.  The reseed ends on a
-probe that has settled at the true weight; that probe's solve is the loop's
-last iterate.  The solve returns the last pattern solve, the one its stop
-tested, so converged describes the returned point.
+first center is the warm start u0 when one is given.  Below the nesting
+size a warm start skips the main loop: the continuation starts at c = u0
+clipped to the box, from z = pbar(c), with ten times the secant
+|pbar(c) - pbar(0)| / |c| (at least nu) as its first weight, for two
+operator solves and no pattern solve.  Along a sweep the cold loop would
+cycle first, since the previous control's adjoint average lies inside the
+new weight's zero band.  Where u = 0 is optimal (max|pbar(0)| <= eta), or
+c = 0, the main loop runs instead; it reaches u = 0 in one pattern solve.
+The reseed ends on a probe that has settled at the true weight; that
+probe's solve is the loop's last iterate.  The solve returns the last
+pattern solve, the one its stop tested, so converged describes the
+returned point.
 
 On a mesh of at least _NEST_MIN elements the solve is seeded by nested
 iteration.  It first solves the same problem on the mesh of every 16th
@@ -89,19 +97,16 @@ from .control import (
     fixed_control,
     reconstruct_multipliers,
     shrink,
-    variational_inequality_residual,
 )
-from .fem import AdjointSolution, BeamOperator, LinearSolveError, StateSolution, _interleave
-from .meshes import P0Field, coarsen, p0_average, restrict_p0
+from .fem import AdjointSolution, BeamOperator, LinearSolveError, StateSolution
+from .meshes import P0Field, coarsen, restrict_p0
 from .problem import ControlProblem
 
 __all__ = [
     "SSNConfig",
     "SSNResult",
     "ssn_solve",
-    "residual",
     "newton_system",
-    "kkt_residual",
 ]
 
 
@@ -114,11 +119,13 @@ class SSNConfig:
     own, so the length of residual_history; SSNResult.iterations also
     counts the reseed's pattern solves, which have their own budget of 800.
     u0 must live on the problem's mesh; clipped to the box, it is the first
-    center of the reseed if the iteration cycles, and a nested solve
-    restricts it to the coarse mesh for the coarse solve.  It does not seed
-    the branch classification: along a sweep, the previous control's
-    adjoint average lies inside the new weight's zero band, so it would
-    classify every element as zero, exactly as a cold start does."""
+    center of the reseed.  Below the nesting size the solve starts in that
+    reseed (unless u = 0 is optimal or u0 clips to zero), whose first
+    proximal stage classifies from pbar(u0).  No classification at the true
+    weight starts from u0: along a sweep, the previous control's adjoint
+    average lies inside the new weight's zero band.  A nested solve
+    restricts u0 to the coarse mesh for the coarse solve, and centers the
+    fine reseed at it if the fine loop cycles."""
 
     tol: float = 1e-10
     max_iter: int = 50
@@ -144,7 +151,9 @@ class SSNResult:
     iterations counts the pattern solves on the problem's own mesh, main
     loop and reseed together; coarse_iterations counts those of all the
     coarse levels of a nested solve, 0 below the nesting size.  The
-    histories are those of the problem's own mesh."""
+    histories are those of the problem's own mesh: the main loop's solves
+    and the settled probe's, so a warm start that settles in the reseed
+    records one solve."""
     u: P0Field
     mu: P0Field
     state: StateSolution
@@ -431,22 +440,24 @@ def _active_set(ps: _PatternSolver, z: np.ndarray, nu: float, cap: int,
 
 def _continuation_seed(ps: _PatternSolver, z: np.ndarray, tau: float,
                        c: np.ndarray, budget: int = 800):
-    """Reseed a cycling iteration from a proximal-point continuation.
+    """Reach the true weight by a proximal-point continuation.
 
     Each stage solves the problem plus tau/2 * ||u - c||^2 centered at c:
     the true weight's sparsity threshold and box, with the classification
     point shifted by tau*c and the quadratic weight inflated by tau.  The
-    first center is the caller's (a warm start, or the pointwise map of the
-    cycling iterate), later ones the previous stage's solution.  Centering
-    keeps the stage solutions converging to the true minimizer as tau
-    shrinks; each settled stage is an exact proximal-point step, which
-    cannot increase the distance to the minimizer.  The active-set map is
-    contractive once tau dominates the reduced operator along the iterates,
-    and near the minimizer it terminates finitely even at tau = 0, so tau
-    is quartered after a settled stage and quadrupled, without a cap, after
-    one that cycles or spends its 8 solves.  After every settled stage a
-    one-solve probe at the true weight tests whether the plain iteration
-    now terminates.  Returns the classification point, the pattern solves
+    first center is the caller's (a warm start, the prolonged coarse
+    control, or the pointwise map of the cycling iterate), later ones the
+    previous stage's solution.  Centering keeps the stage solutions
+    converging to the true minimizer as tau shrinks; each settled stage is
+    an exact proximal-point step, which cannot increase the distance to the
+    minimizer.  The active-set map is contractive once tau dominates the
+    reduced operator along the iterates, and near the minimizer it
+    terminates finitely even at tau = 0, so tau is quartered after a
+    settled stage and quadrupled, without a cap, after one that cycles or
+    spends its 8 solves.  Only a settled stage of one solve, its first
+    classification already its fixed point, is followed by a one-solve probe
+    at the true weight, which tests whether the plain iteration now
+    terminates.  Returns the classification point, the pattern solves
     spent, and the settled probe's run, or None if the budget ran out.
     """
     total = 0
@@ -457,10 +468,11 @@ def _continuation_seed(ps: _PatternSolver, z: np.ndarray, tau: float,
             tau *= 4.0
             continue
         z, c = stage.z, stage.solved[2]
-        probe = _active_set(ps, z, ps.nu, 1)
-        total += probe.solves
-        if probe.stop == "fixed":
-            return probe.z, total, probe
+        if stage.solves == 1:
+            probe = _active_set(ps, z, ps.nu, 1)
+            total += probe.solves
+            if probe.stop == "fixed":
+                return probe.z, total, probe
         tau *= 0.25
     return z, total, None
 
@@ -510,20 +522,35 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
         # nu-scaled Newton row would make an unscaled max-norm vacuous
         residual_history.append(max(r_state, r_adj, np.max(np.abs(c)) / max(1.0, nu)))
 
-    run = _active_set(ps, z0, nu, config.max_iter, visit=record)
-    iterations = run.solves
+    start, iterations = None, 0  # the reseed's first z, tau and center
+    if u0 is not None and mesh.n < _NEST_MIN:
+        # warm first: the reseed starts at c = u0, its tau from the secant
+        # pbar(c) - pbar(0) = -T c of the reduced operator (two operator
+        # solves of two columns), unless u = 0 is optimal, which the main
+        # loop reaches in one solve, or c = 0 gives no direction
+        c = np.clip(u0.values, a, b)
+        x = problem.operator.solve(np.column_stack([s.Lf, s.Lf + s.B @ c]))
+        pbar0, pbar_c = (s.Avg @ problem.operator.solve(s.Ld[:, None] - s.Mt @ x)).T
+        if np.max(np.abs(pbar0)) > eta and c.any():
+            secant = np.linalg.norm(pbar_c - pbar0) / np.linalg.norm(c)
+            start = (pbar_c, 10.0 * max(secant, nu), c)
+    if start is None:
+        run = _active_set(ps, z0, nu, config.max_iter, visit=record)
+        iterations = run.solves
+        if run.stop == "cycle":
+            # reseed once from a proximal continuation.  Since z = pbar(u),
+            # dz = -T du for the reduced operator T, so the secant |dz|/|du|
+            # of the two latest iterates measures T along the direction the
+            # iteration oscillates in and sets the first tau
+            (u_prev, z_prev), (u_last, z) = latest
+            du = np.linalg.norm(u_last - u_prev)
+            secant = np.linalg.norm(z - z_prev) / du if du > 0 else 0.0
+            if center is None:
+                center = shrink(z, eta) / nu
+            start = (z, 10.0 * max(secant, nu), np.clip(center, a, b))
     reseed_spent = False
-    if run.stop == "cycle":
-        # reseed once from a proximal continuation.  Since z = pbar(u),
-        # dz = -T du for the reduced operator T, so the secant |dz|/|du| of
-        # the two latest iterates measures T along the direction the
-        # iteration oscillates in and sets the first tau
-        (u_prev, z_prev), (u_last, z) = latest
-        du = np.linalg.norm(u_last - u_prev)
-        secant = np.linalg.norm(z - z_prev) / du if du > 0 else 0.0
-        if center is None:
-            center = shrink(z, eta) / nu
-        z, extra, run = _continuation_seed(ps, z, 10.0 * max(secant, nu), np.clip(center, a, b))
+    if start is not None:
+        z, extra, run = _continuation_seed(ps, *start)
         iterations += extra
         if run is None:  # the budget is spent: the main loop resumes from z
             reseed_spent = True
@@ -562,52 +589,3 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
         null_count=int(np.count_nonzero(u_final == 0.0)),
     )
 
-
-def residual(problem: ControlProblem, u: P0Field, mu: P0Field,
-             state: Optional[StateSolution] = None,
-             adjoint: Optional[AdjointSolution] = None) -> dict:
-    """Blockwise residual of the optimality system at a candidate point.
-
-    state/adjoint default to the exact solves induced by u, which zeroes F1
-    and F3; pass stale fields to probe the bookkeeping of individual blocks.
-    Returns arrays F1 (state dofs), F2 (elements), F3 (state dofs), F4
-    (elements).
-    """
-    s, (a, b) = problem.system, problem.bounds
-    nu, eta = problem.control.nu, problem.control.eta
-    if state is None:
-        state = problem.solve_state(u)
-    if adjoint is None:
-        adjoint = problem.solve_adjoint(state)
-    x = _interleave(state.w, state.theta)
-    y = _interleave(adjoint.p, adjoint.q)
-    pbar = p0_average(adjoint.p).values
-    f1 = s.K @ x - s.B @ u.values - s.Lf
-    f2 = nu * u.values + mu.values - pbar
-    f3 = s.Mt @ x + s.K @ y - s.Ld
-    f4 = complementarity_values(u.values, mu.values, a, b, nu, eta)
-    return {"F1": f1, "F2": f2, "F3": f3, "F4": f4}
-
-
-def kkt_residual(problem: ControlProblem, u: P0Field, mu: Optional[P0Field] = None) -> dict:
-    """A-posteriori optimality measures of a candidate control.
-
-    Solves the state and adjoint at u and reports max-norms of the gradient
-    consistency nu*u + mu - pbar (zero when mu is reconstructed, hence only
-    meaningful for caller-supplied mu) and of the complementarity function,
-    plus the variational-inequality distance to the pointwise optimizer.
-    """
-    control = problem.control
-    state = problem.solve_state(u)
-    p = problem.solve_adjoint(state).p
-    pbar = p0_average(p).values
-    if mu is None:
-        mu = P0Field(u.mesh, pbar - control.nu * u.values)
-    a, b = problem.bounds
-    consistency = float(np.max(np.abs(control.nu * u.values + mu.values - pbar)))
-    c = complementarity_values(u.values, mu.values, a, b, control.nu, control.eta)
-    return {
-        "consistency": consistency,
-        "complementarity": float(np.max(np.abs(c))),
-        "vi": variational_inequality_residual(u, p, control),
-    }

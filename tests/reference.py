@@ -8,23 +8,29 @@ its own operator and loads, against which ``ControlProblem.solve_state``
 and the manufactured-solution rates are checked.  ``kkt_consistent_scalar``
 enumerates the five branches of the pointwise optimality system for one
 element, against which the complementarity function's root set is checked.
+``residual`` and ``kkt_residual`` measure the optimality system at a
+candidate point, with the state and adjoint solved afresh at its control.
 """
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
+from sparsebeam.control import complementarity_values, variational_inequality_residual
 from sparsebeam.fem import (
     LOCKING_FREE,
     STANDARD,
+    AdjointSolution,
     BeamOperator,
     BeamParams,
     LoadData,
     StateSolution,
+    _interleave,
     assemble_load,
     recover_shear,
 )
-from sparsebeam.meshes import Mesh1D, P0Field
+from sparsebeam.meshes import Mesh1D, P0Field, p0_average
+from sparsebeam.problem import ControlProblem
 
 
 def element_matrices(mesh: Mesh1D, params: BeamParams, scheme: str) -> np.ndarray:
@@ -121,3 +127,53 @@ def kkt_consistent_scalar(u: float, mu: float, a: float, b: float, eta: float,
     if abs(u - a) <= tol:
         return mu <= -eta + tol
     return abs(mu + eta) <= tol
+
+
+def residual(problem: ControlProblem, u: P0Field, mu: P0Field,
+             state: Optional[StateSolution] = None,
+             adjoint: Optional[AdjointSolution] = None) -> dict:
+    """Blockwise residual of the optimality system at a candidate point.
+
+    state/adjoint default to the exact solves induced by u, which zeroes F1
+    and F3; pass stale fields to probe the bookkeeping of individual blocks.
+    Returns arrays F1 (state dofs), F2 (elements), F3 (state dofs), F4
+    (elements).
+    """
+    s, (a, b) = problem.system, problem.bounds
+    nu, eta = problem.control.nu, problem.control.eta
+    if state is None:
+        state = problem.solve_state(u)
+    if adjoint is None:
+        adjoint = problem.solve_adjoint(state)
+    x = _interleave(state.w, state.theta)
+    y = _interleave(adjoint.p, adjoint.q)
+    pbar = p0_average(adjoint.p).values
+    f1 = s.K @ x - s.B @ u.values - s.Lf
+    f2 = nu * u.values + mu.values - pbar
+    f3 = s.Mt @ x + s.K @ y - s.Ld
+    f4 = complementarity_values(u.values, mu.values, a, b, nu, eta)
+    return {"F1": f1, "F2": f2, "F3": f3, "F4": f4}
+
+
+def kkt_residual(problem: ControlProblem, u: P0Field, mu: Optional[P0Field] = None) -> dict:
+    """A-posteriori optimality measures of a candidate control.
+
+    Solves the state and adjoint at u and reports max-norms of the gradient
+    consistency nu*u + mu - pbar (zero when mu is reconstructed, hence only
+    meaningful for caller-supplied mu) and of the complementarity function,
+    plus the variational-inequality distance to the pointwise optimizer.
+    """
+    control = problem.control
+    state = problem.solve_state(u)
+    p = problem.solve_adjoint(state).p
+    pbar = p0_average(p).values
+    if mu is None:
+        mu = P0Field(u.mesh, pbar - control.nu * u.values)
+    a, b = problem.bounds
+    consistency = float(np.max(np.abs(control.nu * u.values + mu.values - pbar)))
+    c = complementarity_values(u.values, mu.values, a, b, control.nu, control.eta)
+    return {
+        "consistency": consistency,
+        "complementarity": float(np.max(np.abs(c))),
+        "vi": variational_inequality_residual(u, p, control),
+    }

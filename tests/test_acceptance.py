@@ -47,10 +47,10 @@ from sparsebeam.oracles import (
     prox_gradient_solve,
 )
 from sparsebeam.problem import ControlProblem
-from sparsebeam.ssn import SSNConfig, kkt_residual, ssn_solve
+from sparsebeam.ssn import SSNConfig, ssn_solve
 
 from conftest import eta_threshold, toy_problem, zero_problem
-from reference import solve_state
+from reference import kkt_residual, solve_state
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import toy_problem, zero_problem
-from reference import solve_state
+from reference import kkt_residual, solve_state
 from sparsebeam.control import ControlParams
 from sparsebeam.fem import BeamParams, LoadData, assemble_load
 from sparsebeam.meshes import (
@@ -20,7 +20,6 @@ from sparsebeam.meshes import (
     restrict_p0,
 )
 from sparsebeam.problem import ControlProblem
-from sparsebeam.ssn import kkt_residual
 
 
 def test_mesh_length_must_match_beam():

@@ -1,5 +1,7 @@
 """Active-set solver: termination, invariants, oracle agreement."""
 import itertools
+from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +12,9 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from conftest import eta_threshold, toy_problem, zero_problem
+from reference import kkt_residual, residual
 from sparsebeam import ssn
+from sparsebeam.config import build_problem, build_ssn_config, load_config
 from sparsebeam.control import (
     BRANCH_LOWER,
     BRANCH_NEG,
@@ -38,11 +42,11 @@ from sparsebeam.ssn import (
     SSNConfig,
     _PatternBand,
     _PatternSolver,
-    kkt_residual,
     newton_system,
-    residual,
     ssn_solve,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _cycling_sine_problem():
@@ -155,13 +159,17 @@ class TestTermination:
 
     def test_spent_reseed_budget_has_its_own_stop_reason(self, monkeypatch):
         # reseed budgets too small for the cycling load: the reseed stops
-        # before a probe settles, the main loop resumes and cycles again
+        # before a probe settles, the main loop resumes and cycles again;
+        # a warm start, which begins in the reseed, resumes it as well
+        prob = _cycling_sine_problem()
+        warm = ssn_solve(prob.with_control(eta=0.5e-5)).u
         seed = ssn._continuation_seed
-        for budget in (1, 2, 3, 4):
+        for budget, u0 in itertools.product((1, 2, 3, 4), (None, warm)):
             monkeypatch.setattr(ssn, "_continuation_seed",
                                 lambda ps, z, tau, c: seed(ps, z, tau, c, budget))
-            res = ssn_solve(_cycling_sine_problem())
+            res = ssn_solve(prob, SSNConfig(u0=u0))
             assert not res.converged
+            assert 0 < len(res.residual_history) <= SSNConfig.max_iter
             assert res.iterations - len(res.residual_history) >= budget
             assert res.stop_reason == "reseed_budget"
 
@@ -272,6 +280,74 @@ class TestNestedSeed:
         assert all((c.tol, c.max_iter) == (fine.tol, fine.max_iter) for c in (c1, c2))
         assert np.array_equal(mid.nodes, coarsen(mesh, 16).nodes)
         assert res.coarse_iterations > 0 and len(res.residual_history) <= 30
+
+
+def _runs(solves):
+    """The recorded solves grouped into runs: (weight, shifted, length)."""
+    return [(*key, len(list(run))) for key, run in itertools.groupby(solves, key=lambda s: s[1:])]
+
+
+class TestWarmFirst:
+    def test_shipped_sweep_weights_match_cold(self):
+        # a warm-started solve starts in the reseed, centered at the previous
+        # weight's control, and settles on the cold solve's pattern
+        cfg = load_config(CONFIGS / "sweep.ini")
+        problem, config = build_problem(cfg, n=150), build_ssn_config(cfg)
+        prev = None
+        for eta in cfg.study.etas:
+            p = problem.with_control(eta=eta)
+            warm, cold = ssn_solve(p, replace(config, u0=prev)), ssn_solve(p, config)
+            assert warm.converged and cold.converged, eta
+            assert np.array_equal(warm.u.values, cold.u.values), eta
+            prev = warm.u
+
+    @pytest.mark.parametrize("grading", [1.0, 1.5], ids=["uniform", "graded"])
+    def test_eta_ladder_matches_cold(self, grading):
+        prob = toy_problem(n=40, nu=1e-8)
+        prob = prob.with_mesh(Mesh1D(np.linspace(0.0, 1.0, 41) ** grading))
+        eta_star = eta_threshold(prob)
+        prev = None
+        for frac in (0.0, 0.12, 0.25, 0.37, 0.5, 0.63, 0.75, 0.88, 0.96, 1.05):
+            p = prob.with_control(eta=frac * eta_star)
+            warm, cold = ssn_solve(p, SSNConfig(u0=prev)), ssn_solve(p)
+            assert warm.converged and cold.converged, frac
+            assert np.array_equal(warm.u.values, cold.u.values), frac
+            prev = warm.u
+
+    @pytest.mark.parametrize("frac", [1.01, 1.5])
+    def test_zero_optimal_takes_one_solve(self, monkeypatch, frac):
+        # eta > max|pbar(0)|: u = 0 is optimal and the cold loop's first
+        # pattern, so a nonzero u0 does not send the solve into the reseed
+        # (at eta = max|pbar(0)| the cold loop meets a float tie)
+        solves = _recorded_solves(monkeypatch)
+        prob = toy_problem(nu=1e-8)
+        u0 = P0Field(prob.mesh, np.linspace(-5.0, 5.0, prob.mesh.n))
+        res = ssn_solve(prob.with_control(eta=frac * eta_threshold(prob)), SSNConfig(u0=u0))
+        assert res.converged and res.iterations == len(solves) == 1
+        assert np.all(res.u.values == 0.0)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_probes_follow_one_solve_stages_only(self, monkeypatch, warm):
+        # a probe at the true weight comes only after a stage whose first
+        # classification was its fixed point; the reseed starts at the first
+        # shifted solve, and a warm start skips the main loop before it
+        prob = _cycling_sine_problem()
+        u0 = ssn_solve(prob.with_control(eta=0.5e-5)).u if warm else None
+        solves = _recorded_solves(monkeypatch)
+        res = ssn_solve(prob, SSNConfig(u0=u0))
+        assert res.converged and res.iterations == len(solves)
+        runs = _runs(solves)
+        first = next(i for i, (_, shifted, _) in enumerate(runs) if shifted)
+        main = 0 if warm else runs[0][2]  # the main loop's solves
+        assert first == (0 if warm else 1)
+        assert len(res.residual_history) == main + 1  # and the settled probe's
+        probes = [i for i in range(first, len(runs)) if not runs[i][1]]
+        assert probes and probes[-1] == len(runs) - 1  # the reseed ends on a probe
+        for i in probes:
+            assert runs[i][0] == prob.control.nu and runs[i][2] == 1
+            assert runs[i - 1][1] and runs[i - 1][2] == 1
+        # some settled or cycling stages took more solves, and no probe followed them
+        assert any(shifted and length > 1 for _, shifted, length in runs)
 
 
 class TestResultInvariants:
@@ -606,9 +682,7 @@ class TestOracleAgreement:
     def test_midsize_sweep_point_matches_prox_oracle(self):
         # 50-element variant of the eta-sweep configuration at the weight
         # scale where the first elements switch off
-        from sparsebeam.config import build_problem, load_config
-
-        cfg = load_config("configs/sweep.ini")
+        cfg = load_config(CONFIGS / "sweep.ini")
         prob = build_problem(cfg, n=50)
         eta_star = eta_threshold(prob)
         p = prob.with_control(eta=eta_star / 9.0)
