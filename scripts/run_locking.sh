@@ -1,5 +1,6 @@
 #!/bin/sh
-# Scheme-comparison grid over (thickness, n); pass --jobs N to parallelize.
+# Scheme-comparison grid over (thickness, n); --jobs N runs the cells in N
+# processes, which on this grid is slower than one.
 set -e
 cd "$(dirname "$0")/.."
 python3 -m sparsebeam.cli locking --config configs/locking.ini \

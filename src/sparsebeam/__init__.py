@@ -10,13 +10,11 @@ Library layout:
                   its cached operator and optimality system
     ssn           semismooth Newton / primal-dual active set solver
     oracles       independent solvers for verification
-    manufactured  exact solutions with symbolically derived loads
     config        INI run configuration
     experiments   sweep / locking / convergence drivers
     cli           command-line interface
 
 Importing the package loads none of them; import the modules you use.
-Only manufactured needs sympy.
 """
 
 __version__ = "0.1.0"

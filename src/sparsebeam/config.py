@@ -7,7 +7,7 @@ Sections and keys (defaults in brackets):
                 shear_correction [5/6], poisson [0.35], kappa_override [unset]
     [control]   nu (required), eta (required), lower [-inf], upper [inf]
     [data]      f, g, w_d  [zero]
-    [solver]    scheme [locking_free], tol [1e-10], max_iter [50]
+    [solver]    scheme [locking_free], tol, max_iter [SSNConfig's defaults]
     [study]     etas, thicknesses, mesh_sizes (comma lists), ref_factor [8]
 
 Numeric values accept plain fractions ("5/6").  Data entries use a small
@@ -25,7 +25,8 @@ catalog:
 
 Unknown sections or keys are rejected, as are physically inadmissible
 values; errors raise ConfigError with the offending location in the
-message.
+message.  The beam, control and solver values are checked by the classes
+that hold them (BeamParams, ControlParams, SSNConfig).
 """
 from __future__ import annotations
 
@@ -47,7 +48,6 @@ __all__ = [
     "RunConfig",
     "load_config",
     "build_problem",
-    "build_ssn_config",
     "realize_field",
 ]
 
@@ -111,8 +111,7 @@ class RunConfig:
     g: str = "zero"
     w_d: str = "zero"
     scheme: str = LOCKING_FREE
-    tol: float = 1e-10
-    max_iter: int = 50
+    solver: SSNConfig = field(default_factory=SSNConfig)
     study: StudyConfig = field(default_factory=StudyConfig)
     base_dir: Optional[Path] = None  # resolves file: entries
 
@@ -236,10 +235,14 @@ def load_config(path) -> RunConfig:
     scheme = get("solver", "scheme", LOCKING_FREE)
     if scheme not in SCHEMES:
         raise ConfigError(f"[solver] scheme must be one of {SCHEMES}")
-    tol = _number(get("solver", "tol", "1e-10"), "[solver] tol")
-    max_iter_val = _number(get("solver", "max_iter", "50"), "[solver] max_iter")
-    if tol <= 0 or max_iter_val < 1 or max_iter_val != int(max_iter_val):
-        raise ConfigError("[solver] tol must be positive and max_iter a positive integer")
+    solver_kw = {key: _number(cp.get("solver", key), f"[solver] {key}")
+                 for key in ("tol", "max_iter") if cp.has_option("solver", key)}
+    if "max_iter" in solver_kw and solver_kw["max_iter"].is_integer():
+        solver_kw["max_iter"] = int(solver_kw["max_iter"])
+    try:
+        solver = SSNConfig(**solver_kw)
+    except ValueError as exc:
+        raise ConfigError(f"[solver]: {exc}") from exc
 
     study_kw = {}
     if cp.has_option("study", "etas"):
@@ -265,8 +268,7 @@ def load_config(path) -> RunConfig:
         control=control,
         **specs,
         scheme=scheme,
-        tol=tol,
-        max_iter=int(max_iter_val),
+        solver=solver,
         study=StudyConfig(**study_kw),
         base_dir=path.resolve().parent,
     )
@@ -291,7 +293,3 @@ def build_problem(cfg: RunConfig, n: Optional[int] = None, thickness: Optional[f
         control=cfg.control,
         scheme=scheme if scheme is not None else cfg.scheme,
     )
-
-
-def build_ssn_config(cfg: RunConfig) -> SSNConfig:
-    return SSNConfig(tol=cfg.tol, max_iter=cfg.max_iter)

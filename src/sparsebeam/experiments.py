@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, build_problem, build_ssn_config
+from .config import ConfigError, RunConfig, build_problem
 from .fem import LOCKING_FREE, SCHEMES
 from .meshes import (
     P0Field,
@@ -77,8 +77,8 @@ def provenance_lines(cfg: RunConfig) -> List[str]:
         ("g", cfg.g),
         ("w_d", cfg.w_d),
         ("scheme", cfg.scheme),
-        ("tol", cfg.tol),
-        ("max_iter", cfg.max_iter),
+        ("tol", cfg.solver.tol),
+        ("max_iter", cfg.solver.max_iter),
     ]
     if beam.kappa_override is not None:
         pairs.append(("kappa_override", beam.kappa_override))
@@ -143,7 +143,7 @@ def support_measure(u: P0Field) -> float:
 def run_solve(cfg: RunConfig, out_dir) -> SSNResult:
     """Single solve; writes the five fields and a summary record."""
     problem = build_problem(cfg)
-    res = ssn_solve(problem, build_ssn_config(cfg))
+    res = ssn_solve(problem, cfg.solver)
     out = Path(out_dir)
     prov = provenance_lines(cfg)
     mesh = problem.mesh
@@ -182,13 +182,12 @@ def run_sweep(cfg: RunConfig) -> List[Dict]:
     if any(b < a for a, b in zip(etas, etas[1:])):
         raise ConfigError("[study] etas must be sorted ascending")
     problem = build_problem(cfg)
-    ssn_config = build_ssn_config(cfg)
     rows = []
     prev_u = None
     for eta in etas:
         problem = problem.with_control(eta=eta)
         start = time.perf_counter()
-        res = ssn_solve(problem, replace(ssn_config, u0=prev_u))
+        res = ssn_solve(problem, replace(cfg.solver, u0=prev_u))
         runtime = time.perf_counter() - start
         rows.append({
             "eta": eta,
@@ -210,7 +209,7 @@ def _control_cell(args) -> Dict:
     """Worker: solve the control problem for one (scheme, thickness, n) cell."""
     cfg, scheme, thickness, n = args
     problem = build_problem(cfg, n=n, thickness=thickness, scheme=scheme)
-    res = ssn_solve(problem, build_ssn_config(cfg))
+    res = ssn_solve(problem, cfg.solver)
     return {
         "scheme": scheme,
         "thickness": thickness,

@@ -40,17 +40,18 @@ Stability of Numerical Algorithms, ch. 12).  A pattern with no free element
 decouples into two solves with the stiffness operator.
 
 One active-set iteration serves the main loop, the reseed's proximal
-stages and its probes.  The pattern map is deterministic, so it stops at
-the first of three events: a fixed point (its solve depends on the pattern
-alone, so its residual is final), its cap of pattern solves, or a
-recurring pattern (a cycle, which can never settle).  The main loop starts
-from z = 0, or from the nested seed below.  With a very small L2 weight it
-can overshoot the bounds and cycle; it is then reseeded once from a
-proximal-point continuation, whose first weight is ten times the secant of
-the reduced operator along the last two iterates (at least nu) and whose
-first center is the warm start u0 when one is given.  Below the nesting
-size a warm start skips the main loop: the continuation starts at c = u0
-clipped to the box, from z = pbar(c), with ten times the secant
+stages and its probes, and all of them draw on one budget of max_iter
+pattern solves per level.  The pattern map is deterministic, so a run
+stops at the first of three events: a fixed point (its solve depends on
+the pattern alone, so its residual is final), its cap of pattern solves,
+or a recurring pattern (a cycle, which can never settle).  The main loop
+starts from z = 0, or from the nested seed below.  With a very small L2
+weight it can overshoot the bounds and cycle; it is then reseeded once
+from a proximal-point continuation, whose first weight is ten times the
+secant of the reduced operator along the last two iterates (at least nu)
+and whose first center is the warm start u0 when one is given.  Below the
+nesting size a warm start skips the main loop: the continuation starts at
+c = u0 clipped to the box, from z = pbar(c), with ten times the secant
 |pbar(c) - pbar(0)| / |c| (at least nu) as its first weight, for two
 operator solves and no pattern solve.  Along a sweep the cold loop would
 cycle first, since the previous control's adjoint average lies inside the
@@ -59,7 +60,8 @@ c = 0, the main loop runs instead; it reaches u = 0 in one pattern solve.
 The reseed ends on a probe that has settled at the true weight; that
 probe's solve is the loop's last iterate.  The solve returns the last
 pattern solve, the one its stop tested, so converged describes the
-returned point.
+returned point; a spent budget returns the last solve with
+converged=False.
 
 On a mesh of at least _NEST_MIN elements the solve is seeded by nested
 iteration.  It first solves the same problem on the mesh of every 16th
@@ -102,22 +104,19 @@ from .fem import AdjointSolution, BeamOperator, LinearSolveError, StateSolution
 from .meshes import P0Field, coarsen, restrict_p0
 from .problem import ControlProblem
 
-__all__ = [
-    "SSNConfig",
-    "SSNResult",
-    "ssn_solve",
-    "newton_system",
-]
+__all__ = ["SSNConfig", "SSNResult", "ssn_solve"]
 
 
 @dataclass(frozen=True)
 class SSNConfig:
     """Solver knobs, shared by every level of a nested solve.
 
-    tol bounds the residual of a converged solve.  max_iter bounds the main
-    loop of each level (the problem's mesh and each coarse mesh) on its
-    own, so the length of residual_history; SSNResult.iterations also
-    counts the reseed's pattern solves, which have their own budget of 800.
+    tol bounds the residual of a converged solve.  max_iter bounds the
+    pattern solves of each level (the problem's mesh and each coarse mesh)
+    on its own: main loop, proximal stages and probes together, so
+    SSNResult.iterations <= max_iter.  The default leaves room for a main
+    loop of 50 solves and a reseed of 800.
+
     u0 must live on the problem's mesh; clipped to the box, it is the first
     center of the reseed.  Below the nesting size the solve starts in that
     reseed (unless u = 0 is optimal or u0 clips to zero), whose first
@@ -128,7 +127,7 @@ class SSNConfig:
     fine reseed at it if the fine loop cycles."""
 
     tol: float = 1e-10
-    max_iter: int = 50
+    max_iter: int = 850
     u0: Optional[P0Field] = None
 
     def __post_init__(self):
@@ -145,15 +144,16 @@ class SSNResult:
     """The last pattern solve: its control clipped to the box, its state and
     adjoint, and mu = pbar - nu*u from its adjoint average.  stop_reason is
     "converged" or "repeat_above_tol" at a fixed point that meets tol or
-    misses it.  On "max_iter", or "reseed_budget" (the reseed spent its 800
-    solves and the resumed main loop did not settle), it is the last iterate.
+    misses it.  On "max_iter", the budget ran out first, and it is the last
+    pattern solve, a main-loop iterate or the reseed's last stage or probe.
 
     iterations counts the pattern solves on the problem's own mesh, main
-    loop and reseed together; coarse_iterations counts those of all the
-    coarse levels of a nested solve, 0 below the nesting size.  The
-    histories are those of the problem's own mesh: the main loop's solves
-    and the settled probe's, so a warm start that settles in the reseed
-    records one solve."""
+    loop and reseed together, at most max_iter; coarse_iterations counts
+    those of all the coarse levels of a nested solve, 0 below the nesting
+    size.  residual_history is that of the problem's own mesh: the main
+    loop's solves and the settled probe's, so a warm start that settles in
+    the reseed records one solve, and one that spends the budget there
+    none."""
     u: P0Field
     mu: P0Field
     state: StateSolution
@@ -164,7 +164,6 @@ class SSNResult:
     iterations: int
     coarse_iterations: int = 0
     residual_history: List[float] = field(default_factory=list)
-    active_set_history: List[np.ndarray] = field(default_factory=list)
     null_count: int = 0
 
 
@@ -313,21 +312,6 @@ class _PatternBand:
         z += lu_solve(rhs - self._apply(is_free, nu, z))
         return self._from_band(z)
 
-    def matrix(self, is_free: np.ndarray, nu: float) -> sp.csc_matrix:
-        """The unscaled pattern matrix as newton_system stacks it: rows and
-        columns (state dofs, adjoint dofs, free controls)."""
-        m = self.m
-        band_row, col = np.nonzero(self._fill(is_free, nu)[_KL:])
-        row = col + band_row - _KU
-        free = np.nonzero(is_free)[0]
-        ctl = np.full(is_free.size, -1)  # fixed controls drop out
-        ctl[free] = 2 * m + np.arange(free.size)
-        stacked = self._to_band(np.arange(m), m + np.arange(m), ctl).astype(int)
-        keep = (stacked[row] >= 0) & (stacked[col] >= 0)
-        vals = self.ab[_KL + band_row[keep], col[keep]] / self.scale[row[keep]]
-        size = 2 * m + free.size
-        return sp.csc_matrix((vals, (stacked[row[keep]], stacked[col[keep]])), shape=(size, size))
-
 
 class _PatternSolver:
     """The pattern systems of one solve.
@@ -381,21 +365,6 @@ class _PatternSolver:
         return x, y, u
 
 
-def newton_system(problem: ControlProblem, branches: np.ndarray):
-    """Expose one iteration's linear system for a given branch pattern.
-
-    Unknowns are stacked as (state dofs, adjoint dofs, free controls).
-    Returns (A, rhs, free): A is None when no element is on a free branch
-    (the system then decouples into two banded solves).
-    """
-    ps = _PatternSolver(problem)
-    f_state, f_adj, f_ctl, is_free, _ = ps.rhs(np.asarray(branches, dtype=int))
-    free = np.nonzero(is_free)[0]
-    rhs = np.concatenate([f_state, f_adj, f_ctl[free]])
-    A = ps.band.matrix(is_free, ps.nu) if free.size else None
-    return A, rhs, free
-
-
 class _Run(NamedTuple):
     z: np.ndarray  # adjoint average of the last solve
     branches: np.ndarray  # the last pattern solved
@@ -411,8 +380,8 @@ def _active_set(ps: _PatternSolver, z: np.ndarray, nu: float, cap: int,
     Classifies z + shift, solves the pattern, takes z from the adjoint
     average of the solve and reclassifies, until a fixed point, the cap of
     pattern solves or a recurring pattern.  With a shift it solves the
-    proximally centered subproblem of a reseed stage.  visit(branches,
-    solved, z) is called after every solve.
+    proximally centered subproblem of a reseed stage.  visit(solved, z) is
+    called after every solve.
     """
     def classify(z):
         return classify_branches(z if shift is None else z + shift, ps.a, ps.b, nu, ps.eta)
@@ -424,7 +393,7 @@ def _active_set(ps: _PatternSolver, z: np.ndarray, nu: float, cap: int,
         solves += 1
         z = ps.sys.Avg @ solved[1]
         if visit is not None:
-            visit(branches, solved, z)
+            visit(solved, z)
         nxt = classify(z)
         if np.array_equal(nxt, branches):
             stop = "fixed"
@@ -439,7 +408,7 @@ def _active_set(ps: _PatternSolver, z: np.ndarray, nu: float, cap: int,
 
 
 def _continuation_seed(ps: _PatternSolver, z: np.ndarray, tau: float,
-                       c: np.ndarray, budget: int = 800):
+                       c: np.ndarray, budget: int):
     """Reach the true weight by a proximal-point continuation.
 
     Each stage solves the problem plus tau/2 * ||u - c||^2 centered at c:
@@ -457,24 +426,28 @@ def _continuation_seed(ps: _PatternSolver, z: np.ndarray, tau: float,
     spends its 8 solves.  Only a settled stage of one solve, its first
     classification already its fixed point, is followed by a one-solve probe
     at the true weight, which tests whether the plain iteration now
-    terminates.  Returns the classification point, the pattern solves
-    spent, and the settled probe's run, or None if the budget ran out.
+    terminates.  The reseed spends at most budget pattern solves: a stage
+    is capped at 8 or the solves left, and a probe runs only if one is
+    left.  Returns the pattern solves spent and the last run: the settled
+    probe's, or, once the budget is spent, the last stage's or probe's with
+    its stop read as "cap".
     """
     total = 0
-    while total < budget:
-        stage = _active_set(ps, z, ps.nu + tau, 8, shift=tau * c)
-        total += stage.solves
-        if stage.stop != "fixed":
+    while True:
+        run = _active_set(ps, z, ps.nu + tau, min(8, budget - total), shift=tau * c)
+        total += run.solves
+        if run.stop != "fixed":
             tau *= 4.0
-            continue
-        z, c = stage.z, stage.solved[2]
-        if stage.solves == 1:
-            probe = _active_set(ps, z, ps.nu, 1)
-            total += probe.solves
-            if probe.stop == "fixed":
-                return probe.z, total, probe
-        tau *= 0.25
-    return z, total, None
+        else:
+            z, c = run.z, run.solved[2]
+            if run.solves == 1 and total < budget:
+                run = _active_set(ps, z, ps.nu, 1)
+                total += 1
+                if run.stop == "fixed":
+                    return total, run
+            tau *= 0.25
+        if total == budget:
+            return total, run._replace(stop="cap")
 
 
 def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNResult:
@@ -501,12 +474,10 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
     s, a, b = ps.sys, ps.a, ps.b
 
     residual_history: List[float] = []
-    active_history: List[np.ndarray] = []
     latest = []  # (u, z) of the last two iterates, for the reseed's secant
 
-    def record(branches, solved, z):
+    def record(solved, z):
         x, y, u = solved
-        active_history.append(np.nonzero((branches == BRANCH_POS) | (branches == BRANCH_NEG))[0])
         latest[:] = latest[-1:] + [(u, z)]
         # PDE rows measure the normwise backward error: for thin beams the
         # stiffness carries the 1/t^2 shear scale, so an absolute or
@@ -548,27 +519,21 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
             if center is None:
                 center = shrink(z, eta) / nu
             start = (z, 10.0 * max(secant, nu), np.clip(center, a, b))
-    reseed_spent = False
     if start is not None:
-        z, extra, run = _continuation_seed(ps, *start)
+        # the reseed gets the solves the main loop left; a cycle stops that
+        # loop before its cap, so at least one is left
+        extra, run = _continuation_seed(ps, *start, config.max_iter - iterations)
         iterations += extra
-        if run is None:  # the budget is spent: the main loop resumes from z
-            reseed_spent = True
-            run = _active_set(ps, z, nu, config.max_iter - len(residual_history), visit=record)
-            iterations += run.solves
-        else:  # the settled probe's solve, counted by the reseed, is the next iterate
-            record(run.branches, run.solved, run.z)
+        if run.stop == "fixed":
+            # the settled probe's solve, counted by the reseed, is the next iterate
+            record(run.solved, run.z)
 
-    converged = False
     if run.stop == "fixed":
-        # a pattern's solve depends on the pattern alone, so its residual is
-        # final; the repeated set is recorded: stabilization is in the result
-        active_history.append(active_history[-1])
+        # a pattern's solve depends on the pattern alone, so its residual is final
         converged = residual_history[-1] <= config.tol
         stop_reason = "converged" if converged else "repeat_above_tol"
-    else:  # a cycle always reseeds, so a run that did not settle here
-        # either hit max_iter before any cycle or followed a spent reseed
-        stop_reason = "reseed_budget" if reseed_spent else "max_iter"
+    else:  # a cycle always reseeds, so a run that did not settle spent the budget
+        converged, stop_reason = False, "max_iter"
 
     x, y, u = run.solved
     u_final = np.clip(u, a, b)
@@ -585,7 +550,6 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
         iterations=iterations,
         coarse_iterations=coarse_iterations,
         residual_history=residual_history,
-        active_set_history=active_history,
         null_count=int(np.count_nonzero(u_final == 0.0)),
     )
 

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 import sympy as sym
 
-from .fem import BeamParams, LoadData
+from sparsebeam.fem import BeamParams, LoadData
 
 __all__ = ["from_fields", "sine_family", "balanced_family"]
 

@@ -10,6 +10,9 @@ enumerates the five branches of the pointwise optimality system for one
 element, against which the complementarity function's root set is checked.
 ``residual`` and ``kkt_residual`` measure the optimality system at a
 candidate point, with the state and adjoint solved afresh at its control.
+``pattern_system`` stacks the coupled system of one branch pattern from
+the separately built blocks, against which the solver's banded pattern
+solve is checked.
 """
 from typing import Optional
 
@@ -31,6 +34,7 @@ from sparsebeam.fem import (
 )
 from sparsebeam.meshes import Mesh1D, P0Field, p0_average
 from sparsebeam.problem import ControlProblem
+from sparsebeam.ssn import _PatternSolver
 
 
 def element_matrices(mesh: Mesh1D, params: BeamParams, scheme: str) -> np.ndarray:
@@ -177,3 +181,22 @@ def kkt_residual(problem: ControlProblem, u: P0Field, mu: Optional[P0Field] = No
         "complementarity": float(np.max(np.abs(c))),
         "vi": variational_inequality_residual(u, p, control),
     }
+
+
+def pattern_system(problem: ControlProblem, branches: np.ndarray):
+    """The linear system of one branch pattern, unknowns stacked as (state
+    dofs, adjoint dofs, free controls): [[K, 0, -B_f], [Mt, K, 0],
+    [0, -Avg_f, nu I]], with the right-hand side of _PatternSolver.rhs.
+    Returns (A, rhs, free); A is None when no element is on a free branch
+    (the system then decouples into two banded solves)."""
+    s = problem.system
+    f_state, f_adj, f_ctl, is_free, _ = _PatternSolver(problem).rhs(np.asarray(branches, dtype=int))
+    free = np.nonzero(is_free)[0]
+    rhs = np.concatenate([f_state, f_adj, f_ctl[free]])
+    if not free.size:
+        return None, rhs, free
+    A = sp.bmat([[s.K, None, -s.B[:, free]],
+                 [s.Mt, s.K, None],
+                 [None, -s.Avg[free, :], problem.control.nu * sp.identity(free.size)]],
+                format="csc")
+    return A, rhs, free

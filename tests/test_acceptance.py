@@ -38,7 +38,6 @@ from sparsebeam.fem import (
     condense_mixed_system,
     error_norms,
 )
-from sparsebeam.manufactured import balanced_family
 from sparsebeam.meshes import Mesh1D, P1Field, build_uniform_mesh, l2_diff_p0, pi_h
 from sparsebeam.oracles import (
     OracleConfig,
@@ -47,9 +46,10 @@ from sparsebeam.oracles import (
     prox_gradient_solve,
 )
 from sparsebeam.problem import ControlProblem
-from sparsebeam.ssn import SSNConfig, ssn_solve
+from sparsebeam.ssn import ssn_solve
 
 from conftest import eta_threshold, toy_problem, zero_problem
+from manufactured import balanced_family
 from reference import kkt_residual, solve_state
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -220,8 +220,7 @@ def sweep_runs():
         runs, prev = [], None
         for eta in cfg.study.etas:
             prob = base.with_control(eta=eta)
-            res = ssn_solve(prob, SSNConfig(tol=cfg.tol, max_iter=cfg.max_iter,
-                                            u0=prev))
+            res = ssn_solve(prob, dataclasses.replace(cfg.solver, u0=prev))
             runs.append((eta, prob, res))
             prev = res.u
         _SWEEP_CACHE["runs"] = runs

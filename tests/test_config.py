@@ -5,11 +5,11 @@ import pytest
 from sparsebeam.config import (
     ConfigError,
     build_problem,
-    build_ssn_config,
     load_config,
     realize_field,
 )
 from sparsebeam.meshes import P0Field, build_uniform_mesh
+from sparsebeam.ssn import SSNConfig
 
 
 def write_config(tmp_path, body, name="run.ini"):
@@ -38,8 +38,7 @@ class TestLoadConfig:
         assert cfg.beam.poisson == 0.35
         assert cfg.control.nu == 1e-6
         assert cfg.scheme == "locking_free"
-        assert cfg.tol == 1e-10
-        assert cfg.max_iter == 50
+        assert cfg.solver == SSNConfig()
         assert cfg.f == "zero"
         assert cfg.study.ref_factor == 8
 
@@ -83,8 +82,7 @@ ref_factor = 4
         assert cfg.scheme == "standard"
         assert cfg.study.etas == (0.0, 1e-5, 2e-5)
         assert cfg.study.mesh_sizes == (16, 32, 64)
-        assert build_ssn_config(cfg).tol == 1e-9
-        assert build_ssn_config(cfg).max_iter == 30
+        assert cfg.solver == SSNConfig(tol=1e-9, max_iter=30)
 
     def test_fraction_parsing(self, tmp_path):
         body = MINIMAL + "\n[material]\nshear_correction = 2/3\n"
@@ -105,6 +103,8 @@ ref_factor = 4
         (MINIMAL + "[data]\ntheta_d = zero\n", "unknown key"),
         (MINIMAL + "[solver]\nscheme = exotic\n", "scheme"),
         (MINIMAL + "[solver]\ntol = -1\n", "tol"),
+        (MINIMAL + "[solver]\nmax_iter = 0\n", "[solver]: max_iter must be at least 1"),
+        (MINIMAL + "[solver]\nmax_iter = 2.5\n", "[solver]: max_iter must be an integer"),
         (MINIMAL + "[data]\nf = sine: 1\n", "sine takes 2 or 3"),
         (MINIMAL + "[data]\nf = ramp: 1\n", "unknown data spec"),
         (MINIMAL + "[data]\nf = zero: 3\n", "takes no arguments"),

@@ -16,7 +16,7 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(sparsebeam.__path__))
 
 
 def test_package_import_leaves_sympy_unloaded():
-    # sympy serves only the manufactured solutions, which are imported apart
+    # sympy is a test dependency only, for the manufactured solutions
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import sparsebeam; "
             "print('sympy' in sys.modules, sorted(n for n in vars(sparsebeam) "
             "if not n.startswith('_')))")
