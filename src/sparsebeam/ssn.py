@@ -367,8 +367,7 @@ class _PatternSolver:
 
 class _Run(NamedTuple):
     z: np.ndarray  # adjoint average of the last solve
-    branches: np.ndarray  # the last pattern solved
-    solved: tuple  # its solve (x, y, u)
+    solved: tuple  # the last pattern's solve (x, y, u)
     solves: int
     stop: str  # "fixed", "cap" or "cycle"
 
@@ -404,7 +403,7 @@ def _active_set(ps: _PatternSolver, z: np.ndarray, nu: float, cap: int,
         else:
             branches = nxt
             continue
-        return _Run(z, branches, solved, solves, stop)
+        return _Run(z, solved, solves, stop)
 
 
 def _continuation_seed(ps: _PatternSolver, z: np.ndarray, tau: float,
