@@ -57,11 +57,14 @@ operator solves and no pattern solve.  Along a sweep the cold loop would
 cycle first, since the previous control's adjoint average lies inside the
 new weight's zero band.  Where u = 0 is optimal (max|pbar(0)| <= eta), or
 c = 0, the main loop runs instead; it reaches u = 0 in one pattern solve.
-The reseed ends on a probe that has settled at the true weight; that
-probe's solve is the loop's last iterate.  The solve returns the last
-pattern solve, the one its stop tested, so converged describes the
-returned point; a spent budget returns the last solve with
-converged=False.
+A one-solve probe at the true weight follows only a stage that settled on
+its first pattern at a weight no larger than the secant: above it the
+proximal term dominates the reduced operator, the stage's pattern is set
+by its center, and a probe does not settle.  The reseed ends on a probe
+that has settled at the true weight; that probe's solve is the loop's last
+iterate.  The solve returns the last pattern solve, the one its stop
+tested, so converged describes the returned point; a spent budget returns
+the last solve with converged=False.
 
 On a mesh of at least _NEST_MIN elements the solve is seeded by nested
 iteration.  It first solves the same problem on the mesh of every 16th
@@ -189,6 +192,14 @@ _CHUNK = 4096  # nodes of the band template written per pass over its blocks, a 
 # above that it won on every load measured (crossover table in ROADMAP.md).
 _NEST_MIN = 4096
 _NEST_K = 16
+
+# Proximal reseed: the weight tau of its stages starts at _TAU_FIRST times
+# the secant of the reduced operator T (at least nu) and follows each
+# stage's outcome.
+_TAU_FIRST = 10.0  # the first stage's proximal term dominates T, so its map contracts
+_STAGE_CAP = 8  # solves of one stage: twice the longest settled stage of the shipped sweep
+_TAU_UP = 4.0  # after a stage that cycles or spends its cap: back towards contraction
+_TAU_DOWN = 0.25  # after a settled stage: towards the true weight
 
 
 class _PatternBand:
@@ -422,29 +433,33 @@ def _continuation_seed(ps: _PatternSolver, z: np.ndarray, tau: float,
     reduced operator along the iterates, and near the minimizer it
     terminates finitely even at tau = 0, so tau is quartered after a
     settled stage and quadrupled, without a cap, after one that cycles or
-    spends its 8 solves.  Only a settled stage of one solve, its first
-    classification already its fixed point, is followed by a one-solve probe
-    at the true weight, which tests whether the plain iteration now
-    terminates.  The reseed spends at most budget pattern solves: a stage
-    is capped at 8 or the solves left, and a probe runs only if one is
-    left.  Returns the pattern solves spent and the last run: the settled
-    probe's, or, once the budget is spent, the last stage's or probe's with
-    its stop read as "cap".
+    spends its _STAGE_CAP solves.  A one-solve probe at the true weight,
+    which tests whether the plain iteration now terminates, follows only a
+    settled stage of one solve (its first classification already its fixed
+    point) whose tau is at most the secant, the first tau over _TAU_FIRST.
+    Above the secant the proximal term dominates T along the iterates, so
+    the stage's pattern is set by its center, not by the true weight, and
+    a probe there does not settle; a failed probe changes nothing but the
+    solves spent.  The reseed spends at most budget pattern solves: a stage
+    is capped at _STAGE_CAP or the solves left, and a probe runs only if
+    one is left.  Returns the pattern solves spent and the last run: the
+    settled probe's, or, once the budget is spent, the last stage's or
+    probe's with its stop read as "cap".
     """
-    total = 0
+    total, secant = 0, tau / _TAU_FIRST
     while True:
-        run = _active_set(ps, z, ps.nu + tau, min(8, budget - total), shift=tau * c)
+        run = _active_set(ps, z, ps.nu + tau, min(_STAGE_CAP, budget - total), shift=tau * c)
         total += run.solves
         if run.stop != "fixed":
-            tau *= 4.0
+            tau *= _TAU_UP
         else:
             z, c = run.z, run.solved[2]
-            if run.solves == 1 and total < budget:
+            if run.solves == 1 and tau <= secant and total < budget:
                 run = _active_set(ps, z, ps.nu, 1)
                 total += 1
                 if run.stop == "fixed":
                     return total, run
-            tau *= 0.25
+            tau *= _TAU_DOWN
         if total == budget:
             return total, run._replace(stop="cap")
 
@@ -503,7 +518,7 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
         pbar0, pbar_c = (s.Avg @ problem.operator.solve(s.Ld[:, None] - s.Mt @ x)).T
         if np.max(np.abs(pbar0)) > eta and c.any():
             secant = np.linalg.norm(pbar_c - pbar0) / np.linalg.norm(c)
-            start = (pbar_c, 10.0 * max(secant, nu), c)
+            start = (pbar_c, _TAU_FIRST * max(secant, nu), c)
     if start is None:
         run = _active_set(ps, z0, nu, config.max_iter, visit=record)
         iterations = run.solves
@@ -517,7 +532,7 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
             secant = np.linalg.norm(z - z_prev) / du if du > 0 else 0.0
             if center is None:
                 center = shrink(z, eta) / nu
-            start = (z, 10.0 * max(secant, nu), np.clip(center, a, b))
+            start = (z, _TAU_FIRST * max(secant, nu), np.clip(center, a, b))
     if start is not None:
         # the reseed gets the solves the main loop left; a cycle stops that
         # loop before its cap, so at least one is left

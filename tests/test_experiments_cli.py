@@ -138,12 +138,13 @@ class TestRunSweep:
 
     def test_shipped_sweep_work(self):
         # each warm-started eta goes straight to a reseed centered at the
-        # previous eta's control, and probes only after one-solve stages:
-        # 155 pattern solves (208 with the cold loop first and a probe after
-        # every settled stage; more than 300 with a cold center)
+        # previous eta's control, and probes only after one-solve stages at
+        # or below the secant: 141 pattern solves (155 with a probe after
+        # every one-solve stage, 208 with the cold loop first and a probe
+        # after every settled stage; more than 300 with a cold center)
         rows = run_sweep(load_config(CONFIGS / "sweep.ini"))
         assert all(r["converged"] for r in rows)
-        assert sum(r["iterations"] for r in rows) <= 160
+        assert sum(r["iterations"] for r in rows) <= 145
 
     def test_eta_list_validation(self, tmp_path):
         cfg = load_config(write_config(tmp_path, TOY.format(eta="0")))

@@ -156,7 +156,7 @@ class TestTermination:
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_max_iter_bounds_every_pattern_solve(self, monkeypatch, warm):
-        # the cycling load needs 113 solves cold and 80 warm, so every budget
+        # the cycling load needs 112 solves cold and 78 warm, so every budget
         # here runs out: in the main loop, a proximal stage or a probe, or
         # (warm, which starts in the reseed) before the main loop runs
         prob = _cycling_sine_problem()
@@ -170,10 +170,10 @@ class TestTermination:
                 assert res.stop_reason == "max_iter"
                 assert res.iterations == max_iter
 
-    @pytest.mark.parametrize("max_iter", [12, 35, 36])
+    @pytest.mark.parametrize("max_iter", [12, 34, 35])
     def test_graded_instance_stops_at_its_budget(self, max_iter):
         # a thin graded beam whose main loop cycles after 10 solves and whose
-        # reseed settles at the 36th: a budget of 35 or less is spent in the
+        # reseed settles at the 35th: a budget of 34 or less is spent in the
         # reseed, to the last solve
         nodes = (np.arange(584) / 583) ** 1.5
         load = LoadData(f=lambda x: 172.5441262193364 * np.sin(np.pi * x + 3.7662659171177393))
@@ -183,8 +183,8 @@ class TestTermination:
         prob = base.with_control(eta=0.5868627403009049 * eta_threshold(base))
         res = ssn_solve(prob, SSNConfig(max_iter=max_iter))
         assert res.iterations == max_iter
-        assert res.converged == (max_iter == 36)
-        assert res.stop_reason == ("converged" if max_iter == 36 else "max_iter")
+        assert res.converged == (max_iter == 35)
+        assert res.stop_reason == ("converged" if max_iter == 35 else "max_iter")
 
     @pytest.mark.parametrize("nodes", [np.linspace(0.0, 1.0, 31),
                                        np.linspace(0.0, 1.0, 26) ** 1.5],
@@ -356,11 +356,57 @@ class TestWarmFirst:
         assert len(res.residual_history) == main + 1  # and the settled probe's
         probes = [i for i in range(first, len(runs)) if not runs[i][1]]
         assert probes and probes[-1] == len(runs) - 1  # the reseed ends on a probe
+        nu = prob.control.nu
+        secant = (runs[first][0] - nu) / ssn._TAU_FIRST  # the first tau / 10
         for i in probes:
-            assert runs[i][0] == prob.control.nu and runs[i][2] == 1
+            assert runs[i][0] == nu and runs[i][2] == 1
             assert runs[i - 1][1] and runs[i - 1][2] == 1
+            assert runs[i - 1][0] - nu <= secant
         # some settled or cycling stages took more solves, and no probe followed them
         assert any(shifted and length > 1 for _, shifted, length in runs)
+        # nor did one-solve stages above the secant
+        assert any(shifted and length == 1 and weight - nu > secant
+                   for weight, shifted, length in runs)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_probe_rule_on_random_instances(self, monkeypatch, seed):
+        # seeded small instances, cold (even seeds) and warm-started from a
+        # smaller weight's control (odd seeds): every probe follows a settled
+        # stage of one solve whose tau is at most the first tau / 10, and
+        # the solve converges
+        rng = np.random.default_rng(seed)
+        nodes = np.linspace(0.0, 1.0, int(rng.integers(40, 301)) + 1) ** rng.choice([1.0, 1.5])
+        amp, freq, phase = rng.uniform(50.0, 150.0), rng.integers(1, 11), rng.uniform(0.0, 6.3)
+        bound = rng.uniform(10.0, 80.0)
+        base = ControlProblem(Mesh1D(nodes), BeamParams(E=1.0, t=10.0 ** rng.uniform(-3.0, -1.0)),
+                              LoadData(f=lambda x: amp * np.sin(freq * np.pi * x + phase)),
+                              ControlParams(nu=10.0 ** rng.uniform(-12.0, -7.0), eta=0.0,
+                                            a=-bound, b=bound))
+        eta = rng.uniform(0.05, 0.9) * eta_threshold(base)
+        u0 = ssn_solve(base.with_control(eta=0.7 * eta)).u if seed % 2 else None
+        runs = []  # (tau, shifted, solves, stop) of every run of the fine solve
+        active_set = ssn._active_set
+
+        def spied(ps, z, nu, cap, shift=None, visit=None):
+            run = active_set(ps, z, nu, cap, shift=shift, visit=visit)
+            runs.append((nu - ps.nu, shift is not None, run.solves, run.stop))
+            return run
+
+        monkeypatch.setattr(ssn, "_active_set", spied)
+        res = ssn_solve(base.with_control(eta=eta), SSNConfig(u0=u0))
+        assert res.converged
+        assert res.iterations == sum(solves for _, _, solves, _ in runs)
+        stages = [i for i, (_, shifted, _, _) in enumerate(runs) if shifted]
+        if not stages:
+            return  # the main loop settled without a reseed
+        secant = runs[stages[0]][0] / ssn._TAU_FIRST
+        probes = [i for i in range(stages[0], len(runs)) if not runs[i][1]]
+        assert probes[-1] == len(runs) - 1 and runs[-1][3] == "fixed"  # a settled probe ends it
+        for i in probes:
+            assert runs[i][0] == 0.0 and runs[i][2] == 1
+            tau, shifted, solves, stop = runs[i - 1]
+            assert shifted and solves == 1 and stop == "fixed"
+            assert tau <= secant
 
 
 class TestResultInvariants:
