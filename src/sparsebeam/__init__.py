@@ -2,14 +2,17 @@
 
 Library layout:
 
-    meshes        1D meshes, P0/P1 fields, quadrature, norms
-    fem           beam discretization (standard and locking-free), solves,
-                  mixed-formulation blocks, error norms
-    control       cost functional, pointwise optimality machinery
+    meshes        1D meshes, P0/P1 fields, quadrature, projections, L2
+                  norms and cross-mesh differences
+    fem           beam discretization (standard and locking-free), banded
+                  operator and solves, mixed-formulation blocks
+    control       cost functional, branch classification, complementarity,
+                  multipliers
     problem       ControlProblem container tying the layers together, with
                   its cached operator and optimality system
     ssn           semismooth Newton / primal-dual active set solver
-    oracles       independent solvers for verification
+    oracles       certified proximal-gradient solver and finite-difference
+                  gradient check, independent of ssn
     config        INI run configuration
     experiments   sweep / locking / convergence drivers
     cli           command-line interface

@@ -20,11 +20,11 @@ the a-posteriori certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .meshes import GAUSS_2PT, Mesh1D, P0Field, P1Field, eval_p1, p0_average, pi_h, point_values
+from .meshes import GAUSS_2PT, Mesh1D, P0Field, P1Field, eval_p1, pi_h, point_values
 
 __all__ = [
     "ControlParams",
@@ -32,11 +32,9 @@ __all__ = [
     "MultiplierState",
     "discretize_bounds",
     "shrink",
-    "pointwise_optimal_control",
     "complementarity_values",
     "classify_branches",
     "fixed_control",
-    "variational_inequality_residual",
     "cost",
     "reconstruct_multipliers",
     "BRANCH_ZERO",
@@ -106,25 +104,6 @@ def shrink(s, eta: float):
     return out if out.ndim else float(out)
 
 
-def pointwise_optimal_control(p_bar, params: ControlParams, mesh: Optional[Mesh1D] = None):
-    """u = clip(shrink(pbar, eta)/nu, a, b) elementwise.
-
-    p_bar may be a P0Field (returns a P0Field) or a bare array (returns an
-    array; constant bounds only in that case).
-    """
-    if isinstance(p_bar, P0Field):
-        a, b = discretize_bounds(params, p_bar.mesh)
-        vals = np.clip(shrink(p_bar.values, params.eta) / params.nu, a, b)
-        return P0Field(p_bar.mesh, vals)
-    if mesh is not None:
-        a, b = discretize_bounds(params, mesh)
-    else:
-        if not (np.isscalar(params.a) and np.isscalar(params.b)):
-            raise ValueError("array input needs a mesh for non-constant bounds")
-        a, b = params.a, params.b
-    return np.clip(shrink(np.asarray(p_bar, dtype=float), params.eta) / params.nu, a, b)
-
-
 def complementarity_values(u: np.ndarray, mu: np.ndarray, a, b, nu: float, eta: float) -> np.ndarray:
     """C(u, mu) elementwise; zero exactly at points satisfying the optimality system.
 
@@ -167,17 +146,6 @@ def fixed_control(branches: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndar
     u[branches == BRANCH_UPPER] = b[branches == BRANCH_UPPER]
     u[branches == BRANCH_LOWER] = a[branches == BRANCH_LOWER]
     return u
-
-
-def variational_inequality_residual(u: P0Field, p: P1Field, params: ControlParams) -> float:
-    """L2 distance between u and the pointwise optimal control of pbar."""
-    a, b = discretize_bounds(params, u.mesh)
-    slack = 1e-12 * (1.0 + np.max(np.abs(u.values)))
-    if np.any(u.values < a - slack) or np.any(u.values > b + slack):
-        raise ValueError("control is not admissible")
-    ustar = pointwise_optimal_control(p0_average(p), params)
-    d = u.values - ustar.values
-    return float(np.sqrt(np.sum(u.mesh.element_sizes * d * d)))
 
 
 @dataclass(frozen=True)

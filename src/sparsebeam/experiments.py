@@ -38,8 +38,6 @@ __all__ = [
     "run_locking",
     "run_convergence",
     "fit_rate",
-    "support_runs",
-    "support_measure",
     "write_csv",
     "write_field",
     "write_rows_csv",
@@ -82,13 +80,7 @@ def provenance_lines(cfg: RunConfig) -> List[str]:
     ]
     if beam.kappa_override is not None:
         pairs.append(("kappa_override", beam.kappa_override))
-    out = []
-    for key, val in pairs:
-        if isinstance(val, str):
-            out.append(f"# {key} = {val}")
-        else:
-            out.append(f"# {key} = {format_number(val)}")
-    return out
+    return [f"# {key} = {format_number(val)}" for key, val in pairs]
 
 
 def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence],
@@ -123,19 +115,6 @@ def fit_rate(hs: Sequence[float], errors: Sequence[float]) -> float:
     if np.count_nonzero(keep) < 2:
         return float("nan")
     return float(np.polyfit(np.log(hs[keep]), np.log(errors[keep]), 1)[0])
-
-
-def support_runs(u: P0Field) -> int:
-    """Number of maximal contiguous element runs where u is nonzero."""
-    mask = u.values != 0.0
-    if not np.any(mask):
-        return 0
-    flips = np.diff(mask.astype(int))
-    return int(np.sum(flips == 1) + (1 if mask[0] else 0))
-
-
-def support_measure(u: P0Field) -> float:
-    return float(np.sum(u.mesh.element_sizes[u.values != 0.0]))
 
 
 # ------------------------------------------------------------- solve

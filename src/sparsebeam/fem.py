@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .meshes import GAUSS_2PT, Mesh1D, P0Field, P1Field, eval_p1, point_values
+from .meshes import GAUSS_2PT, Mesh1D, P0Field, P1Field, point_values
 
 __all__ = [
     "LOCKING_FREE",
@@ -35,7 +35,6 @@ __all__ = [
     "StateSolution",
     "AdjointSolution",
     "LinearSolveError",
-    "assemble_stiffness",
     "assemble_load",
     "control_load_matrix",
     "p1_mass_matrix",
@@ -43,7 +42,6 @@ __all__ = [
     "recover_shear",
     "assemble_mixed_blocks",
     "condense_mixed_system",
-    "error_norms",
 ]
 
 STANDARD = "standard"
@@ -187,16 +185,6 @@ def _band_csr(band: np.ndarray) -> sp.csr_matrix:
     r = np.arange(m + 1, dtype=np.int32)  # rows of the first and the last node hold 4 entries
     indptr = 6 * r - 2 * np.minimum(r, 2) - 2 * np.maximum(r - m + 2, 0)
     return sp.csr_matrix((blocks.reshape(m // 2, 2, 6)[keep], cols[keep], indptr), shape=(m, m))
-
-
-def assemble_stiffness(mesh: Mesh1D, params: BeamParams, scheme: str = LOCKING_FREE) -> sp.csr_matrix:
-    """Symmetric positive definite stiffness matrix on interior (w, theta) dofs.
-
-    Interleaved ordering (w_1, theta_1, w_2, theta_2, ...): bandwidth 3.
-    """
-    _check_mesh_params(mesh, params)
-    _scheme_check(scheme)
-    return _band_csr(_stiffness_band(mesh, params, scheme))
 
 
 def _p0_values(data: ScalarData, mesh: Mesh1D) -> np.ndarray:
@@ -360,55 +348,3 @@ def condense_mixed_system(mesh: Mesh1D, params: BeamParams) -> np.ndarray:
     scale = params.kappa / params.t**2
     Minv = sp.diags(scale / mesh.element_sizes)
     return (A + C @ Minv @ C.T).toarray()
-
-
-# ------------------------------------------------------------- errors
-
-def error_norms(a, b, b_derivatives=None) -> dict:
-    """Norms of the difference between field pairs a = (w, theta) and b.
-
-    b may be a pair of P1Fields on the same mesh or a pair of callables;
-    in the callable case b_derivatives = (w', theta') enables the H1 norm.
-    Returns per-component and combined l2 / h1 / linf values.
-    """
-    wa, ta = a
-    mesh = wa.mesh
-    if isinstance(b[0], P1Field):
-        if not np.array_equal(b[0].mesh.nodes, mesh.nodes):
-            raise ValueError("error_norms needs fields on the same mesh")
-        dw = wa.values - b[0].values
-        dt = ta.values - b[1].values
-        # closed forms on nodal differences (exact for P1)
-        out = {}
-        for name, d in (("w", dw), ("theta", dt)):
-            aa, bb = d[:-1], d[1:]
-            l2 = float(np.sqrt(np.sum(mesh.element_sizes * (aa * aa + aa * bb + bb * bb) / 3.0)))
-            h1s = float(np.sqrt(np.sum(np.diff(d) ** 2 / mesh.element_sizes)))
-            out[f"l2_{name}"] = l2
-            out[f"h1_{name}"] = float(np.sqrt(l2 * l2 + h1s * h1s))
-            out[f"linf_{name}"] = float(np.max(np.abs(d)))
-    else:
-        fw, ft = b
-        if b_derivatives is None:
-            raise ValueError("exact-function comparison needs derivative callables for H1")
-        fwp, ftp = b_derivatives
-        out = {}
-        for name, fld, fn, fnp in (("w", wa, fw, fwp), ("theta", ta, ft, ftp)):
-            l2sq = 0.0
-            h1ssq = 0.0
-            h = mesh.element_sizes
-            slope = np.diff(fld.values) / h
-            for q, wq in zip(GAUSS_2PT.points, GAUSS_2PT.weights):
-                x = mesh.nodes[:-1] + h * q
-                d = eval_p1(fld, x) - np.asarray(fn(x), dtype=float)
-                dp = slope - np.asarray(fnp(x), dtype=float)
-                l2sq += wq * np.sum(h * d * d)
-                h1ssq += wq * np.sum(h * dp * dp)
-            nodesd = fld.values - np.asarray(fn(mesh.nodes), dtype=float)
-            out[f"l2_{name}"] = float(np.sqrt(l2sq))
-            out[f"h1_{name}"] = float(np.sqrt(l2sq + h1ssq))
-            out[f"linf_{name}"] = float(np.max(np.abs(nodesd)))
-    for k in ("l2", "h1"):
-        out[k] = float(np.hypot(out[f"{k}_w"], out[f"{k}_theta"]))
-    out["linf"] = float(max(out["linf_w"], out["linf_theta"]))
-    return out

@@ -27,7 +27,6 @@ __all__ = [
     "eval_p1",
     "point_values",
     "l2_norm_p0",
-    "l2_norm_p1",
     "l2_diff_p0",
     "l2_diff_p1",
 ]
@@ -138,14 +137,6 @@ class P1Field:
         v[1:-1] = interior
         return cls(mesh, v)
 
-    @classmethod
-    def from_callable(cls, mesh: Mesh1D, fn) -> "P1Field":
-        """Nodal interpolation; boundary entries are stamped to exact zeros."""
-        v = np.asarray([float(fn(x)) for x in mesh.nodes])
-        v[0] = 0.0
-        v[-1] = 0.0
-        return cls(mesh, v)
-
     @property
     def interior(self) -> np.ndarray:
         return self.values[1:-1]
@@ -195,26 +186,13 @@ GAUSS_2PT = QuadratureRule(
 )
 
 
-def _eval_on_elements(fn, mesh: Mesh1D) -> np.ndarray:
-    """Evaluate fn at the two Gauss points of every element; shape (n, 2)."""
-    x = mesh.nodes[:-1, None] + mesh.element_sizes[:, None] * GAUSS_2PT.points[None, :]
-    try:
-        vals = np.asarray(fn(x), dtype=float)
-        if vals.shape != x.shape:
-            vals = np.broadcast_to(vals, x.shape)
-    except Exception:
-        # non-vectorized callable
-        vals = np.asarray([[float(fn(xi)) for xi in row] for row in x])
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("function evaluation produced non-finite values")
-    return vals
-
-
 def pi_h(u, mesh: Mesh1D) -> P0Field:
     """Elementwise-mean quasi-interpolation onto piecewise constants.
 
     u may be a P0Field on the same mesh (identity), a scalar, or a callable;
-    callables are averaged with two-point Gauss quadrature.
+    callables are averaged with two-point Gauss quadrature.  As for loads
+    (point_values), a callable is called once, on the (n, 2) array of
+    points, and its value must broadcast to that shape.
     """
     if isinstance(u, P0Field):
         if u.mesh is not mesh and not np.array_equal(u.mesh.nodes, mesh.nodes):
@@ -222,7 +200,10 @@ def pi_h(u, mesh: Mesh1D) -> P0Field:
         return P0Field(mesh, u.values.copy())
     if np.isscalar(u):
         return P0Field.constant(mesh, float(u))
-    vals = _eval_on_elements(u, mesh)
+    x = mesh.nodes[:-1, None] + mesh.element_sizes[:, None] * GAUSS_2PT.points[None, :]
+    vals = point_values(u, mesh, x)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("function evaluation produced non-finite values")
     return P0Field(mesh, vals @ GAUSS_2PT.weights)
 
 
@@ -277,13 +258,6 @@ def point_values(data, mesh: Mesh1D, x: np.ndarray) -> np.ndarray:
 
 def l2_norm_p0(u: P0Field) -> float:
     return float(np.sqrt(np.sum(u.mesh.element_sizes * u.values**2)))
-
-
-def l2_norm_p1(v: P1Field) -> float:
-    # exact: int over element of (linear)^2 = h*(a^2 + a*b + b^2)/3
-    a = v.values[:-1]
-    b = v.values[1:]
-    return float(np.sqrt(np.sum(v.mesh.element_sizes * (a * a + a * b + b * b) / 3.0)))
 
 
 # ------------------------------------------ cross-mesh comparisons

@@ -25,16 +25,16 @@ only on T, r0 and its branch pattern.
 prox_gradient_solve runs FISTA with gradient-based adaptive restart, at one
 symmetric product per iteration (T v follows by linearity).  Every
 _POLISH_EVERY iterations, and once on exit, a checkpoint spends one exact
-product T u on pbar and the fixed-point residual, tests the tolerance and,
-by default, attempts an exact "polish": classify branches from pbar, solve
-the free-branch linear system, and verify every Karush-Kuhn-Tucker
-inequality explicitly.  The problem is strictly convex, so a point
-passing that verification is the unique minimizer -- the returned
-certificate does not depend on iteration counts or tolerances.
+product T u on pbar and the fixed-point residual, tests the tolerance and
+attempts an exact "polish": classify branches from pbar, solve the
+free-branch linear system, and verify every Karush-Kuhn-Tucker inequality
+explicitly; if no polish verifies, the last iterate is returned
+uncertified.  The problem is strictly convex, so a point passing that
+verification is the unique minimizer -- the returned certificate does not
+depend on iteration counts or tolerances.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,7 +59,6 @@ __all__ = [
     "ReducedQuadratic",
     "prox_gradient_solve",
     "fd_gradient_check",
-    "dense_kkt_solve",
 ]
 
 
@@ -75,7 +74,6 @@ _POWER_MAX = 200
 class OracleConfig:
     tol: float = 1e-12
     max_iter: int = 1_000_000
-    polish: bool = True
 
 
 @dataclass
@@ -193,11 +191,11 @@ def _polish(rq: ReducedQuadratic, branches: np.ndarray):
 def prox_gradient_solve(problem: ControlProblem, config: OracleConfig = OracleConfig()) -> OracleResult:
     """Accelerated proximal gradient descent on the reduced problem.
 
-    Certification (config.polish) makes the answer tolerance-independent:
-    once the iterate's branch pattern verifies, the polished point is the
-    exact minimizer up to one dense linear solve.  The fixed-point residual,
-    and with it the tolerance test, is measured at the checkpoints only;
-    the returned one is that of the returned point.
+    Certification makes the answer tolerance-independent: once the
+    iterate's branch pattern verifies, the polished point is the exact
+    minimizer up to one dense linear solve.  The fixed-point residual, and
+    with it the tolerance test, is measured at the checkpoints only; the
+    returned one is that of the returned point.
     """
     rq = ReducedQuadratic(problem)
     n = problem.mesh.n
@@ -240,7 +238,7 @@ def prox_gradient_solve(problem: ControlProblem, config: OracleConfig = OracleCo
             converged = fp <= config.tol * (1.0 + np.max(np.abs(u)))
             if converged or iterations >= config.max_iter:
                 break
-            if config.polish and iterations:
+            if iterations:
                 polished = try_polish(pbar)
                 if polished is not None:
                     return polished
@@ -258,10 +256,9 @@ def prox_gradient_solve(problem: ControlProblem, config: OracleConfig = OracleCo
         t = t_new
         u, Tu = u_new, Tu_new
 
-    if config.polish:
-        polished = try_polish(pbar)
-        if polished is not None:
-            return polished
+    polished = try_polish(pbar)
+    if polished is not None:
+        return polished
     branches = classify_branches(pbar, rq.a, rq.b, rq.nu, rq.eta)
     return finish(u, pbar - rq.nu * u, False, fp, branches)
 
@@ -329,67 +326,3 @@ def fd_gradient_check(problem: ControlProblem, u: P0Field, step: Optional[float]
               - _smooth_cost(problem, P0Field(mesh, um))) / (2.0 * step)
         worst = max(worst, abs(g[j] - fd) / max(1.0, abs(fd)))
     return worst
-
-
-def dense_kkt_solve(problem: ControlProblem, max_flip: int = 2) -> OracleResult:
-    """Certified direct solve for small meshes (n <= 30).
-
-    Seeds branches from a short accelerated run, polishes, and if the
-    verification fails walks nearby branch patterns by flipping elements
-    whose classification value sits closest to a threshold.  Raises if no
-    pattern certifies.
-    """
-    n = problem.mesh.n
-    if n > 30:
-        raise ValueError("dense_kkt_solve is intended for meshes with at most 30 elements")
-    rq = ReducedQuadratic(problem)
-    seed = prox_gradient_solve(problem, OracleConfig(max_iter=20000, polish=False))
-    z = rq.pbar(seed.u.values)
-    base = classify_branches(z, rq.a, rq.b, rq.nu, rq.eta)
-
-    def attempt(branches):
-        u_p, mu_p, ok = _polish(rq, branches)
-        if ok:
-            u_p = np.clip(u_p, rq.a, rq.b)
-            return OracleResult(
-                u=P0Field(problem.mesh, u_p),
-                mu=P0Field(problem.mesh, mu_p),
-                iterations=seed.iterations,
-                converged=True,
-                certified=True,
-                fixed_point_residual=rq.fixed_point_residual(u_p, rq.T @ u_p, 1.0 / rq.lipschitz()),
-                branches=branches,
-            )
-        return None
-
-    res = attempt(base)
-    if res is not None:
-        return res
-
-    # distance of each element's z to its nearest branch threshold
-    thresholds = np.stack([
-        np.abs(z - rq.eta),
-        np.abs(z + rq.eta),
-        np.abs(z - rq.nu * rq.b - rq.eta),
-        np.abs(z - rq.nu * rq.a + rq.eta),
-    ])
-    nearest = np.min(thresholds, axis=0)
-    order = np.argsort(nearest)[: min(10, n)]
-    alternates = {
-        BRANCH_ZERO: (BRANCH_POS, BRANCH_NEG),
-        BRANCH_POS: (BRANCH_ZERO, BRANCH_UPPER),
-        BRANCH_NEG: (BRANCH_ZERO, BRANCH_LOWER),
-        BRANCH_UPPER: (BRANCH_POS,),
-        BRANCH_LOWER: (BRANCH_NEG,),
-    }
-    for k in range(1, max_flip + 1):
-        for idxs in itertools.combinations(order, k):
-            choices = [alternates[int(base[i])] for i in idxs]
-            for combo in itertools.product(*choices):
-                trial = base.copy()
-                for i, br in zip(idxs, combo):
-                    trial[i] = br
-                res = attempt(trial)
-                if res is not None:
-                    return res
-    raise RuntimeError("no branch pattern certified; problem may be degenerate")

@@ -134,9 +134,6 @@ class ControlProblem:
     def bounds(self):
         return discretize_bounds(self.control, self.mesh)
 
-    def zero_control(self) -> P0Field:
-        return P0Field.zeros(self.mesh)
-
     def solve_state(self, u: Optional[P0Field] = None) -> StateSolution:
         """The state under load f + u and moment load g: K x = Lf + B u."""
         if u is not None and not np.array_equal(u.mesh.nodes, self.mesh.nodes):
@@ -160,9 +157,6 @@ class ControlProblem:
         if state is None:
             state = self.solve_state(u)
         return control_cost(u, state.w, self.loads.w_d, self.control)
-
-    def with_mesh(self, mesh: Mesh1D) -> "ControlProblem":
-        return replace(self, mesh=mesh)
 
     def restricted(self, coarse: Mesh1D) -> "ControlProblem":
         """A copy on a coarse mesh nested in this one.  P0 loads and bounds

@@ -10,7 +10,7 @@ from hypothesis import settings
 
 from sparsebeam.control import ControlParams
 from sparsebeam.fem import BeamParams, LoadData
-from sparsebeam.meshes import build_uniform_mesh
+from sparsebeam.meshes import P0Field, build_uniform_mesh
 from sparsebeam.problem import ControlProblem
 
 settings.register_profile("suite", deadline=None, max_examples=50)
@@ -39,7 +39,7 @@ def zero_problem(n=12, nu=1e-4, eta=0.0, bound=1.0):
 
 def eta_threshold(problem):
     """Smallest sparsity weight that forces u = 0 (max |pbar| at u = 0)."""
-    pbar = problem.averaged_adjoint(problem.solve_state(problem.zero_control()))
+    pbar = problem.averaged_adjoint(problem.solve_state(P0Field.zeros(problem.mesh)))
     return float(np.max(np.abs(pbar.values)))
 
 

@@ -16,6 +16,9 @@ prescribes a thickness-dependent rotation theta = W' + (E t^2/(12 kappa))
 W''' chosen so that shear force, f, and g are all independent of t; its
 discretization errors stay uniformly bounded across thicknesses and it is
 the right family for locking studies.
+
+error_norms measures a discrete (w, theta) pair against another one on the
+same mesh, or against a family's exact fields and their derivatives.
 """
 from __future__ import annotations
 
@@ -26,8 +29,9 @@ import numpy as np
 import sympy as sym
 
 from sparsebeam.fem import BeamParams, LoadData
+from sparsebeam.meshes import GAUSS_2PT, P1Field, eval_p1
 
-__all__ = ["from_fields", "sine_family", "balanced_family"]
+__all__ = ["from_fields", "sine_family", "balanced_family", "error_norms"]
 
 
 @dataclass(frozen=True)
@@ -110,3 +114,53 @@ def balanced_family(params: BeamParams) -> ManufacturedCase:
     E, t, kappa = params.E, params.t, params.kappa
     theta = sym.diff(W, x) + (E * t**2 / (12 * kappa)) * sym.diff(W, x, 3)
     return from_fields(W, theta, x, params, name="balanced")
+
+
+def error_norms(a, b, b_derivatives=None) -> dict:
+    """Norms of the difference between field pairs a = (w, theta) and b.
+
+    b may be a pair of P1Fields on the same mesh or a pair of callables;
+    in the callable case b_derivatives = (w', theta') enables the H1 norm.
+    Returns per-component and combined l2 / h1 / linf values.
+    """
+    wa, ta = a
+    mesh = wa.mesh
+    if isinstance(b[0], P1Field):
+        if not np.array_equal(b[0].mesh.nodes, mesh.nodes):
+            raise ValueError("error_norms needs fields on the same mesh")
+        dw = wa.values - b[0].values
+        dt = ta.values - b[1].values
+        # closed forms on nodal differences (exact for P1)
+        out = {}
+        for name, d in (("w", dw), ("theta", dt)):
+            aa, bb = d[:-1], d[1:]
+            l2 = float(np.sqrt(np.sum(mesh.element_sizes * (aa * aa + aa * bb + bb * bb) / 3.0)))
+            h1s = float(np.sqrt(np.sum(np.diff(d) ** 2 / mesh.element_sizes)))
+            out[f"l2_{name}"] = l2
+            out[f"h1_{name}"] = float(np.sqrt(l2 * l2 + h1s * h1s))
+            out[f"linf_{name}"] = float(np.max(np.abs(d)))
+    else:
+        fw, ft = b
+        if b_derivatives is None:
+            raise ValueError("exact-function comparison needs derivative callables for H1")
+        fwp, ftp = b_derivatives
+        out = {}
+        for name, fld, fn, fnp in (("w", wa, fw, fwp), ("theta", ta, ft, ftp)):
+            l2sq = 0.0
+            h1ssq = 0.0
+            h = mesh.element_sizes
+            slope = np.diff(fld.values) / h
+            for q, wq in zip(GAUSS_2PT.points, GAUSS_2PT.weights):
+                x = mesh.nodes[:-1] + h * q
+                d = eval_p1(fld, x) - np.asarray(fn(x), dtype=float)
+                dp = slope - np.asarray(fnp(x), dtype=float)
+                l2sq += wq * np.sum(h * d * d)
+                h1ssq += wq * np.sum(h * dp * dp)
+            nodesd = fld.values - np.asarray(fn(mesh.nodes), dtype=float)
+            out[f"l2_{name}"] = float(np.sqrt(l2sq))
+            out[f"h1_{name}"] = float(np.sqrt(l2sq + h1ssq))
+            out[f"linf_{name}"] = float(np.max(np.abs(nodesd)))
+    for k in ("l2", "h1"):
+        out[k] = float(np.hypot(out[f"{k}_w"], out[f"{k}_theta"]))
+    out["linf"] = float(max(out["linf_w"], out["linf_theta"]))
+    return out

@@ -8,18 +8,23 @@ its own operator and loads, against which ``ControlProblem.solve_state``
 and the manufactured-solution rates are checked.  ``kkt_consistent_scalar``
 enumerates the five branches of the pointwise optimality system for one
 element, against which the complementarity function's root set is checked.
-``residual`` and ``kkt_residual`` measure the optimality system at a
-candidate point, with the state and adjoint solved afresh at its control.
-``pattern_system`` stacks the coupled system of one branch pattern from
-the separately built blocks, against which the solver's banded pattern
-solve is checked.
+``pointwise_optimal_control`` is the closed form clip(shrink(pbar, eta)/nu,
+a, b), against which the branch classification and the multiplier split
+are checked, and ``variational_inequality_residual`` measures a control's
+L2 distance to it.  ``residual`` and ``kkt_residual`` measure the
+optimality system at a candidate point, with the state and adjoint solved
+afresh at its control.  ``pattern_system`` stacks the coupled system of one
+branch pattern from the separately built blocks, against which the
+solver's banded pattern solve is checked.  ``support_runs`` and
+``support_measure`` describe a control's support for the sweep checks;
+``p1_interpolant`` and ``l2_norm_p1`` build and measure P1 test fields.
 """
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from sparsebeam.control import complementarity_values, variational_inequality_residual
+from sparsebeam.control import ControlParams, complementarity_values, discretize_bounds
 from sparsebeam.fem import (
     LOCKING_FREE,
     STANDARD,
@@ -32,7 +37,7 @@ from sparsebeam.fem import (
     assemble_load,
     recover_shear,
 )
-from sparsebeam.meshes import Mesh1D, P0Field, p0_average
+from sparsebeam.meshes import Mesh1D, P0Field, P1Field, p0_average
 from sparsebeam.problem import ControlProblem
 from sparsebeam.ssn import _PatternSolver
 
@@ -133,6 +138,38 @@ def kkt_consistent_scalar(u: float, mu: float, a: float, b: float, eta: float,
     return abs(mu + eta) <= tol
 
 
+def pointwise_optimal_control(p_bar, params: ControlParams, mesh: Optional[Mesh1D] = None):
+    """u = clip(shrink(pbar, eta)/nu, a, b) elementwise, with the soft
+    shrinkage written out.
+
+    p_bar may be a P0Field (returns a P0Field) or a bare array (returns an
+    array; constant bounds only in that case).
+    """
+    def optimum(z, a, b):
+        z = np.asarray(z, dtype=float)
+        shrunk = np.sign(z) * np.maximum(np.abs(z) - params.eta, 0.0)
+        return np.clip(shrunk / params.nu, a, b)
+
+    if isinstance(p_bar, P0Field):
+        return P0Field(p_bar.mesh, optimum(p_bar.values, *discretize_bounds(params, p_bar.mesh)))
+    if mesh is not None:
+        return optimum(p_bar, *discretize_bounds(params, mesh))
+    if not (np.isscalar(params.a) and np.isscalar(params.b)):
+        raise ValueError("array input needs a mesh for non-constant bounds")
+    return optimum(p_bar, params.a, params.b)
+
+
+def variational_inequality_residual(u: P0Field, p: P1Field, params: ControlParams) -> float:
+    """L2 distance between u and the pointwise optimal control of pbar."""
+    a, b = discretize_bounds(params, u.mesh)
+    slack = 1e-12 * (1.0 + np.max(np.abs(u.values)))
+    if np.any(u.values < a - slack) or np.any(u.values > b + slack):
+        raise ValueError("control is not admissible")
+    ustar = pointwise_optimal_control(p0_average(p), params)
+    d = u.values - ustar.values
+    return float(np.sqrt(np.sum(u.mesh.element_sizes * d * d)))
+
+
 def residual(problem: ControlProblem, u: P0Field, mu: P0Field,
              state: Optional[StateSolution] = None,
              adjoint: Optional[AdjointSolution] = None) -> dict:
@@ -200,3 +237,31 @@ def pattern_system(problem: ControlProblem, branches: np.ndarray):
                  [None, -s.Avg[free, :], problem.control.nu * sp.identity(free.size)]],
                 format="csc")
     return A, rhs, free
+
+
+def support_runs(u: P0Field) -> int:
+    """Number of maximal contiguous element runs where u is nonzero."""
+    mask = u.values != 0.0
+    if not np.any(mask):
+        return 0
+    flips = np.diff(mask.astype(int))
+    return int(np.sum(flips == 1) + (1 if mask[0] else 0))
+
+
+def support_measure(u: P0Field) -> float:
+    return float(np.sum(u.mesh.element_sizes[u.values != 0.0]))
+
+
+def p1_interpolant(mesh: Mesh1D, fn) -> P1Field:
+    """Nodal interpolation; boundary entries are stamped to exact zeros."""
+    v = np.asarray([float(fn(x)) for x in mesh.nodes])
+    v[0] = 0.0
+    v[-1] = 0.0
+    return P1Field(mesh, v)
+
+
+def l2_norm_p1(v: P1Field) -> float:
+    # exact: int over element of (linear)^2 = h*(a^2 + a*b + b^2)/3
+    a = v.values[:-1]
+    b = v.values[1:]
+    return float(np.sqrt(np.sum(v.mesh.element_sizes * (a * a + a * b + b * b) / 3.0)))

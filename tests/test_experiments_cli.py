@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import support_measure, support_runs
 from sparsebeam.cli import main
 from sparsebeam.config import ConfigError, load_config
 from sparsebeam.experiments import (
@@ -14,8 +15,6 @@ from sparsebeam.experiments import (
     run_locking,
     run_solve,
     run_sweep,
-    support_measure,
-    support_runs,
     write_rows_csv,
 )
 from sparsebeam.meshes import P0Field, build_uniform_mesh

@@ -15,18 +15,17 @@ from sparsebeam.fem import (
     LoadData,
     assemble_load,
     assemble_mixed_blocks,
-    assemble_stiffness,
     condense_mixed_system,
     control_load_matrix,
-    error_norms,
     p1_mass_matrix,
     recover_shear,
 )
 from sparsebeam.control import ControlParams
 from sparsebeam.meshes import Mesh1D, P0Field, P1Field, build_uniform_mesh, eval_p1
 from sparsebeam.problem import ControlProblem
+from manufactured import error_norms
 from reference import assemble_stiffness as coo_stiffness
-from reference import solve_state
+from reference import p1_interpolant, solve_state
 
 
 def analytic_constant_load(params, q=1.0):
@@ -73,7 +72,7 @@ class TestStiffness:
 
     def test_shape_symmetry_definiteness(self):
         for scheme in ("locking_free", "standard"):
-            K = assemble_stiffness(self.mesh, self.params, scheme)
+            K = BeamOperator(self.mesh, self.params, scheme).K
             m = 2 * (self.mesh.n - 1)
             assert K.shape == (m, m)
             dense = K.toarray()
@@ -81,30 +80,30 @@ class TestStiffness:
             assert np.min(np.linalg.eigvalsh(dense)) > 0
 
     def test_bandwidth_three(self):
-        K = assemble_stiffness(self.mesh, self.params).toarray()
+        K = BeamOperator(self.mesh, self.params).K.toarray()
         i, j = np.nonzero(K)
         assert np.max(np.abs(i - j)) <= 3
 
     def test_schemes_differ_only_in_rotation_block(self):
         # the shear quadrature choice touches only theta-theta couplings
-        d = (assemble_stiffness(self.mesh, self.params, "standard")
-             - assemble_stiffness(self.mesh, self.params, "locking_free")).toarray()
+        d = (BeamOperator(self.mesh, self.params, "standard").K
+             - BeamOperator(self.mesh, self.params, "locking_free").K).toarray()
         assert np.any(d != 0)
         assert np.all(d[0::2, :] == 0)
         assert np.all(d[:, 0::2] == 0)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
-            assemble_stiffness(self.mesh, self.params, "exotic")
+            BeamOperator(self.mesh, self.params, "exotic")
 
     def test_mesh_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            assemble_stiffness(build_uniform_mesh(4, 2.0), self.params)
+            BeamOperator(build_uniform_mesh(4, 2.0), self.params)
 
     @pytest.mark.parametrize("t", [1.0, 1e-2, 1e-3])
     def test_condensed_mixed_system_matches(self, t):
         params = BeamParams(E=1.3, t=t, kappa_override=0.9)
-        K = assemble_stiffness(self.mesh, params, "locking_free").toarray()
+        K = BeamOperator(self.mesh, params, "locking_free").K.toarray()
         Kc = condense_mixed_system(self.mesh, params)
         scale = np.max(np.abs(K))
         assert np.max(np.abs(K - Kc)) <= 1e-12 * scale
@@ -115,7 +114,7 @@ class TestStiffness:
     def test_diagonal_assembly_equals_coo_reference(self, n, grading, scheme, log_t, kappa):
         mesh = Mesh1D(np.linspace(0.0, 1.0, n + 1) ** grading)
         params = BeamParams(E=1.3, t=10.0**log_t, kappa_override=kappa)
-        K = assemble_stiffness(mesh, params, scheme)
+        K = BeamOperator(mesh, params, scheme).K
         K_ref = coo_stiffness(mesh, params, scheme)
         diff = K - K_ref
         diff.eliminate_zeros()
@@ -265,13 +264,13 @@ class TestStateSolve:
 class TestErrorNorms:
     def test_zero_for_identical_fields(self):
         mesh = build_uniform_mesh(6)
-        v = P1Field.from_callable(mesh, lambda x: np.sin(np.pi * x))
+        v = p1_interpolant(mesh, lambda x: np.sin(np.pi * x))
         out = error_norms((v, v), (v, v))
         assert out["l2_w"] == 0.0 and out["h1_theta"] == 0.0
 
     def test_field_and_callable_paths_agree(self):
         mesh = build_uniform_mesh(30)
-        w = P1Field.from_callable(mesh, lambda x: np.sin(np.pi * x))
+        w = p1_interpolant(mesh, lambda x: np.sin(np.pi * x))
         th = P1Field.zeros(mesh)
         zero = P1Field.zeros(mesh)
         by_field = error_norms((w, th), (zero, zero))
@@ -285,7 +284,7 @@ class TestErrorNorms:
 
     def test_h1_dominates_l2(self):
         mesh = build_uniform_mesh(12)
-        v = P1Field.from_callable(mesh, lambda x: x * (1 - x))
+        v = p1_interpolant(mesh, lambda x: x * (1 - x))
         out = error_norms((v, P1Field.zeros(mesh)), (P1Field.zeros(mesh), P1Field.zeros(mesh)))
         assert out["h1_w"] >= out["l2_w"]
 

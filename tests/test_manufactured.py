@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 import sympy as sym
 
-from manufactured import balanced_family, from_fields, sine_family
+from manufactured import balanced_family, error_norms, from_fields, sine_family
 from reference import solve_state
-from sparsebeam.fem import BeamParams, error_norms
+from sparsebeam.fem import BeamParams
 from sparsebeam.meshes import build_uniform_mesh
 
 

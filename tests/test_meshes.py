@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import l2_norm_p1, p1_interpolant
+from sparsebeam.control import ControlParams, discretize_bounds
 from sparsebeam.meshes import (
     GAUSS_2PT,
     Mesh1D,
@@ -16,9 +18,9 @@ from sparsebeam.meshes import (
     l2_diff_p0,
     l2_diff_p1,
     l2_norm_p0,
-    l2_norm_p1,
     p0_average,
     pi_h,
+    point_values,
     restrict_p0,
 )
 
@@ -70,7 +72,7 @@ class TestFields:
 
     def test_p1_from_callable_stamps_boundary(self):
         mesh = build_uniform_mesh(4)
-        v = P1Field.from_callable(mesh, lambda x: np.cos(x))  # cos(0) = 1
+        v = p1_interpolant(mesh, lambda x: np.cos(x))  # cos(0) = 1
         assert v.values[0] == 0.0 and v.values[-1] == 0.0
         assert v.values[1] == pytest.approx(np.cos(0.25))
 
@@ -119,6 +121,45 @@ class TestProjection:
         v = P1Field.from_interior(mesh, np.array([1.0, 3.0, 2.0]))
         assert np.allclose(p0_average(v).values, [0.5, 2.0, 2.5, 1.0])
 
+    def test_pi_h_averages_one_call_at_the_gauss_points(self):
+        # the projection is the Gauss rule applied to the callable's value on
+        # the (n, 2) array of points, bit for bit, from a single call
+        mesh = Mesh1D(np.array([0.0, 0.1, 0.35, 0.7, 1.0]))
+        calls = []
+
+        def fn(x):
+            calls.append(x.shape)
+            return np.exp(x) * np.sin(3.0 * x)
+
+        x = mesh.nodes[:-1, None] + mesh.element_sizes[:, None] * GAUSS_2PT.points[None, :]
+        expected = fn(x) @ GAUSS_2PT.weights
+        calls.clear()
+        assert np.array_equal(pi_h(fn, mesh).values, expected)
+        assert calls == [(4, 2)]
+
+    @pytest.mark.parametrize("fn", [
+        lambda x: x.mean(axis=-1) if np.ndim(x) else x,  # one value per element
+        lambda x: 1.0 if x < 0.5 else 2.0,  # scalar points only
+    ], ids=["per_element_shape", "scalar_only"])
+    def test_pi_h_rejects_callables_loads_reject(self, fn):
+        # pi_h evaluates callables as loads are evaluated, once on the (n, 2)
+        # points, so a bound and a load accept the same callables
+        mesh = build_uniform_mesh(4)
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return fn(x)
+
+        with pytest.raises(ValueError):
+            pi_h(counted, mesh)
+        assert len(calls) == 1
+        with pytest.raises(ValueError):
+            discretize_bounds(ControlParams(nu=1.0, eta=0.0, b=counted), mesh)
+        x = mesh.nodes[:-1, None] + mesh.element_sizes[:, None] * GAUSS_2PT.points[None, :]
+        with pytest.raises(ValueError):
+            point_values(counted, mesh, x)
+
     @given(st.integers(min_value=2, max_value=40), st.floats(-5, 5), st.floats(-5, 5))
     def test_pi_h_preserves_affine_mean(self, n, c0, c1):
         mesh = build_uniform_mesh(n)
@@ -152,7 +193,7 @@ class TestNorms:
 
     def test_l2_norm_p1_converges_to_smooth_value(self):
         mesh = build_uniform_mesh(400)
-        v = P1Field.from_callable(mesh, lambda x: np.sin(np.pi * x))
+        v = p1_interpolant(mesh, lambda x: np.sin(np.pi * x))
         assert l2_norm_p1(v) == pytest.approx(np.sqrt(0.5), rel=1e-4)
 
 
@@ -176,8 +217,8 @@ class TestCrossMeshDiffs:
         m1 = build_uniform_mesh(3)
         m2 = build_uniform_mesh(5)
         f = lambda x: np.where(x < 0.5, x, 1.0 - x) * 2.0  # hat at 0.5
-        a = P1Field.from_callable(m1, f)
-        b = P1Field.from_callable(m2, f)
+        a = p1_interpolant(m1, f)
+        b = p1_interpolant(m2, f)
         # both meshes contain the kink only if 0.5 is a node: m1 does not,
         # so just check symmetry and positivity here
         assert l2_diff_p1(a, b) == pytest.approx(l2_diff_p1(b, a))

@@ -1,5 +1,7 @@
 """Independent optimizers and the discrete gradient check."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg.blas import dsymv
@@ -16,7 +18,6 @@ from sparsebeam.oracles import (
     OracleConfig,
     ReducedQuadratic,
     _polish,
-    dense_kkt_solve,
     fd_gradient_check,
     prox_gradient_solve,
 )
@@ -59,13 +60,19 @@ def _count_symmetric_products(monkeypatch):
     return calls
 
 
+def _refuse_certificates(monkeypatch):
+    """Make every polish report no certificate, so prox_gradient_solve
+    runs its uncertified path."""
+    monkeypatch.setattr(oracles, "_polish", lambda rq, branches: (None, None, False))
+
+
 def _thin_problem():
     prob = toy_problem(n=80, nu=1e-6, t=1e-3)
     return prob.with_control(eta=0.3 * eta_threshold(prob))
 
 
 def _graded_problem():
-    prob = toy_problem(n=80, nu=1e-6).with_mesh(Mesh1D(np.linspace(0.0, 1.0, 81) ** 1.5))
+    prob = replace(toy_problem(n=80, nu=1e-6), mesh=Mesh1D(np.linspace(0.0, 1.0, 81) ** 1.5))
     return prob.with_control(eta=0.3 * eta_threshold(prob))
 
 
@@ -166,6 +173,8 @@ class TestProxGradient:
 
     @pytest.mark.parametrize("polish", [True, False])
     def test_one_dense_product_per_iteration(self, polish, monkeypatch):
+        if not polish:
+            _refuse_certificates(monkeypatch)
         prob = toy_problem(n=20, nu=1e-5)
         p = prob.with_control(eta=0.4 * eta_threshold(prob))
         reduced = p.system.reduced
@@ -175,7 +184,7 @@ class TestProxGradient:
         power = len(symmetric)
         symmetric.clear()
         _CountingMatrix.products = 0
-        res = prox_gradient_solve(p, OracleConfig(tol=0.0, max_iter=600, polish=polish))
+        res = prox_gradient_solve(p, OracleConfig(tol=0.0, max_iter=600))
         assert res.iterations >= _POLISH_EVERY and res.certified == polish
         # one symmetric product per FISTA iteration, after the power
         # iteration's, which stops well before its cap
@@ -210,12 +219,15 @@ class TestProxGradient:
         moved = prox_gradient_solve(other)
         assert moved.certified and np.array_equal(moved.u.values, res.u.values)
 
-    @pytest.mark.parametrize("config, certified, converged", [
-        (OracleConfig(), True, True),
-        (OracleConfig(tol=1e-6, polish=False), False, True),
-        (OracleConfig(tol=0.0, max_iter=_POLISH_EVERY + 37, polish=False), False, False),
+    @pytest.mark.parametrize("config, polish, certified, converged", [
+        (OracleConfig(), True, True, True),
+        (OracleConfig(tol=1e-6), False, False, True),
+        (OracleConfig(tol=0.0, max_iter=_POLISH_EVERY + 37), False, False, False),
     ], ids=["certified", "tolerance", "max_iter"])
-    def test_fixed_point_residual_describes_returned_point(self, config, certified, converged):
+    def test_fixed_point_residual_describes_returned_point(self, config, polish, certified,
+                                                           converged, monkeypatch):
+        if not polish:
+            _refuse_certificates(monkeypatch)
         prob = _thin_problem()
         res = prox_gradient_solve(prob, config)
         assert (res.certified, res.converged) == (certified, converged)
@@ -226,38 +238,33 @@ class TestProxGradient:
         tau = 1.0 / rq.lipschitz()
         assert res.fixed_point_residual == rq.fixed_point_residual(u, rq.T @ u, tau)
 
-    def test_uncertified_path_reports_flag(self):
+    def test_uncertified_path_reports_flag(self, monkeypatch):
+        _refuse_certificates(monkeypatch)
         prob = toy_problem(n=10, nu=1e-3)
-        res = prox_gradient_solve(prob, OracleConfig(max_iter=1, polish=False, tol=1e-16))
+        res = prox_gradient_solve(prob, OracleConfig(max_iter=1, tol=1e-16))
         assert not res.certified
 
 
 class TestDenseKKT:
+    """The oracle's certified point, the dense free-branch solve whose every
+    KKT inequality its polish verifies, against the Newton solver on small
+    instances."""
+
     def test_small_mesh_certifies(self):
         prob = toy_problem(n=15, nu=1e-5)
         p = prob.with_control(eta=0.35 * eta_threshold(prob))
-        dk = dense_kkt_solve(p)
-        assert dk.certified
+        orc = prox_gradient_solve(p)
+        assert orc.certified
         res = ssn_solve(p)
-        assert l2_diff_p0(res.u, dk.u) <= 1e-9
-
-    def test_builds_the_reduced_operator_once(self, monkeypatch):
-        calls = _count_multi_column_solves(monkeypatch)
-        prob = toy_problem(n=15, nu=1e-5)
-        assert dense_kkt_solve(prob.with_control(eta=0.35 * eta_threshold(prob))).certified
-        assert calls == [15, 15]
-
-    def test_large_mesh_refused(self):
-        with pytest.raises(ValueError):
-            dense_kkt_solve(toy_problem(n=40))
+        assert l2_diff_p0(res.u, orc.u) <= 1e-9
 
     def test_agrees_with_prox_on_bound_active_instance(self):
         prob = toy_problem(n=12, nu=1e-6, bound=5.0)  # bounds clip hard
-        dk = dense_kkt_solve(prob)
+        res = ssn_solve(prob)
         orc = prox_gradient_solve(prob, OracleConfig(tol=1e-13))
-        assert dk.certified and orc.certified
-        assert l2_diff_p0(dk.u, orc.u) <= 1e-9
-        assert np.max(np.abs(dk.u.values)) == pytest.approx(5.0)
+        assert res.converged and orc.certified
+        assert l2_diff_p0(res.u, orc.u) <= 1e-9
+        assert np.max(np.abs(res.u.values)) == pytest.approx(5.0)
 
 
 class TestGradientCheck:
@@ -272,7 +279,7 @@ class TestGradientCheck:
 
     def test_at_zero_control(self):
         prob = toy_problem(n=20, nu=1e-4)
-        assert fd_gradient_check(prob, prob.zero_control()) <= 1e-6
+        assert fd_gradient_check(prob, P0Field.zeros(prob.mesh)) <= 1e-6
 
     def test_default_step_on_saturated_thin_beam(self):
         # a step of 1e-5 leaves a cancellation error near 5e-5 here; the

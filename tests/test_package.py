@@ -1,5 +1,5 @@
-"""The package surface: a light import, resolvable __all__ lists and no
-unused imports."""
+"""The package surface: a light import, resolvable __all__ lists, no
+unused imports and no imports beyond the runtime dependencies."""
 import ast
 import importlib
 import pkgutil
@@ -56,3 +56,31 @@ def test_unused_import_check_flags_a_planted_import():
 @pytest.mark.parametrize("path", sorted((SRC / "sparsebeam").glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# what a module of the package may import: the standard library, the two
+# runtime dependencies of pyproject.toml and the package itself
+RUNTIME = set(sys.stdlib_module_names) | {"numpy", "scipy", "sparsebeam"}
+
+
+def imported_packages(source: str) -> set:
+    """Top-level packages a module imports; a relative import counts as
+    sparsebeam."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add("sparsebeam" if node.level else node.module.split(".")[0])
+    return found
+
+
+def test_import_check_flags_test_only_packages():
+    source = ("import scipy.sparse as sp\nfrom . import meshes\nimport pytest\n"
+              "from reference import residual\nfrom sympy import symbols\n")
+    assert sorted(imported_packages(source) - RUNTIME) == ["pytest", "reference", "sympy"]
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "sparsebeam").glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_runtime_dependencies(path):
+    assert sorted(imported_packages(path.read_text()) - RUNTIME) == []

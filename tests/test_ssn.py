@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from conftest import eta_threshold, toy_problem, zero_problem
-from reference import kkt_residual, pattern_system, residual
+from reference import (
+    kkt_residual,
+    p1_interpolant,
+    pattern_system,
+    residual,
+    variational_inequality_residual,
+)
 from sparsebeam import ssn
 from sparsebeam.config import build_problem, load_config
 from sparsebeam.control import (
@@ -24,13 +30,11 @@ from sparsebeam.control import (
     ControlParams,
     classify_branches,
     complementarity_values,
-    variational_inequality_residual,
 )
 from sparsebeam.fem import SCHEMES, BeamParams, LinearSolveError, LoadData
 from sparsebeam.meshes import (
     Mesh1D,
     P0Field,
-    P1Field,
     build_uniform_mesh,
     coarsen,
     l2_diff_p0,
@@ -211,7 +215,7 @@ class TestTermination:
         # continuation reseed must still reach the certified optimum
         prob = toy_problem(nu=nu, t=t)
         if graded:
-            prob = prob.with_mesh(Mesh1D(np.linspace(0.0, 1.0, prob.mesh.n + 1) ** 1.5))
+            prob = replace(prob, mesh=Mesh1D(np.linspace(0.0, 1.0, prob.mesh.n + 1) ** 1.5))
         prob = prob.with_control(eta=0.3 * eta_threshold(prob))
         res = ssn_solve(prob)
         assert res.converged
@@ -317,7 +321,7 @@ class TestWarmFirst:
     @pytest.mark.parametrize("grading", [1.0, 1.5], ids=["uniform", "graded"])
     def test_eta_ladder_matches_cold(self, grading):
         prob = toy_problem(n=40, nu=1e-8)
-        prob = prob.with_mesh(Mesh1D(np.linspace(0.0, 1.0, 41) ** grading))
+        prob = replace(prob, mesh=Mesh1D(np.linspace(0.0, 1.0, 41) ** grading))
         eta_star = eta_threshold(prob)
         prev = None
         for frac in (0.0, 0.12, 0.25, 0.37, 0.5, 0.63, 0.75, 0.88, 0.96, 1.05):
@@ -503,7 +507,7 @@ def _target(kind, mesh, fn):
         return fn
     if kind == "p0":
         return P0Field(mesh, fn(mesh.midpoints))
-    return P1Field.from_callable(mesh, fn)
+    return p1_interpolant(mesh, fn)
 
 
 class TestTargetKinds:
@@ -538,7 +542,7 @@ class TestPureL2:
     def test_cost_beats_zero_control(self):
         prob = toy_problem(nu=1e-5)
         res = ssn_solve(prob.with_control(eta=0.0))
-        assert prob.cost(res.u).total < prob.cost(prob.zero_control()).total
+        assert prob.cost(res.u).total < prob.cost(P0Field.zeros(prob.mesh)).total
 
 
 class TestResidualBlocks:
@@ -703,7 +707,7 @@ class TestBandedPatternSolve:
                                  LoadData(f=lambda x: 100.0 * np.sin(8.0 * np.pi * x)),
                                  ControlParams(nu=1e-6, eta=1e-5, a=-60.0, b=60.0))
         c = problem.control
-        pbar = problem.averaged_adjoint(problem.solve_state(problem.zero_control())).values
+        pbar = problem.averaged_adjoint(problem.solve_state(P0Field.zeros(problem.mesh))).values
         branches = classify_branches(pbar, *problem.bounds, c.nu, c.eta)
         calls = []
         dgbtrs = ssn.dgbtrs
