@@ -70,14 +70,17 @@ On a mesh of at least _NEST_MIN elements the solve is seeded by nested
 iteration.  It first solves the same problem on the mesh of every 16th
 node (P0 data restricted to h-weighted means), through ssn_solve, so a
 coarse mesh that is still large nests again.  The fine main loop then
-classifies its first pattern from the coarse z = mu + nu*u, each fine
-element taking the value of the coarse element that holds it, and without
-a u0 the prolonged coarse control is the reseed's first center.  The
-discrete controls converge at O(h) uniformly in the thickness, and
+classifies its first pattern from z = pbar of the coarse adjoint p,
+interpolated linearly at the fine nodes (exact at the coarse nodes, which
+are fine nodes) and averaged per fine element; without a u0 the coarse
+control, each fine element taking the value of the coarse element that
+holds it, is the reseed's first center.  The discrete controls and
+adjoints converge at the optimal order uniformly in the thickness, and
 semismooth Newton is mesh-independent (Hintermueller and Ulbrich, A
 mesh-independence result for semismooth Newton methods, Math. Program.
-2004), so the coarse pattern is nearly the fine one: the fine loop mostly
-ends after two pattern solves.  The seed changes only where the iteration
+2004), so the interpolated adjoint classifies the fine pattern: at
+nu = 1e-6 the fine loop ends after one pattern solve, its first pattern
+already the fixed point.  The seed changes only where the iteration
 starts.  A pattern's solve depends on the pattern alone, so a seeded solve
 that settles on the cold solve's pattern returns the same control, bit for
 bit.
@@ -104,7 +107,7 @@ from .control import (
     shrink,
 )
 from .fem import AdjointSolution, BeamOperator, LinearSolveError, StateSolution
-from .meshes import P0Field, coarsen, restrict_p0
+from .meshes import P0Field, P1Field, coarsen, p0_average, restrict_p0
 from .problem import ControlProblem
 
 __all__ = ["SSNConfig", "SSNResult", "ssn_solve"]
@@ -189,7 +192,8 @@ _CHUNK = 4096  # nodes of the band template written per pass over its blocks, a 
 # problem on the mesh of every _NEST_K-th node and classifies its first
 # pattern from that solve.  On the sine loads at nu = 1e-6 the nested solve
 # overtook the cold one between 1024 and 2048 elements; one power of two
-# above that it won on every load measured (crossover table in ROADMAP.md).
+# above that it won on every load measured (crossover table in ROADMAP.md,
+# measured with the older seed that injected the coarse z into each fine element).
 _NEST_MIN = 4096
 _NEST_K = 16
 
@@ -480,9 +484,11 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
         seed = ssn_solve(problem.restricted(coarse),
                          replace(config, u0=None if u0 is None else restrict_p0(u0, coarse)))
         coarse_iterations = seed.iterations + seed.coarse_iterations
-        owner = np.arange(mesh.n) // _NEST_K  # the coarse element holding each fine one
-        z0 = (seed.mu.values + nu * seed.u.values)[owner]
+        # the coarse adjoint, linear between the coarse nodes, averaged per fine element
+        z0 = p0_average(P1Field(mesh, np.interp(mesh.nodes, coarse.nodes,
+                                                seed.adjoint.p.values))).values
         if center is None:
+            owner = np.arange(mesh.n) // _NEST_K  # the coarse element holding each fine one
             center = seed.u.values[owner]
     ps = _PatternSolver(problem)
     s, a, b = ps.sys, ps.a, ps.b

@@ -259,14 +259,28 @@ class TestNestedSeed:
                              ids=["uniform", "graded", "n_not_multiple_of_16"])
     def test_nested_control_equals_cold(self, monkeypatch, nodes):
         # the seed moves only the start: the pattern a solve settles on, and
-        # so its control, are the cold solve's
+        # so its control, are the cold solve's; the prolonged coarse adjoint
+        # classifies that pattern first
         problem = _p0_problem(Mesh1D(nodes))
         nested = ssn_solve(problem)
         monkeypatch.setattr(ssn, "_NEST_MIN", problem.mesh.n + 1)
         cold = ssn_solve(problem)
         assert nested.converged and cold.converged
         assert nested.coarse_iterations > 0 and cold.coarse_iterations == 0
-        assert nested.iterations <= cold.iterations
+        assert nested.iterations == 1
+        assert np.array_equal(nested.u.values, cold.u.values)
+
+    @pytest.mark.parametrize("n, t", [(10_000, 1e-3), (25_000, 1e-2)])
+    def test_large_beam_takes_one_fine_solve(self, monkeypatch, n, t):
+        # the thin and the thick beam of the benchmark's large-n load
+        problem = ControlProblem(build_uniform_mesh(n), BeamParams(E=1.0, t=t),
+                                 LoadData(f=lambda x: 100 * np.sin(8 * np.pi * x)),
+                                 ControlParams(nu=1e-6, eta=1e-5, a=-60, b=60))
+        nested = ssn_solve(problem)
+        monkeypatch.setattr(ssn, "_NEST_MIN", n + 1)
+        cold = ssn_solve(problem)
+        assert nested.converged and cold.converged
+        assert nested.iterations == 1 and nested.coarse_iterations > 0
         assert np.array_equal(nested.u.values, cold.u.values)
 
     def test_small_weight_settles_in_few_fine_solves(self):
