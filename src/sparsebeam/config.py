@@ -11,7 +11,7 @@ Sections and keys (defaults in brackets):
     [study]     etas, thicknesses, mesh_sizes (comma lists), ref_factor [8]
 
 Numeric values accept plain fractions ("5/6").  Data entries use a small
-catalog:
+catalog, whose numbers must be finite:
 
     zero
     constant:VALUE
@@ -26,7 +26,8 @@ catalog:
 Unknown sections or keys are rejected, as are physically inadmissible
 values; errors raise ConfigError with the offending location in the
 message.  The beam, control and solver values are checked by the classes
-that hold them (BeamParams, ControlParams, SSNConfig).
+that hold them (BeamParams, ControlParams, SSNConfig); the length, which
+only the mesh holds, is checked here.
 """
 from __future__ import annotations
 
@@ -83,14 +84,11 @@ def _number_list(text: str, where: str) -> Tuple[float, ...]:
     return tuple(_number(p, where) for p in items)
 
 
-def _int_list(text: str, where: str) -> Tuple[int, ...]:
-    vals = _number_list(text, where)
-    out = []
-    for v in vals:
-        if v != int(v) or v < 2:
-            raise ConfigError(f"{where} must be integers >= 2, got {v}")
-        out.append(int(v))
-    return tuple(out)
+def _count(value: float, where: str) -> int:
+    """An element count or refinement factor: an integer of at least 2."""
+    if not (value >= 2 and value.is_integer()):
+        raise ConfigError(f"{where} takes integers >= 2, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -116,61 +114,59 @@ class RunConfig:
     base_dir: Optional[Path] = None  # resolves file: entries
 
 
-def _validate_spec(spec: str, where: str) -> str:
-    s = spec.strip()
-    head = s.split(":", 1)[0]
+def _parse_spec(spec: str, where: str):
+    """Split a data spec into its head and arguments: () for zero, the
+    finite numbers of constant and sine, the path text of file."""
+    head, colon, arg = spec.strip().partition(":")
     if head not in ("zero", "constant", "sine", "file"):
         raise ConfigError(f"{where}: unknown data spec {spec!r}")
     if head == "zero":
-        if s != "zero":
+        if colon:
             raise ConfigError(f"{where}: 'zero' takes no arguments")
-        return s
-    if ":" not in s or not s.split(":", 1)[1].strip():
+        return head, ()
+    if not arg.strip():
         raise ConfigError(f"{where}: {head} needs an argument")
-    if head == "constant":
-        _number(s.split(":", 1)[1], where)
-    elif head == "sine":
-        args = _number_list(s.split(":", 1)[1], where)
-        if len(args) not in (2, 3):
-            raise ConfigError(f"{where}: sine takes 2 or 3 numbers")
-    return s
+    if head == "file":
+        return head, arg.strip()
+    args = _number_list(arg, where) if head == "sine" else (_number(arg, where),)
+    if head == "sine" and len(args) not in (2, 3):
+        raise ConfigError(f"{where}: sine takes 2 or 3 numbers")
+    if not np.all(np.isfinite(args)):
+        raise ConfigError(f"{where}: {head} takes finite numbers, got {arg.strip()!r}")
+    return head, args
 
 
 def realize_field(spec: str, mesh, length: float, base_dir: Optional[Path] = None):
     """Turn a catalog string into load data on a concrete mesh."""
-    s = spec.strip()
-    if s == "zero":
+    head, args = _parse_spec(spec, "data")
+    if head == "zero":
         return 0.0
-    head, arg = s.split(":", 1)
     if head == "constant":
-        return _number(arg, spec)
+        return args[0]
     if head == "sine":
-        vals = _number_list(arg, spec)
-        amp, freq = vals[0], vals[1]
-        phase = vals[2] if len(vals) == 3 else 0.0
+        amp, freq = args[0], args[1]
+        phase = args[2] if len(args) == 3 else 0.0
         return lambda x: amp * np.sin(freq * np.pi * np.asarray(x) / length + phase)
-    if head == "file":
-        path = Path(arg.strip())
-        if not path.is_absolute() and base_dir is not None:
-            path = base_dir / path
-        try:
-            data = np.loadtxt(path, dtype=float, ndmin=2)
-        except OSError as exc:
-            raise ConfigError(f"cannot read field file {path}: {exc}") from exc
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise ConfigError(f"field file {path} must hold two columns: coordinate, value")
-        if not np.all(np.isfinite(data)):
-            raise ConfigError(f"field file {path} holds non-finite values")
-        coords, vals = data[:, 0], data[:, 1]
-        tol = 1e-9 * max(length, 1.0)
-        if vals.size == mesh.n and np.allclose(coords, mesh.midpoints, atol=tol):
-            return P0Field(mesh, vals.copy())
-        if np.any(np.diff(coords) <= 0):
-            raise ConfigError(f"field file {path} needs strictly increasing coordinates")
-        # nodal or foreign-grid samples: interpolate
-        c, v = coords.copy(), vals.copy()
-        return lambda x: np.interp(np.asarray(x, dtype=float), c, v)
-    raise ConfigError(f"unknown data spec {spec!r}")
+    path = Path(args)
+    if not path.is_absolute() and base_dir is not None:
+        path = base_dir / path
+    try:
+        data = np.loadtxt(path, dtype=float, ndmin=2)
+    except OSError as exc:
+        raise ConfigError(f"cannot read field file {path}: {exc}") from exc
+    if data.ndim != 2 or data.shape[1] != 2:
+        raise ConfigError(f"field file {path} must hold two columns: coordinate, value")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"field file {path} holds non-finite values")
+    coords, vals = data[:, 0], data[:, 1]
+    tol = 1e-9 * max(length, 1.0)
+    if vals.size == mesh.n and np.allclose(coords, mesh.midpoints, atol=tol):
+        return P0Field(mesh, vals.copy())
+    if np.any(np.diff(coords) <= 0):
+        raise ConfigError(f"field file {path} needs strictly increasing coordinates")
+    # nodal or foreign-grid samples: interpolate
+    c, v = coords.copy(), vals.copy()
+    return lambda x: np.interp(np.asarray(x, dtype=float), c, v)
 
 
 def load_config(path) -> RunConfig:
@@ -194,11 +190,10 @@ def load_config(path) -> RunConfig:
 
     if not cp.has_option("geometry", "n"):
         raise ConfigError("[geometry] n is required")
-    n_val = _number(cp.get("geometry", "n"), "[geometry] n")
-    if n_val != int(n_val) or n_val < 2:
-        raise ConfigError("[geometry] n must be an integer >= 2")
-    n = int(n_val)
+    n = _count(_number(cp.get("geometry", "n"), "[geometry] n"), "[geometry] n")
     length = _number(get("geometry", "length", "1.0"), "[geometry] length")
+    if not (0 < length < np.inf):
+        raise ConfigError(f"[geometry] length must be positive and finite, got {length}")
 
     kw = {}
     if cp.has_option("material", "kappa_override"):
@@ -209,7 +204,6 @@ def load_config(path) -> RunConfig:
             t=_number(get("material", "thickness", "0.01"), "[material] thickness"),
             k=_number(get("material", "shear_correction", "5/6"), "[material] shear_correction"),
             poisson=_number(get("material", "poisson", "0.35"), "[material] poisson"),
-            L=length,
             **kw,
         )
     except ValueError as exc:
@@ -230,7 +224,8 @@ def load_config(path) -> RunConfig:
 
     specs = {}
     for key in ("f", "g", "w_d"):
-        specs[key] = _validate_spec(get("data", key, "zero"), f"[data] {key}")
+        specs[key] = get("data", key, "zero").strip()
+        _parse_spec(specs[key], f"[data] {key}")
 
     scheme = get("solver", "scheme", LOCKING_FREE)
     if scheme not in SCHEMES:
@@ -247,19 +242,19 @@ def load_config(path) -> RunConfig:
     study_kw = {}
     if cp.has_option("study", "etas"):
         study_kw["etas"] = _number_list(cp.get("study", "etas"), "[study] etas")
-        if any(e < 0 for e in study_kw["etas"]):
-            raise ConfigError("[study] etas must be nonnegative")
+        if not all(0 <= e < np.inf for e in study_kw["etas"]):
+            raise ConfigError("[study] etas must be nonnegative and finite")
     if cp.has_option("study", "thicknesses"):
         study_kw["thicknesses"] = _number_list(cp.get("study", "thicknesses"), "[study] thicknesses")
         if any(not (0 < t <= 1) for t in study_kw["thicknesses"]):
             raise ConfigError("[study] thicknesses must lie in (0, 1]")
     if cp.has_option("study", "mesh_sizes"):
-        study_kw["mesh_sizes"] = _int_list(cp.get("study", "mesh_sizes"), "[study] mesh_sizes")
+        where = "[study] mesh_sizes"
+        study_kw["mesh_sizes"] = tuple(_count(v, where)
+                                       for v in _number_list(cp.get("study", "mesh_sizes"), where))
     if cp.has_option("study", "ref_factor"):
-        rf = _number(cp.get("study", "ref_factor"), "[study] ref_factor")
-        if rf != int(rf) or rf < 2:
-            raise ConfigError("[study] ref_factor must be an integer >= 2")
-        study_kw["ref_factor"] = int(rf)
+        where = "[study] ref_factor"
+        study_kw["ref_factor"] = _count(_number(cp.get("study", "ref_factor"), where), where)
 
     return RunConfig(
         n=n,
@@ -275,21 +270,18 @@ def load_config(path) -> RunConfig:
 
 
 def build_problem(cfg: RunConfig, n: Optional[int] = None, thickness: Optional[float] = None,
-                  scheme: Optional[str] = None, loads: Optional[LoadData] = None) -> ControlProblem:
+                  scheme: Optional[str] = None) -> ControlProblem:
     """Materialize a problem from a config, with per-study overrides."""
-    n_eff = n if n is not None else cfg.n
-    mesh = build_uniform_mesh(n_eff, cfg.length)
+    mesh = build_uniform_mesh(n if n is not None else cfg.n, cfg.length)
     beam = cfg.beam if thickness is None else replace(cfg.beam, t=thickness)
-    if loads is None:
-        loads = LoadData(
-            f=realize_field(cfg.f, mesh, cfg.length, cfg.base_dir),
-            g=realize_field(cfg.g, mesh, cfg.length, cfg.base_dir),
-            w_d=realize_field(cfg.w_d, mesh, cfg.length, cfg.base_dir),
-        )
     return ControlProblem(
         mesh=mesh,
         beam=beam,
-        loads=loads,
+        loads=LoadData(
+            f=realize_field(cfg.f, mesh, cfg.length, cfg.base_dir),
+            g=realize_field(cfg.g, mesh, cfg.length, cfg.base_dir),
+            w_d=realize_field(cfg.w_d, mesh, cfg.length, cfg.base_dir),
+        ),
         control=cfg.control,
         scheme=scheme if scheme is not None else cfg.scheme,
     )

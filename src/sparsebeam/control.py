@@ -58,9 +58,9 @@ BRANCH_LOWER = -2  # u = a, mu <= -eta
 class ControlParams:
     """Control weights and box bounds.
 
-    nu > 0 is the quadratic weight, eta >= 0 the sparsity weight; a <= 0 <= b
-    are the bounds (constants, callables, or P0 fields), enforced elementwise
-    after projection onto piecewise constants.
+    nu > 0 is the quadratic weight, eta >= 0 the sparsity weight, both
+    finite; a <= 0 <= b are the bounds (constants, callables, or P0 fields),
+    enforced elementwise after projection onto piecewise constants.
     """
 
     nu: float
@@ -69,15 +69,16 @@ class ControlParams:
     b: BoundData = np.inf
 
     def __post_init__(self):
-        if not (self.nu > 0):
-            raise ValueError("nu must be positive")
-        if not (self.eta >= 0):
-            raise ValueError("eta must be nonnegative")
+        if not (0 < self.nu < np.inf):
+            raise ValueError("nu must be positive and finite")
+        if not (0 <= self.eta < np.inf):
+            raise ValueError("eta must be nonnegative and finite")
         # infinite constant bounds are allowed (unconstrained side); sign
-        # checks for non-constant bounds happen at discretization time
-        if np.isscalar(self.a) and self.a > 0:
+        # checks for non-constant bounds happen at discretization time.  The
+        # negated form rejects NaN, which fails every comparison
+        if np.isscalar(self.a) and not (self.a <= 0):
             raise ValueError("a must satisfy a <= 0")
-        if np.isscalar(self.b) and self.b < 0:
+        if np.isscalar(self.b) and not (self.b >= 0):
             raise ValueError("b must satisfy b >= 0")
 
 
@@ -92,7 +93,7 @@ def discretize_bounds(params: ControlParams, mesh: Mesh1D):
 
     a = proj(params.a)
     b = proj(params.b)
-    if np.any(a > 0) or np.any(b < 0):
+    if not (np.all(a <= 0) and np.all(b >= 0)):  # NaN fails both
         raise ValueError("discretized bounds must satisfy a <= 0 <= b elementwise")
     return a, b
 

@@ -19,14 +19,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, build_problem
 from .fem import LOCKING_FREE, SCHEMES
-from .meshes import (
-    P0Field,
-    P1Field,
-    build_uniform_mesh,
-    l2_diff_p0,
-    l2_diff_p1,
-    l2_norm_p0,
-)
+from .meshes import l2_diff_p0, l2_diff_p1, l2_norm_p0
 from .ssn import SSNResult, ssn_solve
 
 __all__ = [
@@ -184,45 +177,44 @@ def run_sweep(cfg: RunConfig) -> List[Dict]:
 
 # ------------------------------------------------------------- grids
 
-def _control_cell(args) -> Dict:
-    """Worker: solve the control problem for one (scheme, thickness, n) cell."""
-    cfg, scheme, thickness, n = args
-    problem = build_problem(cfg, n=n, thickness=thickness, scheme=scheme)
-    res = ssn_solve(problem, cfg.solver)
-    return {
-        "scheme": scheme,
-        "thickness": thickness,
-        "n": n,
-        "u": res.u.values,
-        "w": res.state.w.values,
-        "p": res.adjoint.p.values,
-        "iterations": res.iterations,
-        "stop_reason": res.stop_reason,
-        "converged": res.converged,
-    }
+def _solve_cell(cell: Tuple) -> SSNResult:
+    """Worker: solve the control problem of one (cfg, scheme, thickness, n) cell."""
+    cfg, scheme, thickness, n = cell
+    return ssn_solve(build_problem(cfg, n=n, thickness=thickness, scheme=scheme), cfg.solver)
 
 
-def _run_cells(cells: List[Tuple], jobs: int) -> List[Dict]:
+def _grid_rows(cfg: RunConfig, schemes: Sequence[str], thicknesses: Sequence[float],
+               jobs: int) -> List[Dict]:
+    """Control, state and adjoint errors of every (scheme, thickness, n) cell
+    against the locking-free solve of its thickness at ref_factor times the
+    largest n, sorted by cell.  jobs > 1 solves the cells in that many
+    processes."""
+    study = cfg.study
+    n_ref = study.ref_factor * max(study.mesh_sizes)
+    refs = [(cfg, LOCKING_FREE, t, n_ref) for t in thicknesses]
+    cells = [(cfg, s, t, n) for s in schemes for t in thicknesses for n in study.mesh_sizes]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_control_cell, cells))
-    return [_control_cell(c) for c in cells]
-
-
-def _cell_errors(cell: Dict, cfg: RunConfig, ref: Dict) -> Dict:
-    mesh = build_uniform_mesh(cell["n"], cfg.length)
-    ref_mesh = build_uniform_mesh(ref["n"], cfg.length)
-    u = P0Field(mesh, cell["u"])
-    u_ref = P0Field(ref_mesh, ref["u"])
-    w = P1Field(mesh, cell["w"])
-    w_ref = P1Field(ref_mesh, ref["w"])
-    p = P1Field(mesh, cell["p"])
-    p_ref = P1Field(ref_mesh, ref["p"])
-    return {
-        "control_error": l2_diff_p0(u, u_ref),
-        "state_error": l2_diff_p1(w, w_ref),
-        "adjoint_error": l2_diff_p1(p, p_ref),
-    }
+            results = list(pool.map(_solve_cell, refs + cells))
+    else:
+        results = [_solve_cell(c) for c in refs + cells]
+    ref = dict(zip(thicknesses, results))
+    rows = []
+    for (_, scheme, t, n), res in zip(cells, results[len(refs):]):
+        rows.append({
+            "scheme": scheme,
+            "thickness": t,
+            "n": n,
+            "h": cfg.length / n,
+            "control_error": l2_diff_p0(res.u, ref[t].u),
+            "state_error": l2_diff_p1(res.state.w, ref[t].state.w),
+            "adjoint_error": l2_diff_p1(res.adjoint.p, ref[t].adjoint.p),
+            "iterations": res.iterations,
+            "stop_reason": res.stop_reason,
+            "converged": res.converged,
+        })
+    rows.sort(key=lambda r: (r["scheme"], r["thickness"], r["n"]))
+    return rows
 
 
 LOCKING_COLUMNS = ("scheme", "thickness", "n", "h", "control_error",
@@ -235,34 +227,7 @@ def run_locking(cfg: RunConfig, jobs: int = 1) -> List[Dict]:
     study = cfg.study
     if not study.thicknesses or not study.mesh_sizes:
         raise ConfigError("[study] thicknesses and mesh_sizes are required for a locking study")
-    n_ref = study.ref_factor * max(study.mesh_sizes)
-    refs = {
-        t: _control_cell((cfg, LOCKING_FREE, t, n_ref))
-        for t in study.thicknesses
-    }
-    cells = [
-        (cfg, scheme, t, n)
-        for scheme in SCHEMES
-        for t in study.thicknesses
-        for n in study.mesh_sizes
-    ]
-    results = _run_cells(cells, jobs)
-    rows = []
-    for cell in results:
-        err = _cell_errors(cell, cfg, refs[cell["thickness"]])
-        rows.append({
-            "scheme": cell["scheme"],
-            "thickness": cell["thickness"],
-            "n": cell["n"],
-            "h": cfg.length / cell["n"],
-            "control_error": err["control_error"],
-            "state_error": err["state_error"],
-            "iterations": cell["iterations"],
-            "stop_reason": cell["stop_reason"],
-            "converged": cell["converged"],
-        })
-    rows.sort(key=lambda r: (r["scheme"], r["thickness"], r["n"]))
-    return rows
+    return _grid_rows(cfg, SCHEMES, study.thicknesses, jobs)
 
 
 CONVERGENCE_COLUMNS = ("n", "h", "control_error", "state_error",
@@ -272,32 +237,13 @@ CONVERGENCE_COLUMNS = ("n", "h", "control_error", "state_error",
 def run_convergence(cfg: RunConfig, jobs: int = 1):
     """Control/state/adjoint errors against a locking-free fine-mesh
     reference, plus fitted log-log slopes.  Returns (rows, slopes)."""
-    study = cfg.study
-    if not study.mesh_sizes:
+    if not cfg.study.mesh_sizes:
         raise ConfigError("[study] mesh_sizes is required for a convergence study")
-    n_ref = study.ref_factor * max(study.mesh_sizes)
-    ref = _control_cell((cfg, LOCKING_FREE, cfg.beam.t, n_ref))
-    cells = [(cfg, cfg.scheme, cfg.beam.t, n) for n in study.mesh_sizes]
-    results = _run_cells(cells, jobs)
-    rows = []
-    for cell in results:
-        err = _cell_errors(cell, cfg, ref)
-        rows.append({
-            "n": cell["n"],
-            "h": cfg.length / cell["n"],
-            "control_error": err["control_error"],
-            "state_error": err["state_error"],
-            "adjoint_error": err["adjoint_error"],
-            "iterations": cell["iterations"],
-            "stop_reason": cell["stop_reason"],
-            "converged": cell["converged"],
-        })
-    rows.sort(key=lambda r: r["n"])
+    rows = _grid_rows(cfg, (cfg.scheme,), (cfg.beam.t,), jobs)
     hs = [r["h"] for r in rows]
     slopes = {
-        "control": fit_rate(hs, [r["control_error"] for r in rows]),
-        "state": fit_rate(hs, [r["state_error"] for r in rows]),
-        "adjoint": fit_rate(hs, [r["adjoint_error"] for r in rows]),
+        q: fit_rate(hs, [r[f"{q}_error"] for r in rows])
+        for q in ("control", "state", "adjoint")
     }
     return rows, slopes
 

@@ -57,12 +57,11 @@ class LinearSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class BeamParams:
-    """Material and geometry constants.
+    """Material constants and the thickness; the beam length is the mesh's.
 
     E : Young modulus.  t : thickness.  k : shear correction factor.
     poisson : Poisson ratio, sets G = E / (2 (1 + poisson)).
     kappa_override : replaces kappa = k * G when given.
-    L : beam length; must match the mesh the params are used with.
     """
 
     E: float = 1.44e9
@@ -70,7 +69,6 @@ class BeamParams:
     k: float = 5.0 / 6.0
     poisson: float = 0.35
     kappa_override: Optional[float] = None
-    L: float = 1.0
 
     def __post_init__(self):
         if not (self.E > 0):
@@ -81,8 +79,6 @@ class BeamParams:
             raise ValueError("k must lie in (0, 1)")
         if not (0 <= self.poisson < 0.5):
             raise ValueError("poisson must lie in [0, 0.5)")
-        if not (self.L > 0):
-            raise ValueError("L must be positive")
         if self.kappa is not None and not (self.kappa > 0):
             raise ValueError("kappa must be positive")
 
@@ -123,11 +119,6 @@ class StateSolution:
 class AdjointSolution:
     p: P1Field
     q: P1Field
-
-
-def _check_mesh_params(mesh: Mesh1D, params: BeamParams) -> None:
-    if abs(mesh.length - params.L) > 1e-12 * max(params.L, 1.0):
-        raise ValueError("BeamParams.L does not match the mesh length")
 
 
 def _scheme_check(scheme: str) -> None:
@@ -222,7 +213,6 @@ def _load_component(data: ScalarData, mesh: Mesh1D) -> np.ndarray:
 
 def assemble_load(mesh: Mesh1D, params: BeamParams, f_plus_u: ScalarData, g: ScalarData) -> np.ndarray:
     """Interior load vector: int (f+u) v on w-dofs, (t^2/12) int g beta on theta-dofs."""
-    _check_mesh_params(mesh, params)
     Fw = _load_component(f_plus_u, mesh)
     Fg = _load_component(g, mesh)
     m = 2 * (mesh.n - 1)
@@ -268,7 +258,6 @@ class BeamOperator:
     """
 
     def __init__(self, mesh: Mesh1D, params: BeamParams, scheme: str = LOCKING_FREE):
-        _check_mesh_params(mesh, params)
         _scheme_check(scheme)
         self.mesh = mesh
         self.params = params
@@ -300,7 +289,6 @@ def _interleave(a: P1Field, b: P1Field) -> np.ndarray:
 
 def recover_shear(mesh: Mesh1D, params: BeamParams, w: P1Field, theta: P1Field) -> P0Field:
     """Elementwise shear force gamma = (kappa/t^2) (dw/dx - mean(theta))."""
-    _check_mesh_params(mesh, params)
     dw = np.diff(w.values) / mesh.element_sizes
     tbar = 0.5 * (theta.values[:-1] + theta.values[1:])
     return P0Field(mesh, (params.kappa / params.t**2) * (dw - tbar))
@@ -317,7 +305,6 @@ def assemble_mixed_blocks(mesh: Mesh1D, params: BeamParams):
       Mg : diagonal P0 mass, so the shear equation reads
            (t^2/kappa) Mg gamma = C^T [w; theta].
     """
-    _check_mesh_params(mesh, params)
     n = mesh.n
     m = 2 * (n - 1)
     h = mesh.element_sizes

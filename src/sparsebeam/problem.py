@@ -117,8 +117,6 @@ class ControlProblem:
 
     def __post_init__(self):
         _scheme_check(self.scheme)
-        if abs(self.beam.L - self.mesh.length) > 1e-12 * self.beam.L:
-            raise ValueError("mesh length does not match beam length L")
         discretize_bounds(self.control, self.mesh)  # validates a <= 0 <= b
 
     @cached_property

@@ -40,6 +40,7 @@ class ManufacturedCase:
 
     name: str
     params: BeamParams
+    length: float
     w: Callable[[np.ndarray], np.ndarray]
     theta: Callable[[np.ndarray], np.ndarray]
     w_x: Callable[[np.ndarray], np.ndarray]
@@ -62,15 +63,15 @@ def _lambdify(expr, x):
     return call
 
 
-def from_fields(w_expr, theta_expr, x, params: BeamParams, name: str = "custom") -> ManufacturedCase:
-    """Derive loads for prescribed sympy fields w(x), theta(x).
+def from_fields(w_expr, theta_expr, x, params: BeamParams, L: float = 1.0,
+                name: str = "custom") -> ManufacturedCase:
+    """Derive loads for prescribed sympy fields w(x), theta(x) on (0, L).
 
     The fields must vanish at x = 0 and x = L (clamped ends); this is
     checked symbolically.
     """
-    L = sym.nsimplify(params.L, rational=False)
     for expr in (w_expr, theta_expr):
-        for endpoint in (0, L):
+        for endpoint in (0, sym.nsimplify(L, rational=False)):
             val = sym.simplify(expr.subs(x, endpoint))
             if sym.simplify(val) != 0:
                 raise ValueError(f"manufactured field does not vanish at x = {endpoint}")
@@ -82,6 +83,7 @@ def from_fields(w_expr, theta_expr, x, params: BeamParams, name: str = "custom")
     return ManufacturedCase(
         name=name,
         params=params,
+        length=L,
         w=_lambdify(w_expr, x),
         theta=_lambdify(theta_expr, x),
         w_x=_lambdify(sym.diff(w_expr, x), x),
@@ -92,16 +94,15 @@ def from_fields(w_expr, theta_expr, x, params: BeamParams, name: str = "custom")
     )
 
 
-def sine_family(params: BeamParams) -> ManufacturedCase:
+def sine_family(params: BeamParams, L: float = 1.0) -> ManufacturedCase:
     """w = sin(pi x / L), theta = (pi/L) sin(pi x/L) cos(pi x/L)."""
     x = sym.symbols("x")
-    L = params.L
     w = sym.sin(sym.pi * x / L)
     theta = (sym.pi / L) * sym.sin(sym.pi * x / L) * sym.cos(sym.pi * x / L)
-    return from_fields(w, theta, x, params, name="sine")
+    return from_fields(w, theta, x, params, L, name="sine")
 
 
-def balanced_family(params: BeamParams) -> ManufacturedCase:
+def balanced_family(params: BeamParams, L: float = 1.0) -> ManufacturedCase:
     """Thickness-robust fields built from W = sin^2(pi x / L).
 
     With theta = W' + (E t^2 / (12 kappa)) W''' the shear force equals
@@ -109,11 +110,10 @@ def balanced_family(params: BeamParams) -> ManufacturedCase:
     g = -(E^2/(12 kappa)) W''''', both independent of t.
     """
     x = sym.symbols("x")
-    L = params.L
     W = sym.sin(sym.pi * x / L) ** 2
     E, t, kappa = params.E, params.t, params.kappa
     theta = sym.diff(W, x) + (E * t**2 / (12 * kappa)) * sym.diff(W, x, 3)
-    return from_fields(W, theta, x, params, name="balanced")
+    return from_fields(W, theta, x, params, L, name="balanced")
 
 
 def error_norms(a, b, b_derivatives=None) -> dict:

@@ -109,11 +109,20 @@ ref_factor = 4
         (MINIMAL + "[data]\nf = ramp: 1\n", "unknown data spec"),
         (MINIMAL + "[data]\nf = zero: 3\n", "takes no arguments"),
         (MINIMAL + "[study]\netas = 1e-5, -2e-5\n", "nonnegative"),
+        (MINIMAL + "[study]\netas = 0, nan\n", "[study] etas"),
         (MINIMAL + "[study]\nmesh_sizes = 16, 2.5\n", "integers"),
         (MINIMAL + "[study]\nmesh_sizes = 1, 16\n", "[study] mesh_sizes"),
         (MINIMAL + "[study]\nfamily = cubic\n", "unknown key 'family'"),
         (MINIMAL + "[study]\nref_factor = 1\n", "ref_factor"),
         ("[geometry]\nn = 16\n\n[control]\nnu = 1\neta = 0\nlower = 0.5\n", "[control]"),
+        ("[geometry]\nn = 16\n\n[control]\nnu = 1\neta = inf\n", "[control]"),
+        ("[geometry]\nn = 16\n\n[control]\nnu = 1\neta = 0\nupper = nan\n", "[control]"),
+        ("[geometry]\nn = 16\n\n[control]\nnu = 1\neta = 0\nlower = nan\n", "[control]"),
+        ("[geometry]\nn = 16\nlength = -1\n\n[control]\nnu = 1\neta = 0\n", "[geometry] length"),
+        ("[geometry]\nn = 16\nlength = inf\n\n[control]\nnu = 1\neta = 0\n", "[geometry] length"),
+        ("[geometry]\nn = nan\n\n[control]\nnu = 1\neta = 0\n", "[geometry] n"),
+        (MINIMAL + "[data]\nf = constant: nan\n", "[data] f: constant takes finite numbers"),
+        (MINIMAL + "[data]\ng = sine: inf, 2\n", "[data] g: sine takes finite numbers"),
     ])
     def test_located_errors(self, tmp_path, body, fragment):
         with pytest.raises(ConfigError) as exc:

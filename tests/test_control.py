@@ -38,6 +38,9 @@ class TestParams:
             ControlParams(nu=0.0, eta=0.0)
         with pytest.raises(ValueError):
             ControlParams(nu=1.0, eta=-1.0)
+        for weights in (dict(nu=np.inf, eta=0.0), dict(nu=1.0, eta=np.inf)):
+            with pytest.raises(ValueError):  # the cost would read inf * 0 = nan
+                ControlParams(**weights)
         with pytest.raises(ValueError):
             ControlParams(nu=1.0, eta=0.0, a=0.5)
         with pytest.raises(ValueError):
@@ -58,6 +61,19 @@ class TestParams:
         bad = ControlParams(nu=1.0, eta=0.0, a=lambda x: x - 0.5)  # positive right half
         with pytest.raises(ValueError):
             discretize_bounds(bad, mesh)
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_nan_bounds_rejected(self, side):
+        # NaN fails every comparison, so a sign test written as "a > 0"
+        # passes it and the solve "converges" to a NaN control
+        with pytest.raises(ValueError):
+            ControlParams(nu=1.0, eta=0.0, **{side: np.nan})
+        mesh = build_uniform_mesh(4)
+        values = np.full(4, -1.0 if side == "a" else 1.0)
+        values[2] = np.nan
+        p = ControlParams(nu=1.0, eta=0.0, **{side: P0Field(mesh, values)})
+        with pytest.raises(ValueError):
+            discretize_bounds(p, mesh)
 
 
 class TestShrink:

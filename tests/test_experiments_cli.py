@@ -187,6 +187,12 @@ class TestGridStudies:
         errs = [r["control_error"] for r in rows]
         assert errs[0] > errs[1]  # finer mesh, smaller error
 
+    def test_process_pool_gives_the_serial_rows(self, tmp_path):
+        # each worker returns its cell's whole SSNResult to the parent
+        cfg = load_config(write_config(tmp_path, TOY.format(eta="1e-4") + GRID))
+        assert run_locking(cfg, jobs=2) == run_locking(cfg, jobs=1)
+        assert run_convergence(cfg, jobs=2) == run_convergence(cfg, jobs=1)
+
 
 class TestCLI:
     def test_solve_roundtrip_exit_zero(self, tmp_path, capsys):
@@ -263,6 +269,22 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 1
         assert "configuration error:" in err and "data.dat" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("line,bad,where", [
+        ("upper = 15", "upper = nan", "[control]"),
+        ("lower = -15", "lower = nan", "[control]"),
+        ("f = sine: 40, 2", "f = constant: nan", "[data] f"),
+        ("f = sine: 40, 2", "f = sine: inf, 2", "[data] f"),
+    ], ids=["nan-upper", "nan-lower", "nan-constant", "inf-sine"])
+    def test_nonfinite_config_values_exit_one(self, tmp_path, capsys, line, bad, where):
+        # caught when the config is read, not as a NaN control that reads
+        # "converged" or a traceback from inside the solve
+        path = write_config(tmp_path, TOY.format(eta="1e-4").replace(line, bad))
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error:") and where in err
+        assert not (tmp_path / "r").exists()
 
     def test_convergence_command_writes_both_files(self, tmp_path):
         path = write_config(tmp_path, TOY.format(eta="1e-4") + GRID)

@@ -28,8 +28,8 @@ from reference import assemble_stiffness as coo_stiffness
 from reference import p1_interpolant, solve_state
 
 
-def analytic_constant_load(params, q=1.0):
-    """Closed-form clamped solution under constant transverse load q.
+def analytic_constant_load(params, q=1.0, L=1.0):
+    """Closed-form clamped solution on (0, L) under constant transverse load q.
 
     With EI = E/12 and ks = kappa/t^2:
         theta(x) = q x (L - x)(L - 2x) / (12 EI),
@@ -38,7 +38,6 @@ def analytic_constant_load(params, q=1.0):
     """
     EI = params.E / 12.0
     ks = params.kappa / params.t**2
-    L = params.L
     w = lambda x: q * x**2 * (L - x) ** 2 / (24 * EI) + q * x * (L - x) / (2 * ks)
     theta = lambda x: q * x * (L - x) * (L - 2 * x) / (12 * EI)
     shear = lambda x: q * (L / 2 - x)
@@ -57,7 +56,7 @@ class TestBeamParams:
 
     @pytest.mark.parametrize("kwargs", [
         dict(E=0.0), dict(t=0.0), dict(t=1.5), dict(k=1.0), dict(k=0.0),
-        dict(poisson=0.5), dict(poisson=-0.1), dict(L=0.0),
+        dict(poisson=0.5), dict(poisson=-0.1),
         dict(kappa_override=-1.0),
     ])
     def test_validation(self, kwargs):
@@ -95,10 +94,6 @@ class TestStiffness:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             BeamOperator(self.mesh, self.params, "exotic")
-
-    def test_mesh_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            BeamOperator(build_uniform_mesh(4, 2.0), self.params)
 
     @pytest.mark.parametrize("t", [1.0, 1e-2, 1e-3])
     def test_condensed_mixed_system_matches(self, t):

@@ -10,7 +10,7 @@ from sparsebeam.meshes import build_uniform_mesh
 
 
 def solve_case(case, n):
-    mesh = build_uniform_mesh(n, case.params.L)
+    mesh = build_uniform_mesh(n, case.length)
     st = solve_state(mesh, case.params, case.loads())
     return mesh, error_norms(
         (st.w, st.theta), (case.w, case.theta), b_derivatives=(case.w_x, case.theta_x)

@@ -22,13 +22,6 @@ from sparsebeam.meshes import (
 from sparsebeam.problem import ControlProblem
 
 
-def test_mesh_length_must_match_beam():
-    mesh = build_uniform_mesh(4, 2.0)
-    with pytest.raises(ValueError):
-        ControlProblem(mesh=mesh, beam=BeamParams(L=1.0), loads=LoadData(),
-                       control=ControlParams(nu=1.0, eta=0.0))
-
-
 def test_bounds_validated_at_construction():
     mesh = build_uniform_mesh(4)
     with pytest.raises(ValueError):
