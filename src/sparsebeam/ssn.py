@@ -25,10 +25,11 @@ OptimalitySystem.  Each pattern system is solved by one LAPACK banded LU
 interleaved with the (w, theta, p, q) unknowns of the interior nodes -- the
 element-local blocks give a band of 7 sub- and 6 superdiagonals at every
 mesh size, thickness and grading.  Controls off the free branches keep
-their slots as decoupled unit rows, so the band layout never changes; its
-pattern-independent part is written once per solve, on the first pattern
-with a free element, straight from the diagonals of the stiffness and the
-tracking mass, and one band storage is refilled for every pattern.
+their slots as decoupled unit rows, so the band layout never changes.  Each
+pattern's band is written straight into the LAPACK band storage, element by
+element from the diagonals of the stiffness and the tracking mass; that
+storage is allocated once per solve, on the first pattern with a free
+element, and is rewritten for every pattern.
 The stiffness carries the 1/t^2 shear scale, so its rows differ in size by
 orders of magnitude; each state and adjoint row is scaled by a power of two
 that brings its stiffness part to max-norm in [1/2, 1), exactly and once per
@@ -87,6 +88,7 @@ bit.
 """
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -186,7 +188,9 @@ class SSNResult:
 _KL, _KU = 7, 6
 _DIAG = _KL + _KU  # band row of the main diagonal in LAPACK band storage
 _SLOTS = 5  # slots per element: its control and its right end node
-_CHUNK = 4096  # nodes of the band template written per pass over its blocks, a 2.3 MB slice
+# elements per pass of the band writer, an 860 kB slice of the storage: at n = 1e5,
+# 512 to 2,048 measured alike and 4,096 and up slower (Xeon, 2 MB of L2 per core)
+_CHUNK = 1024
 
 # Nested iteration: a solve on at least _NEST_MIN elements first solves the
 # problem on the mesh of every _NEST_K-th node and classifies its first
@@ -209,18 +213,21 @@ _TAU_DOWN = 0.25  # after a settled stage: towards the true weight
 class _PatternBand:
     """Banded LU of the coupled system of one branch pattern.
 
-    Its pattern-independent part, [[K, 0], [Mt, K]] on the state and
-    adjoint slots, is written once into a template from the upper bands of
-    K and Mt, one strided slice per diagonal and column parity; a pattern
-    copies the template into one band storage, reused by every pattern, and
-    sets the control rows and columns: -B_f, -Avg_f and nu on free elements,
-    a unit diagonal elsewhere.  The band is row-equilibrated as it is
-    written: the state row and the adjoint row of each interior dof are
-    scaled by 2^-e, e the binary exponent of the largest |entry| in that
-    dof's stiffness row, so the stiffness parts of the scaled rows lie in
-    [1/2, 1) in max-norm.  A power of two scales exactly, so the scaled and
-    unscaled systems have the same solution; the control rows keep scale 1,
-    as does the row of a dof without stiffness.
+    Each pattern is written straight into one LAPACK band storage, reused
+    by every pattern, _CHUNK elements at a time: the chunk's columns are
+    zeroed, its pattern-independent part, [[K, 0], [Mt, K]] on the state and
+    adjoint slots, is written from a table of views of the upper bands of K
+    and Mt and of the row scales, one strided product per diagonal and
+    column parity, and then its control rows and columns: -B_f, -Avg_f and
+    nu on free elements, a unit diagonal elsewhere.  The last element's
+    control column, outside the element-major view, is set on its own.
+    The band is row-equilibrated as it is written: the state row and the
+    adjoint row of each interior dof are scaled by 2^-e, e the binary
+    exponent of the largest |entry| in that dof's stiffness row, so the
+    stiffness parts of the scaled rows lie in [1/2, 1) in max-norm.  A power
+    of two scales exactly, so the scaled and unscaled systems have the same
+    solution; the control rows keep scale 1, as does the row of a dof
+    without stiffness.
     """
 
     def __init__(self, operator: BeamOperator, Mt: sp.csr_matrix, B: sp.csr_matrix,
@@ -237,50 +244,52 @@ class _PatternBand:
             np.maximum(k_max[:-e], np.abs(K_band[3 - e, e:]), out=k_max[:-e])
         d = np.ldexp(1.0, -np.frexp(k_max)[1])
         self.scale = self._to_band(d, d, 1.0)
-        # the blocks of the template, symmetric of bandwidth 3 like K
+        # entries -B (on the scaled w rows) and -Avg per element, at its left
+        # [0] and right [1] end node
+        b, avg = B.tocoo(), Avg.tocoo()
+        self.b_end = np.zeros((2, n))
+        self.b_end[(b.row != 2 * (b.col - 1)).astype(int), b.col] = -(b.data * d[b.row])
+        self.avg_end = np.zeros((2, n))
+        self.avg_end[(avg.col != 2 * (avg.row - 1)).astype(int), avg.row] = -avg.data
+        self.ab = np.empty((2 * _KL + _KU + 1, self.size), order="F")
+        # the storage element by element: [k, s, band row] is slot s of element k
+        self.elements = self.ab.T[:_SLOTS * (n - 1)].reshape(n - 1, _SLOTS, 2 * _KL + _KU + 1)
+        # the blocks, symmetric of bandwidth 3 like K: one table row per
+        # diagonal e and column parity p with entries A[c + e, c] in the
+        # state (comp 0) or adjoint (comp 2) rows and columns, c = 2k + p
+        # from element k0 on, at the same slot and band row in every element;
+        # it holds k0 and views of the block's band row, the row scales and
+        # the storage
         Mt_band = np.zeros_like(K_band)
         for e in (0, 2):
             Mt_band[3 - e, e:] = Mt.diagonal(e)
-        blocks = [(upper, row_comp, col_comp, e)  # all but zero diagonals, such as Mt's odd ones
-                  for upper, row_comp, col_comp in ((K_band, 0, 0), (K_band, 2, 2), (Mt_band, 2, 0))
-                  for e in range(-3, 4) if upper[3 - abs(e)].any()]
-        self.fixed = np.zeros((_KL + _KU + 1, self.size), order="F")
-        for c0 in range(0, self.m, 2 * _CHUNK):
-            for block in blocks:
-                self._put(*block, d, c0, min(c0 + 2 * _CHUNK, self.m))
-        # entries of B (on the scaled w rows) and Avg per element, at its
-        # left [0] and right [1] end node
-        b, avg = B.tocoo(), Avg.tocoo()
-        self.b_end = np.zeros((2, n))
-        self.b_end[(b.row != 2 * (b.col - 1)).astype(int), b.col] = b.data * d[b.row]
-        self.avg_end = np.zeros((2, n))
-        self.avg_end[(avg.col != 2 * (avg.row - 1)).astype(int), avg.row] = avg.data
-        self.ab = np.empty((2 * _KL + _KU + 1, self.size), order="F")
-
-    def _put(self, upper, row_comp, col_comp, e, d, c0, c1):
-        """Write the entries A[c + e, c], c0 <= c < c1, of a block given by
-        its upper band into the state (comp 0) or adjoint (comp 2) rows and
-        columns of the template, scaled by the row scales d.  Along one
-        column parity the band row is constant and the slot advances by 5."""
-        lo, hi = max(c0, -e), min(c1, self.m - e)  # the columns whose row c + e exists
-        for c in range(lo, min(lo + 2, hi)):
-            # the slots of column dof c and row dof c + e, and their band row
-            start = _SLOTS * (c // 2) + 1 + col_comp + c % 2
-            row = _KU + _SLOTS * ((c + e) // 2) + 1 + row_comp + (c + e) % 2 - start
-            if 0 <= row <= _KU + _KL:  # outside it: w and theta two nodes apart, zero
-                src = upper[3 + e, c:hi:2] if e <= 0 else upper[3 - e, c + e:hi + e:2]
-                np.multiply(src, d[c + e:hi + e:2], out=self.fixed[row, start::_SLOTS][:src.size])
+        self.table = []
+        for upper, row_comp, col_comp in ((K_band, 0, 0), (K_band, 2, 2), (Mt_band, 2, 0)):
+            for e, p in itertools.product(range(-3, 4), (0, 1)):
+                row = _DIAG + _SLOTS * ((p + e) // 2) + row_comp + (p + e) % 2 - col_comp - p
+                k0 = max(0, -((p + e) // 2))  # the first element whose row c + e exists
+                src = upper[3 + e, 2 * k0 + p::2] if e <= 0 else upper[3 - e, 2 * k0 + p + e::2]
+                if _KL <= row <= 2 * _KL + _KU and src.any():  # outside: w and theta two nodes apart
+                    self.table.append((k0, src, d[2 * k0 + p + e::2][:src.size],
+                                       self.elements[k0:k0 + src.size, 1 + col_comp + p, row]))
 
     def _fill(self, is_free: np.ndarray, nu: float) -> np.ndarray:
-        ab = self.ab
-        ab[_KL:] = self.fixed  # rows above KL are LU fill, which dgbtrf sets itself
-        ctl = ab[:, 0::_SLOTS]  # control columns
-        ctl[_DIAG] = np.where(is_free, nu, 1.0)
-        ctl[_DIAG - 4] = np.where(is_free, -self.b_end[0], 0.0)  # w row of the left node
-        ctl[_DIAG + 1] = np.where(is_free, -self.b_end[1], 0.0)  # w row of the right node
-        p_col = ab[:, 3::_SLOTS]  # p columns of the interior nodes
-        p_col[_DIAG + 2] = np.where(is_free[1:], -self.avg_end[0, 1:], 0.0)  # control row right of it
-        p_col[_DIAG - 3] = np.where(is_free[:-1], -self.avg_end[1, :-1], 0.0)  # control row left of it
+        ab, el = self.ab, self.elements
+        for k0 in range(0, len(el), _CHUNK):
+            k1 = min(k0 + _CHUNK, len(el))
+            ab[:, _SLOTS * k0:_SLOTS * k1] = 0.0
+            for first, src, d, out in self.table:
+                lo, hi = max(k0 - first, 0), k1 - first
+                np.multiply(src[lo:hi], d[lo:hi], out=out[lo:hi])
+            free, ctl, p_col = is_free[k0:k1], el[k0:k1, 0], el[k0:k1, 3]
+            ctl[:, _DIAG] = np.where(free, nu, 1.0)
+            ctl[:, _DIAG - 4] = np.where(free, self.b_end[0, k0:k1], 0.0)  # w row of the left node
+            ctl[:, _DIAG + 1] = np.where(free, self.b_end[1, k0:k1], 0.0)  # w row of the right node
+            p_col[:, _DIAG + 2] = np.where(is_free[k0 + 1:k1 + 1], self.avg_end[0, k0 + 1:k1 + 1], 0.0)  # control row right of it
+            p_col[:, _DIAG - 3] = np.where(free, self.avg_end[1, k0:k1], 0.0)  # control row left of it
+        last = ab[:, -1]  # the last element's control: no node to its right
+        last[:] = 0.0
+        last[_DIAG], last[_DIAG - 4] = (nu, self.b_end[0, -1]) if is_free[-1] else (1.0, 0.0)
         return ab
 
     def _to_band(self, fx, fy, fu):

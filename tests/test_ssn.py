@@ -1,5 +1,6 @@
 """Active-set solver: termination, invariants, oracle agreement."""
 import itertools
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -738,6 +739,47 @@ class TestBandedPatternSolve:
         sol = np.concatenate([x, y, u[free]])
         scale = abs(A) @ np.abs(sol) + np.abs(rhs)
         assert np.max(np.abs(A @ sol - rhs) / scale) <= 8 * self.EPS
+
+    @given(pattern_cases())
+    def test_band_is_the_row_scaled_matrix(self, case):
+        # built column by column from the blocks, independently of the band
+        # writer, then compared entry by entry; the storage starts as NaN, as
+        # a factor left in it would, and small chunks cross chunk boundaries
+        problem, branches, nu_eff, _ = case
+        s = problem.system
+        is_free = (branches == BRANCH_POS) | (branches == BRANCH_NEG)
+        band = _PatternBand(s.operator, s.Mt, s.B, s.Avg)
+        A = np.column_stack([band.scale * band._apply(is_free, nu_eff, e) for e in np.eye(band.size)])
+        i, j = np.indices(A.shape)
+        inside = (-ssn._KU <= i - j) & (i - j <= ssn._KL)
+        assert not A[~inside].any()
+        expected = np.zeros((ssn._KL + ssn._KU + 1, band.size))
+        expected[ssn._KU + (i - j)[inside], j[inside]] = A[inside]
+        for chunk in (1, 3, ssn._CHUNK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ssn, "_CHUNK", chunk)
+                band = _PatternBand(s.operator, s.Mt, s.B, s.Avg)
+                band.ab.fill(np.nan)
+                assert np.array_equal(band._fill(is_free, nu_eff)[ssn._KL:], expected)
+
+    def test_band_memory_is_its_storage(self):
+        # the large-n benchmark's sine load at n = 2e4 with every other
+        # element free: building the band and writing one pattern allocates
+        # little beyond the LAPACK band storage itself
+        n = 20_000
+        problem = ControlProblem(build_uniform_mesh(n), BeamParams(E=1.0, t=1e-2),
+                                 LoadData(f=lambda x: 100.0 * np.sin(8.0 * np.pi * x)),
+                                 ControlParams(nu=1e-6, eta=1e-5, a=-60.0, b=60.0))
+        s = problem.system
+        blocks = (s.operator, s.Mt, s.B, s.Avg)
+        tracemalloc.start()
+        try:
+            band = _PatternBand(*blocks)
+            band._fill(np.arange(n) % 2 == 0, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.35 * band.ab.nbytes
 
     def test_zero_pivot_raises(self):
         # without stiffness the rotation columns are empty (no theta
