@@ -136,7 +136,7 @@ def _parse_spec(spec: str, where: str):
     return head, args
 
 
-def realize_field(spec: str, mesh, length: float, base_dir: Optional[Path] = None):
+def realize_field(spec: str, mesh, base_dir: Optional[Path] = None):
     """Turn a catalog string into load data on a concrete mesh."""
     head, args = _parse_spec(spec, "data")
     if head == "zero":
@@ -146,6 +146,7 @@ def realize_field(spec: str, mesh, length: float, base_dir: Optional[Path] = Non
     if head == "sine":
         amp, freq = args[0], args[1]
         phase = args[2] if len(args) == 3 else 0.0
+        length = mesh.length
         return lambda x: amp * np.sin(freq * np.pi * np.asarray(x) / length + phase)
     path = Path(args)
     if not path.is_absolute() and base_dir is not None:
@@ -159,7 +160,7 @@ def realize_field(spec: str, mesh, length: float, base_dir: Optional[Path] = Non
     if not np.all(np.isfinite(data)):
         raise ConfigError(f"field file {path} holds non-finite values")
     coords, vals = data[:, 0], data[:, 1]
-    tol = 1e-9 * max(length, 1.0)
+    tol = 1e-9 * max(mesh.length, 1.0)
     if vals.size == mesh.n and np.allclose(coords, mesh.midpoints, atol=tol):
         return P0Field(mesh, vals.copy())
     if np.any(np.diff(coords) <= 0):
@@ -278,9 +279,9 @@ def build_problem(cfg: RunConfig, n: Optional[int] = None, thickness: Optional[f
         mesh=mesh,
         beam=beam,
         loads=LoadData(
-            f=realize_field(cfg.f, mesh, cfg.length, cfg.base_dir),
-            g=realize_field(cfg.g, mesh, cfg.length, cfg.base_dir),
-            w_d=realize_field(cfg.w_d, mesh, cfg.length, cfg.base_dir),
+            f=realize_field(cfg.f, mesh, cfg.base_dir),
+            g=realize_field(cfg.g, mesh, cfg.base_dir),
+            w_d=realize_field(cfg.w_d, mesh, cfg.base_dir),
         ),
         control=cfg.control,
         scheme=scheme if scheme is not None else cfg.scheme,

@@ -84,15 +84,8 @@ class ControlParams:
 
 def discretize_bounds(params: ControlParams, mesh: Mesh1D):
     """Project bounds onto piecewise constants; validate a <= 0 <= b elementwise."""
-
-    def proj(bound):
-        if np.isscalar(bound):
-            # +-inf constants are fine here (one-sided box); pi_h would reject them
-            return np.full(mesh.n, float(bound))
-        return pi_h(bound, mesh).values
-
-    a = proj(params.a)
-    b = proj(params.b)
+    a = pi_h(params.a, mesh).values
+    b = pi_h(params.b, mesh).values
     if not (np.all(a <= 0) and np.all(b >= 0)):  # NaN fails both
         raise ValueError("discretized bounds must satisfy a <= 0 <= b elementwise")
     return a, b
@@ -163,20 +156,17 @@ class CostBreakdown:
 def cost(u: P0Field, w: P1Field, w_d, params: ControlParams) -> CostBreakdown:
     """Evaluate the cost functional at (u, w) for target w_d.
 
-    w_d may be a constant, a callable, a P0Field or a P1Field.
+    The package's one cost.  point_values reads w_d (a constant, callable,
+    P0Field or P1Field on any mesh) at w's two-point Gauss points, as the
+    adjoint load does: exact for P0 or P1 targets on w's mesh.
     """
     mesh = w.mesh
     h = mesh.element_sizes
-    if isinstance(w_d, P1Field):
-        d = w.values - w_d.values
-        aa, bb = d[:-1], d[1:]
-        tracking = 0.5 * float(np.sum(h * (aa * aa + aa * bb + bb * bb) / 3.0))
-    else:
-        tracking = 0.0
-        for qpt, wq in zip(GAUSS_2PT.points, GAUSS_2PT.weights):
-            x = mesh.nodes[:-1] + h * qpt
-            d = eval_p1(w, x) - point_values(w_d, mesh, x)
-            tracking += 0.5 * wq * float(np.sum(h * d * d))
+    tracking = 0.0
+    for qpt, wq in zip(GAUSS_2PT.points, GAUSS_2PT.weights):
+        x = mesh.nodes[:-1] + h * qpt
+        d = eval_p1(w, x) - point_values(w_d, mesh, x)
+        tracking += 0.5 * wq * float(np.sum(h * d * d))
     l2_term = 0.5 * params.nu * float(np.sum(h * u.values**2))
     l1_term = params.eta * float(np.sum(h * np.abs(u.values)))
     return CostBreakdown(tracking, l2_term, l1_term)

@@ -61,7 +61,8 @@ class BeamParams:
 
     E : Young modulus.  t : thickness.  k : shear correction factor.
     poisson : Poisson ratio, sets G = E / (2 (1 + poisson)).
-    kappa_override : replaces kappa = k * G when given.
+    kappa_override : replaces kappa = k * G when given.  E and kappa are
+    positive and finite.
     """
 
     E: float = 1.44e9
@@ -71,16 +72,16 @@ class BeamParams:
     kappa_override: Optional[float] = None
 
     def __post_init__(self):
-        if not (self.E > 0):
-            raise ValueError("E must be positive")
+        if not (0 < self.E < np.inf):
+            raise ValueError("E must be positive and finite")
         if not (0 < self.t <= 1):
             raise ValueError("t must lie in (0, 1]")
         if not (0 < self.k < 1):
             raise ValueError("k must lie in (0, 1)")
         if not (0 <= self.poisson < 0.5):
             raise ValueError("poisson must lie in [0, 0.5)")
-        if self.kappa is not None and not (self.kappa > 0):
-            raise ValueError("kappa must be positive")
+        if not (0 < self.kappa < np.inf):
+            raise ValueError("kappa must be positive and finite")
 
     @property
     def shear_modulus(self) -> float:
@@ -178,24 +179,14 @@ def _band_csr(band: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((blocks.reshape(m // 2, 2, 6)[keep], cols[keep], indptr), shape=(m, m))
 
 
-def _p0_values(data: ScalarData, mesh: Mesh1D) -> np.ndarray:
-    if isinstance(data, P0Field):
-        if not np.array_equal(data.mesh.nodes, mesh.nodes):
-            raise ValueError("P0 data lives on a different mesh")
-        return data.values
-    if np.isscalar(data):
-        return np.full(mesh.n, float(data))
-    return None  # callable or P1Field: handled by quadrature
-
-
 def _load_component(data: ScalarData, mesh: Mesh1D) -> np.ndarray:
     """Nodal load vector int data * phi_i for all nodes (boundary included)."""
     n = mesh.n
     h = mesh.element_sizes
     out = np.zeros(n + 1)
-    vals = _p0_values(data, mesh)
-    if vals is not None:
+    if isinstance(data, P0Field) or np.isscalar(data):
         # exact for piecewise constants
+        vals = point_values(data, mesh, mesh.midpoints)
         out[:-1] += vals * h / 2.0
         out[1:] += vals * h / 2.0
         return out

@@ -32,6 +32,9 @@ explicitly; if no polish verifies, the last iterate is returned
 uncertified.  The problem is strictly convex, so a point passing that
 verification is the unique minimizer -- the returned certificate does not
 depend on iteration counts or tolerances.
+
+fd_gradient_check differences the package's one cost, control.cost, which
+the active-set solver never evaluates; it has no cost rule of its own.
 """
 from __future__ import annotations
 
@@ -51,7 +54,7 @@ from .control import (
     fixed_control,
     shrink,
 )
-from .meshes import GAUSS_2PT, P0Field, P1Field, eval_p1
+from .meshes import P0Field
 from .problem import ControlProblem
 
 __all__ = [
@@ -263,41 +266,14 @@ def prox_gradient_solve(problem: ControlProblem, config: OracleConfig = OracleCo
     return finish(u, pbar - rq.nu * u, False, fp, branches)
 
 
-def _smooth_cost(problem: ControlProblem, u: P0Field) -> float:
-    """Tracking plus quadratic control cost by its own two-point Gauss rule,
-    apart from the solver's blocks.  The rule is exact on the P1 state and
-    integrates the target as the adjoint load Ld - Mt x does, so the
-    gradient is exactly h_j*(nu*u_j - pbar_j)."""
-    state = problem.solve_state(u)
-    mesh = problem.mesh
-    h = mesh.element_sizes
-
-    def as_fun(data):
-        if isinstance(data, P1Field):
-            return lambda x: eval_p1(data, x)
-        if isinstance(data, P0Field):
-            # the element holding each point (quadrature points are interior)
-            return lambda x: data.values[np.searchsorted(mesh.nodes, x) - 1]
-        if np.isscalar(data):
-            return lambda x: np.full_like(np.asarray(x, dtype=float), float(data))
-        return data
-
-    wd = as_fun(problem.loads.w_d)
-    val = 0.0
-    for qpt, wq in zip(GAUSS_2PT.points, GAUSS_2PT.weights):
-        x = mesh.nodes[:-1] + h * qpt
-        d = eval_p1(state.w, x) - np.asarray(wd(x), dtype=float)
-        val += 0.5 * wq * float(np.sum(h * d * d))
-    val += 0.5 * problem.control.nu * float(np.sum(h * u.values**2))
-    return val
-
-
 def fd_gradient_check(problem: ControlProblem, u: P0Field, step: Optional[float] = None,
                       n_perturbations: int = 10,
                       rng: Optional[np.random.Generator] = None) -> float:
     """Max relative deviation between the adjoint gradient and central
     finite differences of the smooth reduced cost.
 
+    J(u) is the tracking plus quadratic term of problem.cost at the state
+    of u; its Gauss rule reads the target as the adjoint load does.
     Perturbs u elementwise on n_perturbations randomly chosen elements and
     compares (J(u + s e_j) - J(u - s e_j)) / 2s against the coordinate
     gradient h_j*(nu*u_j - pbar_j), each deviation divided by
@@ -316,13 +292,17 @@ def fd_gradient_check(problem: ControlProblem, u: P0Field, step: Optional[float]
     picks = gen.choice(mesh.n, size=count, replace=False)
     pbar = problem.averaged_adjoint(problem.solve_state(u)).values
     g = mesh.element_sizes * (problem.control.nu * u.values - pbar)
+
+    def smooth_cost(v):
+        c = problem.cost(P0Field(mesh, v))
+        return c.tracking + c.l2_term
+
     worst = 0.0
     for j in picks:
         up = u.values.copy()
         um = u.values.copy()
         up[j] += step
         um[j] -= step
-        fd = (_smooth_cost(problem, P0Field(mesh, up))
-              - _smooth_cost(problem, P0Field(mesh, um))) / (2.0 * step)
+        fd = (smooth_cost(up) - smooth_cost(um)) / (2.0 * step)
         worst = max(worst, abs(g[j] - fd) / max(1.0, abs(fd)))
     return worst

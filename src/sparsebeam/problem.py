@@ -117,7 +117,7 @@ class ControlProblem:
 
     def __post_init__(self):
         _scheme_check(self.scheme)
-        discretize_bounds(self.control, self.mesh)  # validates a <= 0 <= b
+        self.bounds  # validates a <= 0 <= b
 
     @cached_property
     def operator(self) -> BeamOperator:

@@ -119,11 +119,11 @@ __all__ = ["SSNConfig", "SSNResult", "ssn_solve"]
 class SSNConfig:
     """Solver knobs, shared by every level of a nested solve.
 
-    tol bounds the residual of a converged solve.  max_iter bounds the
-    pattern solves of each level (the problem's mesh and each coarse mesh)
-    on its own: main loop, proximal stages and probes together, so
-    SSNResult.iterations <= max_iter.  The default leaves room for a main
-    loop of 50 solves and a reseed of 800.
+    tol, positive and finite, bounds the residual of a converged solve.
+    max_iter bounds the pattern solves of each level (the problem's mesh
+    and each coarse mesh) on its own: main loop, proximal stages and probes
+    together, so SSNResult.iterations <= max_iter.  The default leaves room
+    for a main loop of 50 solves and a reseed of 800.
 
     u0 must live on the problem's mesh; clipped to the box, it is the first
     center of the reseed.  Below the nesting size the solve starts in that
@@ -139,8 +139,8 @@ class SSNConfig:
     u0: Optional[P0Field] = None
 
     def __post_init__(self):
-        if not (self.tol > 0):
-            raise ValueError("tol must be positive")
+        if not (0 < self.tol < np.inf):
+            raise ValueError("tol must be positive and finite")
         if not isinstance(self.max_iter, numbers.Integral):
             raise ValueError("max_iter must be an integer")
         if self.max_iter < 1:

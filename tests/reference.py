@@ -17,7 +17,9 @@ afresh at its control.  ``pattern_system`` stacks the coupled system of one
 branch pattern from the separately built blocks, against which the
 solver's banded pattern solve is checked.  ``support_runs`` and
 ``support_measure`` describe a control's support for the sweep checks;
-``p1_interpolant`` and ``l2_norm_p1`` build and measure P1 test fields.
+``p1_interpolant`` and ``l2_norm_p1`` build and measure P1 test fields;
+``p1_tracking`` is the closed-form tracking term of a P1 target on the
+state's own mesh, against which the cost's quadrature is checked.
 """
 from typing import Optional
 
@@ -258,6 +260,16 @@ def p1_interpolant(mesh: Mesh1D, fn) -> P1Field:
     v[0] = 0.0
     v[-1] = 0.0
     return P1Field(mesh, v)
+
+
+def p1_tracking(w: P1Field, w_d: P1Field) -> float:
+    """1/2 ||w - w_d||^2 for two P1 fields on one mesh, element by element:
+    int over an element of (linear)^2 = h*(a^2 + a*b + b^2)/3."""
+    if not np.array_equal(w.mesh.nodes, w_d.mesh.nodes):
+        raise ValueError("the closed form needs both fields on one mesh")
+    d = w.values - w_d.values
+    a, b = d[:-1], d[1:]
+    return 0.5 * float(np.sum(w.mesh.element_sizes * (a * a + a * b + b * b) / 3.0))
 
 
 def l2_norm_p1(v: P1Field) -> float:

@@ -123,6 +123,10 @@ ref_factor = 4
         ("[geometry]\nn = nan\n\n[control]\nnu = 1\neta = 0\n", "[geometry] n"),
         (MINIMAL + "[data]\nf = constant: nan\n", "[data] f: constant takes finite numbers"),
         (MINIMAL + "[data]\ng = sine: inf, 2\n", "[data] g: sine takes finite numbers"),
+        (MINIMAL + "[material]\nyoungs_modulus = inf\n", "[material]: E must be positive and finite"),
+        (MINIMAL + "[material]\nkappa_override = inf\n",
+         "[material]: kappa must be positive and finite"),
+        (MINIMAL + "[solver]\ntol = inf\n", "[solver]: tol must be positive and finite"),
     ])
     def test_located_errors(self, tmp_path, body, fragment):
         with pytest.raises(ConfigError) as exc:
@@ -140,21 +144,21 @@ class TestRealizeField:
         self.mesh = build_uniform_mesh(8, 2.0)
 
     def test_zero_and_constant(self):
-        assert realize_field("zero", self.mesh, 2.0) == 0.0
-        assert realize_field("constant: -3.5", self.mesh, 2.0) == -3.5
+        assert realize_field("zero", self.mesh) == 0.0
+        assert realize_field("constant: -3.5", self.mesh) == -3.5
 
     def test_sine_scaling_and_phase(self):
-        fn = realize_field("sine: 2, 1", self.mesh, 2.0)
+        fn = realize_field("sine: 2, 1", self.mesh)
         # amplitude 2, half period over the length-2 domain
         assert fn(1.0) == pytest.approx(2.0)
-        fn2 = realize_field("sine: 1, 1, 1.5707963267948966", self.mesh, 2.0)
+        fn2 = realize_field("sine: 1, 1, 1.5707963267948966", self.mesh)
         assert fn2(0.0) == pytest.approx(1.0)
 
     def test_file_on_midpoints_becomes_p0(self, tmp_path):
         vals = np.arange(8.0)
         path = tmp_path / "field.dat"
         np.savetxt(path, np.column_stack([self.mesh.midpoints, vals]))
-        out = realize_field(f"file: {path}", self.mesh, 2.0)
+        out = realize_field(f"file: {path}", self.mesh)
         assert isinstance(out, P0Field)
         assert np.allclose(out.values, vals)
 
@@ -162,21 +166,21 @@ class TestRealizeField:
         xs = np.linspace(0.0, 2.0, 21)
         path = tmp_path / "field.dat"
         np.savetxt(path, np.column_stack([xs, xs**2]))
-        fn = realize_field(f"file: {path}", self.mesh, 2.0)
+        fn = realize_field(f"file: {path}", self.mesh)
         assert fn(1.0) == pytest.approx(1.0)
 
     def test_file_errors(self, tmp_path):
         with pytest.raises(ConfigError):
-            realize_field(f"file: {tmp_path/'gone.dat'}", self.mesh, 2.0)
+            realize_field(f"file: {tmp_path/'gone.dat'}", self.mesh)
         bad = tmp_path / "bad.dat"
         np.savetxt(bad, np.ones((4, 3)))
         with pytest.raises(ConfigError):
-            realize_field(f"file: {bad}", self.mesh, 2.0)
+            realize_field(f"file: {bad}", self.mesh)
 
     def test_file_relative_to_base_dir(self, tmp_path):
         xs = np.linspace(0.0, 2.0, 5)
         np.savetxt(tmp_path / "rel.dat", np.column_stack([xs, np.ones(5)]))
-        fn = realize_field("file: rel.dat", self.mesh, 2.0, base_dir=tmp_path)
+        fn = realize_field("file: rel.dat", self.mesh, base_dir=tmp_path)
         assert fn(0.5) == pytest.approx(1.0)
 
 

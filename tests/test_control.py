@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from reference import (
     kkt_consistent_scalar,
     p1_interpolant,
+    p1_tracking,
     pointwise_optimal_control,
     variational_inequality_residual,
 )
@@ -24,7 +25,7 @@ from sparsebeam.control import (
     reconstruct_multipliers,
     shrink,
 )
-from sparsebeam.meshes import P0Field, P1Field, build_uniform_mesh, p0_average
+from sparsebeam.meshes import Mesh1D, P0Field, P1Field, build_uniform_mesh, p0_average
 
 # dyadic grids keep every branch comparison exact in floating point, so the
 # equivalence tests below need no tolerance at all
@@ -287,3 +288,13 @@ class TestCost:
         # compares against the exact sine: small but nonzero
         br2 = cost(P0Field.zeros(mesh), w, lambda x: np.sin(np.pi * x), params)
         assert 0.0 < br2.tracking < 1e-3
+
+    @pytest.mark.parametrize("grading", [1.0, 2.0], ids=["uniform", "graded"])
+    def test_p1_target_on_own_mesh_matches_element_formula(self, grading):
+        # two-point Gauss is exact for the quadratic (w - w_d)^2 on each element
+        mesh = Mesh1D(np.linspace(0.0, 1.0, 41) ** grading)
+        w = p1_interpolant(mesh, lambda x: np.sin(np.pi * x))
+        w_d = p1_interpolant(mesh, lambda x: 0.3 * x * (1.0 - x) + 0.05 * np.sin(7.0 * x))
+        params = ControlParams(nu=1.0, eta=0.0)
+        ref = p1_tracking(w, w_d)
+        assert cost(P0Field.zeros(mesh), w, w_d, params).tracking == pytest.approx(ref, rel=1e-13)

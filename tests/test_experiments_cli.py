@@ -117,7 +117,7 @@ class TestRunSolve:
         cfg2 = load_config(write_config(tmp_path, body2, name="again.ini"))
         from sparsebeam.config import realize_field
         mesh = build_uniform_mesh(20)
-        u2 = realize_field(f"file: {out/'u.dat'}", mesh, 1.0)
+        u2 = realize_field(f"file: {out/'u.dat'}", mesh)
         assert isinstance(u2, P0Field)
         assert np.array_equal(u2.values, res.u.values)
 

@@ -15,6 +15,7 @@ from sparsebeam.meshes import (
     build_uniform_mesh,
     coarsen,
     eval_p1,
+    l2_diff_p1,
     p0_average,
     point_values,
     restrict_p0,
@@ -27,6 +28,21 @@ def test_bounds_validated_at_construction():
     with pytest.raises(ValueError):
         ControlProblem(mesh=mesh, beam=BeamParams(), loads=LoadData(),
                        control=ControlParams(nu=1.0, eta=0.0, a=lambda x: x - 0.5))
+
+
+def test_callable_bounds_are_projected_once_per_problem():
+    calls = []
+
+    def lower(x):
+        calls.append(x.shape)
+        return -1.0 - x
+
+    prob = ControlProblem(build_uniform_mesh(4), BeamParams(), LoadData(),
+                          ControlParams(nu=1.0, eta=0.0, a=lower))
+    prob.bounds
+    assert len(calls) == 1
+    prob.with_control(eta=1.0).bounds
+    assert len(calls) == 2
 
 
 def test_operator_is_cached():
@@ -140,6 +156,23 @@ def test_cost_delegates_to_control_layer():
     assert br.l1_term == pytest.approx(1e-5 * 2.0)
     assert br.l2_term == pytest.approx(0.5 * prob.control.nu * 4.0)
     assert br.total > 0
+
+
+def test_cost_of_a_target_on_another_mesh():
+    # a P1 target from the uniform mesh, read on a graded mesh of the same n
+    # and on a coarse mesh nested in it; l2_diff_p1 integrates exactly on the
+    # common refinement, so it is the fine-grid reference
+    target_mesh = build_uniform_mesh(64)
+    w_d = p1_interpolant(target_mesh, lambda x: 0.1 * np.sin(np.pi * x))
+    prob = ControlProblem(_mesh(True, n=64), BeamParams(E=1.0, t=1e-2),
+                          LoadData(f=lambda x: 100.0 * np.sin(3.0 * np.pi * x), w_d=w_d),
+                          ControlParams(nu=1e-6, eta=1e-5))
+    for p, rel in ((prob, 1e-5), (prob.restricted(coarsen(prob.mesh, 16)), 1e-2)):
+        # two Gauss points per element cannot follow the target's kinks
+        # inside it, so the four-element coarse mesh gets a looser tolerance
+        u = P0Field(p.mesh, np.cos(np.pi * p.mesh.midpoints))
+        st = p.solve_state(u)
+        assert p.cost(u, st).tracking == pytest.approx(0.5 * l2_diff_p1(st.w, w_d) ** 2, rel=rel)
 
 
 def test_optimality_residual_zero_data():
