@@ -28,16 +28,22 @@ _POLISH_EVERY iterations, and once on exit, a checkpoint spends one exact
 product T u on pbar and the fixed-point residual, tests the tolerance and
 attempts an exact "polish": classify branches from pbar, solve the
 free-branch linear system, and verify every Karush-Kuhn-Tucker inequality
-explicitly; if no polish verifies, the last iterate is returned
-uncertified.  The problem is strictly convex, so a point passing that
-verification is the unique minimizer -- the returned certificate does not
-depend on iteration counts or tolerances.
+explicitly.  A polish that fails verification is not thrown away: its
+exact pbar is one dense primal-dual active-set step from the next pattern,
+so the checkpoint classifies again from it and polishes again.  The chain
+ends at a verified pattern, at a pattern it has already polished, or after
+_POLISH_STEPS polishes; if no polish verifies, FISTA goes on, and on exit
+the last iterate is returned uncertified.  The problem is strictly convex,
+so a point passing that verification is the unique minimizer -- the
+returned certificate depends only on the verified pattern, not on the
+chain, iteration counts or tolerances.
 
 fd_gradient_check differences the package's one cost, control.cost, which
 the active-set solver never evaluates; it has no cost rule of its own.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,6 +73,8 @@ __all__ = [
 
 # FISTA iterations between two checkpoints (residual, tolerance, polish)
 _POLISH_EVERY = 200
+# polishes in one checkpoint's chain
+_POLISH_STEPS = 8
 
 # the power iteration stops once two estimates agree to this, relatively
 _POWER_RTOL = 1e-12
@@ -75,8 +83,20 @@ _POWER_MAX = 200
 
 @dataclass(frozen=True)
 class OracleConfig:
+    """tol, non-negative and finite, bounds the fixed-point residual of a
+    converged iterate (0 asks for a certificate or max_iter); max_iter, an
+    integer of at least 1, bounds the FISTA iterations."""
+
     tol: float = 1e-12
     max_iter: int = 1_000_000
+
+    def __post_init__(self):
+        if not (0 <= self.tol < np.inf):
+            raise ValueError("tol must be non-negative and finite")
+        if not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError("max_iter must be an integer")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -161,7 +181,8 @@ class ReducedQuadratic:
 
 def _polish(rq: ReducedQuadratic, branches: np.ndarray):
     """Solve the free-branch system for a fixed branch pattern and verify
-    every optimality inequality.  Returns (u, mu, certified)."""
+    every optimality inequality.  Returns (u, pbar, certified), pbar the
+    exact pbar(u) of the unclipped solution."""
     nu, eta, a, b = rq.nu, rq.eta, rq.a, rq.b
     u = fixed_control(branches, a, b)
     free = np.nonzero((branches == BRANCH_POS) | (branches == BRANCH_NEG))[0]
@@ -188,17 +209,21 @@ def _polish(rq: ReducedQuadratic, branches: np.ndarray):
     ok &= bool(np.all(mu[up] >= eta - slack_p))
     lo = branches == BRANCH_LOWER
     ok &= bool(np.all(mu[lo] <= -eta + slack_p))
-    return u, mu, ok
+    return u, pbar, ok
 
 
 def prox_gradient_solve(problem: ControlProblem, config: OracleConfig = OracleConfig()) -> OracleResult:
     """Accelerated proximal gradient descent on the reduced problem.
 
-    Certification makes the answer tolerance-independent: once the
-    iterate's branch pattern verifies, the polished point is the exact
-    minimizer up to one dense linear solve.  The fixed-point residual, and
-    with it the tolerance test, is measured at the checkpoints only; the
-    returned one is that of the returned point.
+    Certification makes the answer tolerance-independent: once a branch
+    pattern verifies, the polished point is the exact minimizer up to one
+    dense linear solve.  At each checkpoint after the first the pattern is
+    classified from the iterate's exact pbar; a polish that fails
+    verification hands its own exact pbar to the next classification, a
+    chain of at most _POLISH_STEPS polishes that also stops when a pattern
+    recurs.  The fixed-point residual, and with it the tolerance test, is
+    measured at the checkpoints only; the returned one is that of the
+    returned point.
     """
     rq = ReducedQuadratic(problem)
     n = problem.mesh.n
@@ -224,13 +249,20 @@ def prox_gradient_solve(problem: ControlProblem, config: OracleConfig = OracleCo
         )
 
     def try_polish(pbar):
-        branches = classify_branches(pbar, rq.a, rq.b, rq.nu, rq.eta)
-        u_p, mu_p, ok = _polish(rq, branches)
-        if not ok:
-            return None
-        u_p = np.clip(u_p, rq.a, rq.b)
-        fp_p = rq.fixed_point_residual(u_p, rq.T @ u_p, tau)
-        return finish(u_p, mu_p, True, fp_p, branches)
+        seen = set()
+        for _ in range(_POLISH_STEPS):
+            branches = classify_branches(pbar, rq.a, rq.b, rq.nu, rq.eta)
+            pattern = branches.tobytes()
+            if pattern in seen:
+                return None
+            seen.add(pattern)
+            u_p, pbar, ok = _polish(rq, branches)
+            if ok:
+                mu_p = pbar - rq.nu * u_p
+                u_p = np.clip(u_p, rq.a, rq.b)
+                fp_p = rq.fixed_point_residual(u_p, rq.T @ u_p, tau)
+                return finish(u_p, mu_p, True, fp_p, branches)
+        return None
 
     while True:
         if iterations % _POLISH_EVERY == 0 or iterations >= config.max_iter:

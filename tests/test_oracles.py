@@ -14,6 +14,7 @@ from sparsebeam.meshes import Mesh1D, P0Field, build_uniform_mesh, l2_diff_p0
 from sparsebeam.problem import ControlProblem
 from sparsebeam.oracles import (
     _POLISH_EVERY,
+    _POLISH_STEPS,
     _POWER_MAX,
     OracleConfig,
     ReducedQuadratic,
@@ -62,8 +63,42 @@ def _count_symmetric_products(monkeypatch):
 
 def _refuse_certificates(monkeypatch):
     """Make every polish report no certificate, so prox_gradient_solve
-    runs its uncertified path."""
-    monkeypatch.setattr(oracles, "_polish", lambda rq, branches: (None, None, False))
+    runs its uncertified path; the polish still solves, so a chain goes on
+    from its exact pbar."""
+    polish = oracles._polish
+
+    def refused(rq, branches):
+        u, pbar, _ = polish(rq, branches)
+        return u, pbar, False
+
+    monkeypatch.setattr(oracles, "_polish", refused)
+
+
+def _record_chains(monkeypatch):
+    """Per checkpoint (one fixed-point residual each), the branch patterns
+    its chain classifies and whether each of its polishes verified."""
+    chains = []
+    classify, polish = oracles.classify_branches, oracles._polish
+    residual = ReducedQuadratic.fixed_point_residual
+
+    def checkpoint(self, *args):
+        chains.append(([], []))
+        return residual(self, *args)
+
+    def classified(*args):
+        branches = classify(*args)
+        chains[-1][0].append(branches.tobytes())
+        return branches
+
+    def polished(rq, branches):
+        out = polish(rq, branches)
+        chains[-1][1].append(out[2])
+        return out
+
+    monkeypatch.setattr(ReducedQuadratic, "fixed_point_residual", checkpoint)
+    monkeypatch.setattr(oracles, "classify_branches", classified)
+    monkeypatch.setattr(oracles, "_polish", polished)
+    return chains
 
 
 def _thin_problem():
@@ -74,6 +109,22 @@ def _thin_problem():
 def _graded_problem():
     prob = replace(toy_problem(n=80, nu=1e-6), mesh=Mesh1D(np.linspace(0.0, 1.0, 81) ** 1.5))
     return prob.with_control(eta=0.3 * eta_threshold(prob))
+
+
+def _certify_instance(n, nu, t, amp, freq, phase, frac):
+    """An instance of the certify benchmark's skeleton, unscaled: a sine
+    load on a uniform mesh, bounds of 60, eta a fraction of the threshold."""
+    load = LoadData(f=lambda x: amp * np.sin(freq * np.pi * x + phase))
+    prob = ControlProblem(build_uniform_mesh(n, 1.0), BeamParams(E=1.0, t=t), load,
+                          ControlParams(nu=nu, eta=0.0, a=-60.0, b=60.0))
+    return prob.with_control(eta=frac * eta_threshold(prob))
+
+
+def _cycling_instance():
+    # FISTA needs 1,000 iterations here; its chains cycle and one spends
+    # all _POLISH_STEPS polishes
+    return _certify_instance(395, 5.33987081451005e-09, 1e-2, 142.6268927278794, 3,
+                             5.9644499771647475, 0.06483920649396233)
 
 
 class TestReducedQuadratic:
@@ -175,6 +226,7 @@ class TestProxGradient:
     def test_one_dense_product_per_iteration(self, polish, monkeypatch):
         if not polish:
             _refuse_certificates(monkeypatch)
+        chains = _record_chains(monkeypatch)
         prob = toy_problem(n=20, nu=1e-5)
         p = prob.with_control(eta=0.4 * eta_threshold(prob))
         reduced = p.system.reduced
@@ -190,15 +242,15 @@ class TestProxGradient:
         # iteration's, which stops well before its cap
         assert len(symmetric) == res.iterations + power and power < _POWER_MAX
         # exact products: one per checkpoint (iteration 0, every
-        # _POLISH_EVERY iterations and the exit); each polish attempt, at
-        # every checkpoint after the first, spends one on the fixed part of
-        # its free system and one on its pbar, and a certified exit one on
-        # its fixed-point residual
+        # _POLISH_EVERY iterations and the exit); each polish, in the chains
+        # of the checkpoints after the first, spends one on the fixed part of
+        # its free system and one on its pbar, which the next classification
+        # of its chain reuses, and a certified exit one on its fixed-point
+        # residual
         checkpoints = 1 + -(-res.iterations // _POLISH_EVERY)
-        if polish:
-            assert _CountingMatrix.products <= checkpoints + 2 * (checkpoints - 1) + 1
-        else:
-            assert _CountingMatrix.products == checkpoints
+        polishes = sum(len(oks) for _, oks in chains)
+        assert 0 < polishes <= _POLISH_STEPS * (checkpoints - 1)
+        assert _CountingMatrix.products == checkpoints + 2 * polishes + polish
 
     @pytest.mark.parametrize("make", [_thin_problem, _graded_problem])
     def test_certificate_reads_only_the_two_solve_operator(self, make):
@@ -243,6 +295,63 @@ class TestProxGradient:
         prob = toy_problem(n=10, nu=1e-3)
         res = prox_gradient_solve(prob, OracleConfig(max_iter=1, tol=1e-16))
         assert not res.certified
+
+    def test_chained_polish_certifies_at_the_first_checkpoint(self, monkeypatch):
+        # the certify benchmark's n = 512 instance: the iterate's pattern at
+        # iteration 200 fails, and two polishes from exact pbars reach the
+        # optimal pattern; one polish per checkpoint, the rule without the
+        # chain, certifies only at iteration 2,800, at the same point
+        prob = _certify_instance(512, 1.8774643161953067e-09, 1e-2, 147.51739267955776, 6,
+                                 5.3634791734322755, 0.26726917752685153)
+        chains = _record_chains(monkeypatch)
+        chained = prox_gradient_solve(prob)
+        assert chained.certified and chained.iterations == _POLISH_EVERY
+        assert [oks for _, oks in chains] == [[], [False, False, True], []]
+        monkeypatch.setattr(oracles, "_POLISH_STEPS", 1)
+        single = prox_gradient_solve(prob)
+        assert single.certified and single.iterations == 2800
+        assert np.array_equal(chained.u.values, single.u.values)
+        assert np.array_equal(chained.mu.values, single.mu.values)
+        assert np.array_equal(chained.branches, single.branches)
+
+    @pytest.mark.parametrize("steps", [3, _POLISH_STEPS])
+    def test_chain_is_capped(self, steps, monkeypatch):
+        monkeypatch.setattr(oracles, "_POLISH_STEPS", steps)
+        chains = _record_chains(monkeypatch)
+        res = prox_gradient_solve(_cycling_instance())
+        assert res.certified
+        # no chain polishes more than steps times, and some chain is ended
+        # by the cap: it classifies no pattern after its last polish
+        assert max(len(oks) for _, oks in chains) == steps
+        assert any(len(oks) == len(patterns) == steps and not oks[-1]
+                   for patterns, oks in chains)
+        # one polish verifies: the one that ends the solve
+        assert sum(ok for _, oks in chains for ok in oks) == 1
+
+    def test_chain_stops_at_a_recurring_pattern(self, monkeypatch):
+        chains = _record_chains(monkeypatch)
+        prox_gradient_solve(_cycling_instance())
+        recurring = 0
+        for patterns, oks in chains:
+            # each polish polishes a new pattern
+            assert len(set(patterns[:len(oks)])) == len(oks)
+            if oks and not oks[-1] and len(oks) < _POLISH_STEPS:
+                # the classification after the last polish repeats a
+                # pattern of the chain, which ends without polishing it
+                assert len(patterns) == len(oks) + 1
+                assert patterns[-1] in patterns[:-1]
+                recurring += 1
+        assert recurring >= 1
+
+
+class TestOracleConfig:
+    @pytest.mark.parametrize("kwargs", [
+        dict(tol=np.nan), dict(tol=-1e-12), dict(tol=np.inf),
+        dict(max_iter=2.5), dict(max_iter=0),
+    ])
+    def test_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            OracleConfig(**kwargs)
 
 
 class TestDenseKKT:
