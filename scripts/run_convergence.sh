@@ -1,6 +1,6 @@
 #!/bin/sh
-# Refinement study at the shipped thickness; --jobs N runs the cells in N
-# processes, which on this grid is slower than one.
+# Refinement study at the shipped thickness, every cell solved in this
+# process; extra arguments go to the CLI.
 set -e
 cd "$(dirname "$0")/.."
 python3 -m sparsebeam.cli convergence --config configs/convergence.ini \

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Scheme-comparison grid over (thickness, n); --jobs N runs the cells in N
-# processes, which on this grid is slower than one.
+# Scheme-comparison grid over (thickness, n), every cell solved in this
+# process; extra arguments go to the CLI.
 set -e
 cd "$(dirname "$0")/.."
 python3 -m sparsebeam.cli locking --config configs/locking.ini \

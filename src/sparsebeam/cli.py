@@ -2,8 +2,8 @@
 
     sparsebeam solve        --config run.ini --out results/
     sparsebeam sweep        --config run.ini --out results/
-    sparsebeam locking      --config run.ini --out results/ [--jobs N]
-    sparsebeam convergence  --config run.ini --out results/ [--jobs N]
+    sparsebeam locking      --config run.ini --out results/ [--jobs 1]
+    sparsebeam convergence  --config run.ini --out results/ [--jobs 1]
 
 Exit codes: 0 success, 1 usage or configuration error, 2 non-convergence.
 """
@@ -52,7 +52,9 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="INI configuration file")
         p.add_argument("--out", required=True, help="output directory")
         if name in ("locking", "convergence"):
-            p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+            # no effect: kept only because the benchmark harness passes --jobs 1
+            p.add_argument("--jobs", type=int, default=1, choices=[1],
+                           help="accepted only as 1, which the benchmark harness passes")
     return parser
 
 
@@ -60,9 +62,11 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         cfg = load_config(args.config)
-        if getattr(args, "jobs", 1) < 1:
-            raise ConfigError("--jobs must be at least 1")
         out = Path(args.out)
+        try:  # before any solve, so a bad --out costs no study
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
 
         if args.command == "solve":
             res = run_solve(cfg, out)
@@ -71,9 +75,9 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             rows, columns = run_sweep(cfg), SWEEP_COLUMNS
         elif args.command == "locking":
-            rows, columns = run_locking(cfg, jobs=args.jobs), LOCKING_COLUMNS
+            rows, columns = run_locking(cfg), LOCKING_COLUMNS
         else:
-            rows, slopes = run_convergence(cfg, jobs=args.jobs)
+            rows, slopes = run_convergence(cfg)
             columns = CONVERGENCE_COLUMNS
             write_csv(out / "convergence_slopes.csv", ["quantity", "slope"],
                       sorted(slopes.items()), provenance_lines(cfg))

@@ -7,8 +7,12 @@ Sections and keys (defaults in brackets):
                 shear_correction [5/6], poisson [0.35], kappa_override [unset]
     [control]   nu (required), eta (required), lower [-inf], upper [inf]
     [data]      f, g, w_d  [zero]
-    [solver]    scheme [locking_free], tol, max_iter [SSNConfig's defaults]
+    [solver]    scheme [locking_free], tol [1e-10], max_iter [850]
     [study]     etas, thicknesses, mesh_sizes (comma lists), ref_factor [8]
+
+The numbers of [material], [control] and [solver] set the fields named in
+KEY_FIELDS, whose defaults (BeamParams, ControlParams, SSNConfig) are the
+only ones; a test pins the bracketed values through the provenance header.
 
 Numeric values accept plain fractions ("5/6").  Data entries use a small
 catalog, whose numbers must be finite:
@@ -52,14 +56,24 @@ __all__ = [
     "realize_field",
 ]
 
+# Each numeric key of [material], [control] and [solver], in the order of the
+# provenance header: the RunConfig attribute that holds its section, the
+# class of that attribute, and the field the key sets.
+KEY_FIELDS = {
+    "material": ("beam", BeamParams, {"youngs_modulus": "E", "thickness": "t",
+                                      "shear_correction": "k", "poisson": "poisson",
+                                      "kappa_override": "kappa_override"}),
+    "control": ("control", ControlParams, {"nu": "nu", "eta": "eta", "lower": "a", "upper": "b"}),
+    "solver": ("solver", SSNConfig, {"tol": "tol", "max_iter": "max_iter"}),
+}
+
 _ALLOWED = {
     "geometry": {"n", "length"},
-    "material": {"youngs_modulus", "thickness", "shear_correction", "poisson", "kappa_override"},
-    "control": {"nu", "eta", "lower", "upper"},
+    **{section: set(keys) for section, (_, _, keys) in KEY_FIELDS.items()},
     "data": {"f", "g", "w_d"},
-    "solver": {"scheme", "tol", "max_iter"},
     "study": {"etas", "thicknesses", "mesh_sizes", "ref_factor"},
 }
+_ALLOWED["solver"].add("scheme")  # the one key that is not a number
 
 
 class ConfigError(ValueError):
@@ -170,6 +184,21 @@ def realize_field(spec: str, mesh, base_dir: Optional[Path] = None):
     return lambda x: np.interp(np.asarray(x, dtype=float), c, v)
 
 
+def _section(cp: configparser.ConfigParser, section: str):
+    """The KEY_FIELDS class of a section, built from the keys the file sets;
+    each value is parsed first, so a parse error and a rejected value both
+    name their location once."""
+    _, cls, fields = KEY_FIELDS[section]
+    kw = {fields[key]: _number(cp.get(section, key), f"[{section}] {key}")
+          for key in fields if cp.has_option(section, key)}
+    if "max_iter" in kw and kw["max_iter"].is_integer():
+        kw["max_iter"] = int(kw["max_iter"])
+    try:
+        return cls(**kw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}]: {exc}") from exc
+
+
 def load_config(path) -> RunConfig:
     path = Path(path)
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -184,61 +213,28 @@ def load_config(path) -> RunConfig:
             if key not in _ALLOWED[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
 
-    def get(section, key, default=None):
-        if cp.has_option(section, key):
-            return cp.get(section, key)
-        return default
-
     if not cp.has_option("geometry", "n"):
         raise ConfigError("[geometry] n is required")
     n = _count(_number(cp.get("geometry", "n"), "[geometry] n"), "[geometry] n")
-    length = _number(get("geometry", "length", "1.0"), "[geometry] length")
+    length = _number(cp.get("geometry", "length", fallback="1.0"), "[geometry] length")
     if not (0 < length < np.inf):
         raise ConfigError(f"[geometry] length must be positive and finite, got {length}")
 
-    kw = {}
-    if cp.has_option("material", "kappa_override"):
-        kw["kappa_override"] = _number(cp.get("material", "kappa_override"), "[material] kappa_override")
-    try:
-        beam = BeamParams(
-            E=_number(get("material", "youngs_modulus", "1.44e9"), "[material] youngs_modulus"),
-            t=_number(get("material", "thickness", "0.01"), "[material] thickness"),
-            k=_number(get("material", "shear_correction", "5/6"), "[material] shear_correction"),
-            poisson=_number(get("material", "poisson", "0.35"), "[material] poisson"),
-            **kw,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[material]: {exc}") from exc
-
+    beam = _section(cp, "material")
     for key in ("nu", "eta"):
         if not cp.has_option("control", key):
             raise ConfigError(f"[control] {key} is required")
-    try:
-        control = ControlParams(
-            nu=_number(cp.get("control", "nu"), "[control] nu"),
-            eta=_number(cp.get("control", "eta"), "[control] eta"),
-            a=_number(get("control", "lower", "-inf"), "[control] lower"),
-            b=_number(get("control", "upper", "inf"), "[control] upper"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[control]: {exc}") from exc
+    control = _section(cp, "control")
 
     specs = {}
     for key in ("f", "g", "w_d"):
-        specs[key] = get("data", key, "zero").strip()
+        specs[key] = cp.get("data", key, fallback="zero").strip()
         _parse_spec(specs[key], f"[data] {key}")
 
-    scheme = get("solver", "scheme", LOCKING_FREE)
+    scheme = cp.get("solver", "scheme", fallback=LOCKING_FREE)
     if scheme not in SCHEMES:
         raise ConfigError(f"[solver] scheme must be one of {SCHEMES}")
-    solver_kw = {key: _number(cp.get("solver", key), f"[solver] {key}")
-                 for key in ("tol", "max_iter") if cp.has_option("solver", key)}
-    if "max_iter" in solver_kw and solver_kw["max_iter"].is_integer():
-        solver_kw["max_iter"] = int(solver_kw["max_iter"])
-    try:
-        solver = SSNConfig(**solver_kw)
-    except ValueError as exc:
-        raise ConfigError(f"[solver]: {exc}") from exc
+    solver = _section(cp, "solver")
 
     study_kw = {}
     if cp.has_option("study", "etas"):

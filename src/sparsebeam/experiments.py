@@ -10,14 +10,13 @@ column of sweeps.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, build_problem
+from .config import KEY_FIELDS, ConfigError, RunConfig, build_problem
 from .fem import LOCKING_FREE, SCHEMES
 from .meshes import l2_diff_p0, l2_diff_p1, l2_norm_p0
 from .ssn import SSNResult, ssn_solve
@@ -51,29 +50,21 @@ def format_number(v) -> str:
 
 
 def provenance_lines(cfg: RunConfig) -> List[str]:
-    """Comment header recording the configuration defaults used."""
-    beam, control = cfg.beam, cfg.control
-    pairs = [
-        ("n", cfg.n),
-        ("length", cfg.length),
-        ("youngs_modulus", beam.E),
-        ("thickness", beam.t),
-        ("shear_correction", beam.k),
-        ("poisson", beam.poisson),
-        ("nu", control.nu),
-        ("eta", control.eta),
-        ("lower", control.a),
-        ("upper", control.b),
-        ("f", cfg.f),
-        ("g", cfg.g),
-        ("w_d", cfg.w_d),
-        ("scheme", cfg.scheme),
-        ("tol", cfg.solver.tol),
-        ("max_iter", cfg.solver.max_iter),
-    ]
-    if beam.kappa_override is not None:
-        pairs.append(("kappa_override", beam.kappa_override))
-    return [f"# {key} = {format_number(val)}" for key, val in pairs]
+    """Comment header recording every value of the run, defaults included.
+    The keys of config.KEY_FIELDS are read back from the fields they set;
+    kappa_override, which has no value unless a file sets it, closes the
+    header when it is set."""
+    def keyed(section):
+        holder, _, fields = KEY_FIELDS[section]
+        values = getattr(cfg, holder)
+        return {key: getattr(values, name) for key, name in fields.items()}
+
+    pairs = {"n": cfg.n, "length": cfg.length, **keyed("material"), **keyed("control"),
+             "f": cfg.f, "g": cfg.g, "w_d": cfg.w_d, "scheme": cfg.scheme, **keyed("solver")}
+    kappa = pairs.pop("kappa_override")
+    if kappa is not None:
+        pairs["kappa_override"] = kappa
+    return [f"# {key} = {format_number(val)}" for key, val in pairs.items()]
 
 
 def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence],
@@ -177,30 +168,20 @@ def run_sweep(cfg: RunConfig) -> List[Dict]:
 
 # ------------------------------------------------------------- grids
 
-def _solve_cell(cell: Tuple) -> SSNResult:
-    """Worker: solve the control problem of one (cfg, scheme, thickness, n) cell."""
-    cfg, scheme, thickness, n = cell
-    return ssn_solve(build_problem(cfg, n=n, thickness=thickness, scheme=scheme), cfg.solver)
-
-
-def _grid_rows(cfg: RunConfig, schemes: Sequence[str], thicknesses: Sequence[float],
-               jobs: int) -> List[Dict]:
+def _grid_rows(cfg: RunConfig, schemes: Sequence[str], thicknesses: Sequence[float]) -> List[Dict]:
     """Control, state and adjoint errors of every (scheme, thickness, n) cell
     against the locking-free solve of its thickness at ref_factor times the
-    largest n, sorted by cell.  jobs > 1 solves the cells in that many
-    processes."""
+    largest n, sorted by cell."""
     study = cfg.study
-    n_ref = study.ref_factor * max(study.mesh_sizes)
-    refs = [(cfg, LOCKING_FREE, t, n_ref) for t in thicknesses]
-    cells = [(cfg, s, t, n) for s in schemes for t in thicknesses for n in study.mesh_sizes]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_solve_cell, refs + cells))
-    else:
-        results = [_solve_cell(c) for c in refs + cells]
-    ref = dict(zip(thicknesses, results))
+
+    def solve(scheme, t, n):
+        return ssn_solve(build_problem(cfg, n=n, thickness=t, scheme=scheme), cfg.solver)
+
+    ref = {t: solve(LOCKING_FREE, t, study.ref_factor * max(study.mesh_sizes)) for t in thicknesses}
+    cells = [(s, t, n) for s in schemes for t in thicknesses for n in study.mesh_sizes]
     rows = []
-    for (_, scheme, t, n), res in zip(cells, results[len(refs):]):
+    for scheme, t, n in cells:
+        res = solve(scheme, t, n)
         rows.append({
             "scheme": scheme,
             "thickness": t,
@@ -221,25 +202,25 @@ LOCKING_COLUMNS = ("scheme", "thickness", "n", "h", "control_error",
                    "state_error", "iterations", "stop_reason", "converged")
 
 
-def run_locking(cfg: RunConfig, jobs: int = 1) -> List[Dict]:
+def run_locking(cfg: RunConfig) -> List[Dict]:
     """Control errors per (scheme, thickness, n) against per-thickness
     locking-free fine-mesh references."""
     study = cfg.study
     if not study.thicknesses or not study.mesh_sizes:
         raise ConfigError("[study] thicknesses and mesh_sizes are required for a locking study")
-    return _grid_rows(cfg, SCHEMES, study.thicknesses, jobs)
+    return _grid_rows(cfg, SCHEMES, study.thicknesses)
 
 
 CONVERGENCE_COLUMNS = ("n", "h", "control_error", "state_error",
                        "adjoint_error", "iterations", "stop_reason", "converged")
 
 
-def run_convergence(cfg: RunConfig, jobs: int = 1):
+def run_convergence(cfg: RunConfig):
     """Control/state/adjoint errors against a locking-free fine-mesh
     reference, plus fitted log-log slopes.  Returns (rows, slopes)."""
     if not cfg.study.mesh_sizes:
         raise ConfigError("[study] mesh_sizes is required for a convergence study")
-    rows = _grid_rows(cfg, (cfg.scheme,), (cfg.beam.t,), jobs)
+    rows = _grid_rows(cfg, (cfg.scheme,), (cfg.beam.t,))
     hs = [r["h"] for r in rows]
     slopes = {
         q: fit_rate(hs, [r[f"{q}_error"] for r in rows])

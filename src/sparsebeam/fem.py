@@ -184,16 +184,15 @@ def _load_component(data: ScalarData, mesh: Mesh1D) -> np.ndarray:
     n = mesh.n
     h = mesh.element_sizes
     out = np.zeros(n + 1)
-    if isinstance(data, P0Field) or np.isscalar(data):
-        # exact for piecewise constants
-        vals = point_values(data, mesh, mesh.midpoints)
-        out[:-1] += vals * h / 2.0
-        out[1:] += vals * h / 2.0
-        return out
-    x = mesh.nodes[:-1, None] + h[:, None] * GAUSS_2PT.points[None, :]
+    exact = isinstance(data, P0Field) or np.isscalar(data)  # midpoint rule, exact for P0
+    x = mesh.midpoints if exact else mesh.nodes[:-1, None] + h[:, None] * GAUSS_2PT.points[None, :]
     fx = point_values(data, mesh, x)
     if not np.all(np.isfinite(fx)):
         raise ValueError("load evaluation produced non-finite values")
+    if exact:
+        out[:-1] += fx * h / 2.0
+        out[1:] += fx * h / 2.0
+        return out
     wq = GAUSS_2PT.weights
     phi0 = 1.0 - GAUSS_2PT.points
     phi1 = GAUSS_2PT.points

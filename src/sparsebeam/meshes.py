@@ -38,14 +38,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh1D:
-    """Partition 0 = x_0 < x_1 < ... < x_n = L of the beam axis.
+    """Partition 0 = x_0 < x_1 < ... < x_n = L of the beam axis.  Two meshes
+    are equal when their nodes are.
 
     Parameters
     ----------
     nodes : ndarray
-        Strictly increasing node coordinates, nodes[0] == 0.
+        Strictly increasing, finite node coordinates, nodes[0] == 0.
 
     Attributes
     ----------
@@ -66,8 +67,19 @@ class Mesh1D:
         sizes = np.diff(nodes)
         if not np.all(sizes > 0):
             raise ValueError("mesh nodes must be strictly increasing")
+        if not np.isfinite(nodes[-1]):
+            raise ValueError("mesh nodes must be finite")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "_sizes", _readonly(sizes))
+
+    def __eq__(self, other):
+        if not isinstance(other, Mesh1D):
+            return NotImplemented
+        return self is other or np.array_equal(self.nodes, other.nodes)
+
+    def __hash__(self):
+        # the first node is 0.0 or -0.0, which compare equal: leave it out
+        return hash(self.nodes[1:].tobytes())
 
     @property
     def element_sizes(self) -> np.ndarray:
@@ -109,11 +121,12 @@ def coarsen(mesh: Mesh1D, k: int) -> Mesh1D:
     return Mesh1D(np.append(mesh.nodes[:-1:k], mesh.nodes[-1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class P1Field:
     """Continuous piecewise-linear field with homogeneous Dirichlet values.
 
     values has one entry per node; values[0] and values[-1] must be exactly 0.
+    Fields compare and hash by identity.
     """
 
     mesh: Mesh1D
@@ -142,9 +155,9 @@ class P1Field:
         return self.values[1:-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class P0Field:
-    """Piecewise-constant field, one value per element."""
+    """Piecewise-constant field, one value per element, compared by identity."""
 
     mesh: Mesh1D
     values: np.ndarray
@@ -195,7 +208,7 @@ def pi_h(u, mesh: Mesh1D) -> P0Field:
     points, and its value must broadcast to that shape.
     """
     if isinstance(u, P0Field):
-        if u.mesh is not mesh and not np.array_equal(u.mesh.nodes, mesh.nodes):
+        if u.mesh != mesh:
             raise ValueError("P0Field lives on a different mesh")
         return P0Field(mesh, u.values.copy())
     if np.isscalar(u):
@@ -243,7 +256,7 @@ def point_values(data, mesh: Mesh1D, x: np.ndarray) -> np.ndarray:
     or a P1Field (evaluated on its own mesh).
     """
     if isinstance(data, P0Field):
-        if not np.array_equal(data.mesh.nodes, mesh.nodes):
+        if data.mesh != mesh:
             raise ValueError("P0 data lives on a different mesh")
         v = data.values
         return np.broadcast_to(v.reshape(v.shape + (1,) * (x.ndim - 1)), x.shape)

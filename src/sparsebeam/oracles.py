@@ -80,6 +80,8 @@ _POLISH_STEPS = 8
 _POWER_RTOL = 1e-12
 _POWER_MAX = 200
 
+_FD_PERTURBATIONS = 10  # random elements that fd_gradient_check perturbs
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -299,14 +301,13 @@ def prox_gradient_solve(problem: ControlProblem, config: OracleConfig = OracleCo
 
 
 def fd_gradient_check(problem: ControlProblem, u: P0Field, step: Optional[float] = None,
-                      n_perturbations: int = 10,
                       rng: Optional[np.random.Generator] = None) -> float:
     """Max relative deviation between the adjoint gradient and central
     finite differences of the smooth reduced cost.
 
     J(u) is the tracking plus quadratic term of problem.cost at the state
     of u; its Gauss rule reads the target as the adjoint load does.
-    Perturbs u elementwise on n_perturbations randomly chosen elements and
+    Perturbs u elementwise on _FD_PERTURBATIONS randomly chosen elements and
     compares (J(u + s e_j) - J(u - s e_j)) / 2s against the coordinate
     gradient h_j*(nu*u_j - pbar_j), each deviation divided by
     max(1, |fd value|).  The smooth reduced cost is exactly quadratic in u,
@@ -320,7 +321,7 @@ def fd_gradient_check(problem: ControlProblem, u: P0Field, step: Optional[float]
         step = 1e-2 * max(1.0, float(np.max(np.abs(u.values))))
     mesh = problem.mesh
     gen = rng if rng is not None else np.random.default_rng(0)
-    count = min(n_perturbations, mesh.n)
+    count = min(_FD_PERTURBATIONS, mesh.n)
     picks = gen.choice(mesh.n, size=count, replace=False)
     pbar = problem.averaged_adjoint(problem.solve_state(u)).values
     g = mesh.element_sizes * (problem.control.nu * u.values - pbar)

@@ -134,7 +134,7 @@ class ControlProblem:
 
     def solve_state(self, u: Optional[P0Field] = None) -> StateSolution:
         """The state under load f + u and moment load g: K x = Lf + B u."""
-        if u is not None and not np.array_equal(u.mesh.nodes, self.mesh.nodes):
+        if u is not None and u.mesh != self.mesh:
             raise ValueError("u lives on a different mesh")
         s = self.system
         return self._state(self.operator.solve(s.Lf if u is None else s.Lf + s.B @ u.values))

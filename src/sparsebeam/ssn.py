@@ -125,8 +125,8 @@ class SSNConfig:
     together, so SSNResult.iterations <= max_iter.  The default leaves room
     for a main loop of 50 solves and a reseed of 800.
 
-    u0 must live on the problem's mesh; clipped to the box, it is the first
-    center of the reseed.  Below the nesting size the solve starts in that
+    u0 must live on the problem's mesh and be finite once clipped to the box
+    (so no NaN); clipped, it is the first center of the reseed.  Below the nesting size the solve starts in that
     reseed (unless u = 0 is optimal or u0 clips to zero), whose first
     proximal stage classifies from pbar(u0).  No classification at the true
     weight starts from u0: along a sweep, the previous control's adjoint
@@ -484,8 +484,11 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
     mesh, control = problem.mesh, problem.control
     nu, eta = control.nu, control.eta
     u0 = config.u0
-    if u0 is not None and not np.array_equal(u0.mesh.nodes, mesh.nodes):
-        raise ValueError("u0 lives on a different mesh")
+    if u0 is not None:
+        if u0.mesh != mesh:
+            raise ValueError("u0 lives on a different mesh")
+        if not np.all(np.isfinite(np.clip(u0.values, *problem.bounds))):
+            raise ValueError("u0 must be finite once clipped to the box")
     z0, coarse_iterations = np.zeros(mesh.n), 0
     center = None if u0 is None else u0.values
     if mesh.n >= _NEST_MIN:

@@ -96,7 +96,10 @@ ref_factor = 4
     @pytest.mark.parametrize("body,fragment", [
         ("[geometry]\nlength = 1\n\n[control]\nnu = 1\neta = 0\n", "n is required"),
         ("[geometry]\nn = 16\n\n[control]\neta = 0\n", "nu is required"),
-        ("[geometry]\nn = 16\n\n[control]\nnu = bogus\neta = 0\n", "[control] nu"),
+        ("[geometry]\nn = 16\n\n[control]\nnu = bogus\neta = 0\n",
+         "[control] nu: cannot parse number 'bogus'"),
+        (MINIMAL + "[material]\nyoungs_modulus = abc\n",
+         "[material] youngs_modulus: cannot parse number 'abc'"),
         (MINIMAL + "[snacks]\nkind = pretzel\n", "unknown section"),
         (MINIMAL + "[solver]\nwarp = 9\n", "unknown key"),
         (MINIMAL + "[solver]\nadjoint_theta_term = yes\n", "unknown key"),
@@ -132,6 +135,8 @@ ref_factor = 4
         with pytest.raises(ConfigError) as exc:
             load_config(write_config(tmp_path, body))
         assert fragment in str(exc.value)
+        if fragment.startswith("["):  # the location opens the message, once
+            assert str(exc.value).startswith(fragment)
 
     def test_inline_comments_stripped(self, tmp_path):
         body = "[geometry]\nn = 16  # elements\n\n[control]\nnu = 1e-6 ; weight\neta = 0\n"

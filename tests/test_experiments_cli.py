@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from reference import support_measure, support_runs
+from sparsebeam import experiments
 from sparsebeam.cli import main
 from sparsebeam.config import ConfigError, load_config
 from sparsebeam.experiments import (
     SWEEP_COLUMNS,
     fit_rate,
     format_number,
+    provenance_lines,
     run_convergence,
     run_locking,
     run_solve,
@@ -87,6 +89,41 @@ class TestHelpers:
         full = P0Field(mesh, np.ones(8))
         assert support_runs(full) == 1
         assert support_measure(full) == pytest.approx(1.0)
+
+
+class TestProvenance:
+    # a file that sets no optional key: every value below is a dataclass
+    # default, and the bracketed defaults of config's docstring must match
+    DEFAULTS = [
+        "# n = 16",
+        "# length = 1",
+        "# youngs_modulus = 1.44e+09",
+        "# thickness = 0.01",
+        "# shear_correction = 0.833333",
+        "# poisson = 0.35",
+        "# nu = 1e-06",
+        "# eta = 0",
+        "# lower = -inf",
+        "# upper = inf",
+        "# f = zero",
+        "# g = zero",
+        "# w_d = zero",
+        "# scheme = locking_free",
+        "# tol = 1e-10",
+        "# max_iter = 850",
+    ]
+
+    def test_header_of_a_config_with_no_optional_key(self, tmp_path):
+        body = "[geometry]\nn = 16\n\n[control]\nnu = 1e-6\neta = 0\n"
+        assert provenance_lines(load_config(write_config(tmp_path, body))) == self.DEFAULTS
+
+    def test_kappa_override_closes_the_header(self, tmp_path):
+        body = ("[geometry]\nn = 16\n\n[material]\nkappa_override = 0.75\nyoungs_modulus = 1\n"
+                "\n[control]\nnu = 1e-6\neta = 0\n")
+        expected = list(self.DEFAULTS)
+        expected[2] = "# youngs_modulus = 1"
+        expected.append("# kappa_override = 0.75")
+        assert provenance_lines(load_config(write_config(tmp_path, body))) == expected
 
 
 class TestRunSolve:
@@ -186,12 +223,6 @@ class TestGridStudies:
         assert all(r["converged"] and r["stop_reason"] == "converged" for r in rows)
         errs = [r["control_error"] for r in rows]
         assert errs[0] > errs[1]  # finer mesh, smaller error
-
-    def test_process_pool_gives_the_serial_rows(self, tmp_path):
-        # each worker returns its cell's whole SSNResult to the parent
-        cfg = load_config(write_config(tmp_path, TOY.format(eta="1e-4") + GRID))
-        assert run_locking(cfg, jobs=2) == run_locking(cfg, jobs=1)
-        assert run_convergence(cfg, jobs=2) == run_convergence(cfg, jobs=1)
 
 
 class TestCLI:
@@ -309,11 +340,37 @@ class TestCLI:
         assert rows[0][-3:] == ["iterations", "stop_reason", "converged"]
         assert all(row[-2:] == ["converged", "1"] for row in rows[1:])
 
-    def test_bad_jobs_rejected(self, tmp_path, capsys):
+    def test_jobs_one_is_accepted(self, tmp_path):
         path = write_config(tmp_path, TOY.format(eta="1e-4") + GRID)
-        code = main(["locking", "--config", str(path), "--out", str(tmp_path / "x"),
-                     "--jobs", "0"])
+        code = main(["locking", "--config", str(path), "--out", str(tmp_path / "j"), "--jobs", "1"])
+        assert code == 0
+        main(["locking", "--config", str(path), "--out", str(tmp_path / "l")])
+        assert (tmp_path / "j" / "locking.csv").read_bytes() == \
+            (tmp_path / "l" / "locking.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "locking", "convergence"])
+    def test_unwritable_out_exit_one_before_solving(self, tmp_path, capsys, monkeypatch, command):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the output directory was made")
+
+        monkeypatch.setattr(experiments, "ssn_solve", no_solve)
+        path = write_config(tmp_path, TOY.format(eta="1e-4") + STUDY + GRID.replace("[study]\n", ""))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main([command, "--config", str(path), "--out", str(blocker / "sub")])
+        err = capsys.readouterr().err
         assert code == 1
+        assert err.startswith("configuration error: cannot create output directory")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["locking", "convergence"])
+    @pytest.mark.parametrize("jobs", ["0", "2"])
+    def test_bad_jobs_rejected(self, tmp_path, capsys, command, jobs):
+        path = write_config(tmp_path, TOY.format(eta="1e-4") + GRID)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "x"),
+                     "--jobs", jobs])
+        assert code == 1
+        assert not (tmp_path / "x").exists()
         assert "--jobs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
@@ -321,10 +378,12 @@ class TestCLI:
         ["solve", "--config", "run.ini", "--out", "r", "--bogus"],
         ["sweep", "--config", "run.ini", "--out", "r", "--jobs", "2"],  # grid studies only
         ["solve", "--config", "run.ini", "--out", "r", "--jobs", "2"],
+        ["locking", "--config", "run.ini", "--out", "r", "--jobs", "2"],  # only 1 is accepted
+        ["convergence", "--config", "run.ini", "--out", "r", "--jobs", "2"],
         ["anneal", "--config", "run.ini", "--out", "r"],  # no such subcommand
         [],  # no subcommand
-    ], ids=["missing-config", "unknown-flag", "sweep-jobs", "solve-jobs", "unknown-command",
-            "no-command"])
+    ], ids=["missing-config", "unknown-flag", "sweep-jobs", "solve-jobs", "locking-jobs-2",
+            "convergence-jobs-2", "unknown-command", "no-command"])
     def test_usage_error_exit_one(self, capsys, argv):
         # exit 2 is kept for non-convergence, so usage errors exit 1 as well
         assert main(argv) == 1

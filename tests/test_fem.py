@@ -146,6 +146,20 @@ class TestLoads:
         # each interior hat integrates to h under a constant
         assert np.allclose(load[0::2], 2.0 * 0.25)
 
+    @pytest.mark.parametrize("kind", ["nan-constant", "inf-constant", "nan-p0", "nan-moment"])
+    def test_nonfinite_exact_load_is_rejected(self, kind):
+        # constants and P0 fields take the midpoint rule, not the quadrature
+        mesh = build_uniform_mesh(4)
+        params = BeamParams(E=1.0, t=0.1, kappa_override=1.0)
+        f, g = {
+            "nan-constant": (np.nan, 0.0),
+            "inf-constant": (-np.inf, 0.0),
+            "nan-p0": (P0Field(mesh, np.array([0.0, np.nan, 0.0, 0.0])), 0.0),
+            "nan-moment": (0.0, np.nan),
+        }[kind]
+        with pytest.raises(ValueError, match="non-finite"):
+            assemble_load(mesh, params, f, g)
+
     def test_moment_load_scaling(self):
         mesh = build_uniform_mesh(4)
         params = BeamParams(E=1.0, t=0.2, kappa_override=1.0)

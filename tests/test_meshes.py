@@ -53,6 +53,20 @@ class TestMesh1D:
         with pytest.raises(ValueError):
             build_uniform_mesh(4, -1.0)
 
+    def test_infinite_node_is_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            Mesh1D(np.array([0.0, 0.5, 1.0, np.inf]))
+
+    def test_equality_and_hash_by_nodes(self):
+        a, b = build_uniform_mesh(4), build_uniform_mesh(4)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != build_uniform_mesh(5)
+        assert a != Mesh1D(np.linspace(0.0, 1.0, 5) ** 1.5)
+        assert a != "mesh"
+        signed = Mesh1D(np.array([-0.0, 0.5, 1.0]))  # -0.0 == 0.0 passes as the first node
+        assert signed == build_uniform_mesh(2) and hash(signed) == hash(build_uniform_mesh(2))
+
     def test_nodes_are_readonly(self):
         mesh = build_uniform_mesh(4)
         with pytest.raises(ValueError):
@@ -60,6 +74,12 @@ class TestMesh1D:
 
 
 class TestFields:
+    def test_fields_compare_and_hash_by_identity(self):
+        mesh = build_uniform_mesh(4)
+        u, v, w = P0Field.zeros(mesh), P0Field.zeros(mesh), P1Field.zeros(mesh)
+        assert u == u and u != v and w != P1Field.zeros(mesh)
+        assert len({u, v, w}) == 3
+
     def test_p1_shape_and_boundary(self):
         mesh = build_uniform_mesh(4)
         with pytest.raises(ValueError):

@@ -88,6 +88,14 @@ def test_state_matches_module_level_solve(graded, load):
             assert np.array_equal(getattr(st, name).values, getattr(st2, name).values)
 
 
+def test_problems_compare_and_hash():
+    a, b = zero_problem(), zero_problem()
+    assert a == b and hash(a) == hash(b)
+    assert a != a.with_control(eta=1.0)
+    p0 = replace(a, loads=LoadData(f=P0Field.zeros(a.mesh)))
+    assert p0 != a and len({a, b, p0}) == 2
+
+
 def test_state_rejects_control_on_another_mesh():
     prob = toy_problem(n=12)
     with pytest.raises(ValueError, match="different mesh"):

@@ -204,6 +204,26 @@ class TestTermination:
         with pytest.raises(ValueError, match="different mesh"):
             ssn_solve(prob, SSNConfig(u0=u0))
 
+    def test_u0_holding_nan_is_rejected(self):
+        prob = toy_problem(nu=1e-8)
+        values = np.ones(prob.mesh.n)
+        values[3] = np.nan
+        with pytest.raises(ValueError, match="u0 must be finite"):
+            ssn_solve(prob, SSNConfig(u0=P0Field(prob.mesh, values)))
+
+    def test_infinite_u0_clips_to_the_box(self):
+        # inside a finite box an infinite entry is the bound; past an
+        # infinite bound it is rejected
+        prob = toy_problem(nu=1e-8)
+        prob = prob.with_control(eta=0.3 * eta_threshold(prob))
+        signs = np.where(np.arange(prob.mesh.n) % 2 == 0, 1.0, -1.0)
+        res = ssn_solve(prob, SSNConfig(u0=P0Field(prob.mesh, np.inf * signs)))
+        clipped = ssn_solve(prob, SSNConfig(u0=P0Field(prob.mesh, 15.0 * signs)))
+        assert res.converged and np.array_equal(res.u.values, clipped.u.values)
+        free = prob.with_control(a=-np.inf, b=np.inf)
+        with pytest.raises(ValueError, match="u0 must be finite"):
+            ssn_solve(free, SSNConfig(u0=P0Field(prob.mesh, np.inf * signs)))
+
     def test_non_integer_max_iter_is_rejected(self):
         with pytest.raises(ValueError, match="integer"):
             SSNConfig(max_iter=2.5)
