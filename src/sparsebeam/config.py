@@ -176,12 +176,11 @@ def realize_field(spec: str, mesh, base_dir: Optional[Path] = None):
     coords, vals = data[:, 0], data[:, 1]
     tol = 1e-9 * max(mesh.length, 1.0)
     if vals.size == mesh.n and np.allclose(coords, mesh.midpoints, atol=tol):
-        return P0Field(mesh, vals.copy())
+        return P0Field(mesh, vals)
     if np.any(np.diff(coords) <= 0):
         raise ConfigError(f"field file {path} needs strictly increasing coordinates")
     # nodal or foreign-grid samples: interpolate
-    c, v = coords.copy(), vals.copy()
-    return lambda x: np.interp(np.asarray(x, dtype=float), c, v)
+    return lambda x: np.interp(np.asarray(x, dtype=float), coords, vals)
 
 
 def _section(cp: configparser.ConfigParser, section: str):

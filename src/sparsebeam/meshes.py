@@ -33,7 +33,8 @@ __all__ = [
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(np.asarray(a, dtype=float))
+    """A read-only float copy of a, so the caller's array stays its own."""
+    a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
 
@@ -210,7 +211,7 @@ def pi_h(u, mesh: Mesh1D) -> P0Field:
     if isinstance(u, P0Field):
         if u.mesh != mesh:
             raise ValueError("P0Field lives on a different mesh")
-        return P0Field(mesh, u.values.copy())
+        return P0Field(mesh, u.values)
     if np.isscalar(u):
         return P0Field.constant(mesh, float(u))
     x = mesh.nodes[:-1, None] + mesh.element_sizes[:, None] * GAUSS_2PT.points[None, :]

@@ -20,25 +20,10 @@ repeats, the iterate solves its own linearization and C vanishes to
 roundoff.
 
 The blocks K, Mt, B and Avg and the loads come from the problem's cached
-OptimalitySystem.  Each pattern system is solved by one LAPACK banded LU
-(dgbtrf/dgbtrs).  Ordered node by node -- the controls of the elements
-interleaved with the (w, theta, p, q) unknowns of the interior nodes -- the
-element-local blocks give a band of 7 sub- and 6 superdiagonals at every
-mesh size, thickness and grading.  Controls off the free branches keep
-their slots as decoupled unit rows, so the band layout never changes.  Each
-pattern's band is written straight into the LAPACK band storage, element by
-element from the diagonals of the stiffness and the tracking mass; that
-storage is allocated once per solve, on the first pattern with a free
-element, and is rewritten for every pattern.
-The stiffness carries the 1/t^2 shear scale, so its rows differ in size by
-orders of magnitude; each state and adjoint row is scaled by a power of two
-that brings its stiffness part to max-norm in [1/2, 1), exactly and once per
-solve.  On the equilibrated rows one step of iterative refinement on the
-same factor, its residual taken from the unscaled system, brings the
-componentwise backward error close to roundoff; on the unscaled rows two
-steps left it orders of magnitude above (Skeel 1980; Higham, Accuracy and
-Stability of Numerical Algorithms, ch. 12).  A pattern with no free element
-decouples into two solves with the stiffness operator.
+OptimalitySystem.  _PatternSolver solves each pattern system by one LAPACK
+banded LU of the row-equilibrated system and one refinement step; a
+pattern with no free element decouples into two solves with the stiffness
+operator.
 
 One active-set iteration serves the main loop, the reseed's proximal
 stages and its probes, and all of them draw on one budget of max_iter
@@ -91,11 +76,9 @@ from __future__ import annotations
 import itertools
 import numbers
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .control import (
@@ -108,7 +91,7 @@ from .control import (
     reconstruct_multipliers,
     shrink,
 )
-from .fem import AdjointSolution, BeamOperator, LinearSolveError, StateSolution
+from .fem import AdjointSolution, LinearSolveError, StateSolution
 from .meshes import P0Field, P1Field, coarsen, p0_average, restrict_p0
 from .problem import ControlProblem
 
@@ -126,13 +109,14 @@ class SSNConfig:
     for a main loop of 50 solves and a reseed of 800.
 
     u0 must live on the problem's mesh and be finite once clipped to the box
-    (so no NaN); clipped, it is the first center of the reseed.  Below the nesting size the solve starts in that
-    reseed (unless u = 0 is optimal or u0 clips to zero), whose first
-    proximal stage classifies from pbar(u0).  No classification at the true
-    weight starts from u0: along a sweep, the previous control's adjoint
-    average lies inside the new weight's zero band.  A nested solve
-    restricts u0 to the coarse mesh for the coarse solve, and centers the
-    fine reseed at it if the fine loop cycles."""
+    (so no NaN); the solve reads it only clipped, as the first center of the
+    reseed.  Below the nesting size the solve starts in that reseed (unless
+    u = 0 is optimal or u0 clips to zero), whose first proximal stage
+    classifies from pbar(u0).  No classification at the true weight starts
+    from u0: along a sweep, the previous control's adjoint average lies
+    inside the new weight's zero band.  A nested solve restricts the clipped
+    u0 to the coarse mesh for the coarse solve, and centers the fine reseed
+    at it if the fine loop cycles."""
 
     tol: float = 1e-10
     max_iter: int = 850
@@ -210,32 +194,40 @@ _TAU_UP = 4.0  # after a stage that cycles or spends its cap: back towards contr
 _TAU_DOWN = 0.25  # after a settled stage: towards the true weight
 
 
-class _PatternBand:
-    """Banded LU of the coupled system of one branch pattern.
+class _PatternSolver:
+    """The pattern systems of one solve, each by one LAPACK banded LU.
 
-    Each pattern is written straight into one LAPACK band storage, reused
-    by every pattern, _CHUNK elements at a time: the chunk's columns are
-    zeroed, its pattern-independent part, [[K, 0], [Mt, K]] on the state and
-    adjoint slots, is written from a table of views of the upper bands of K
-    and Mt and of the row scales, one strided product per diagonal and
-    column parity, and then its control rows and columns: -B_f, -Avg_f and
-    nu on free elements, a unit diagonal elsewhere.  The last element's
-    control column, outside the element-major view, is set on its own.
-    The band is row-equilibrated as it is written: the state row and the
-    adjoint row of each interior dof are scaled by 2^-e, e the binary
-    exponent of the largest |entry| in that dof's stiffness row, so the
-    stiffness parts of the scaled rows lie in [1/2, 1) in max-norm.  A power
-    of two scales exactly, so the scaled and unscaled systems have the same
-    solution; the control rows keep scale 1, as does the row of a dof
-    without stiffness.
+    The blocks come from the problem's cached OptimalitySystem.  The LAPACK
+    band storage is allocated here, once per solve, and every pattern with
+    a free element is written straight into it, _CHUNK elements at a time:
+    the chunk's columns are zeroed, its pattern-independent part,
+    [[K, 0], [Mt, K]] on the state and adjoint slots, is written from a
+    table of views of the upper bands of K and Mt and of the row scales, one
+    strided product per diagonal and column parity, and then its control
+    rows and columns: -B_f, -Avg_f and nu on free elements, a unit diagonal
+    elsewhere.  The last element's control column, outside the element-major
+    view, is set on its own.
+
+    The stiffness carries the 1/t^2 shear scale, so its rows differ in size
+    by orders of magnitude.  The band is row-equilibrated as it is written:
+    the state row and the adjoint row of each interior dof are scaled by
+    2^-e, e the binary exponent of the largest |entry| in that dof's
+    stiffness row, so the stiffness parts of the scaled rows lie in [1/2, 1)
+    in max-norm.  A power of two scales exactly, so the scaled and unscaled
+    systems have the same solution; the control rows keep scale 1, as does
+    the row of a dof without stiffness.  On the equilibrated rows one step
+    of iterative refinement on the same factor, its residual taken from the
+    unscaled system, brings the componentwise backward error close to
+    roundoff; on the unscaled rows two steps left it orders of magnitude
+    above (Skeel 1980; Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 12).
     """
 
-    def __init__(self, operator: BeamOperator, Mt: sp.csr_matrix, B: sp.csr_matrix,
-                 Avg: sp.csr_matrix):
-        K_band, K = operator.K_band, operator.K
-        self.K, self.Mt, self.B, self.Avg = K, Mt, B, Avg
-        n = B.shape[1]
-        self.m = K.shape[0]
+    def __init__(self, problem: ControlProblem):
+        s = self.sys = problem.system
+        self.a, self.b = problem.bounds
+        self.nu, self.eta = problem.control.nu, problem.control.eta
+        K_band, n = s.operator.K_band, problem.mesh.n
         self.size = _SLOTS * n - 4
         # row scales 2^-e of the stiffness rows, 1 for rows without entries:
         # row r holds column r of the upper band and K[r, r + e] = band[3 - e, r + e]
@@ -246,7 +238,7 @@ class _PatternBand:
         self.scale = self._to_band(d, d, 1.0)
         # entries -B (on the scaled w rows) and -Avg per element, at its left
         # [0] and right [1] end node
-        b, avg = B.tocoo(), Avg.tocoo()
+        b, avg = s.B.tocoo(), s.Avg.tocoo()
         self.b_end = np.zeros((2, n))
         self.b_end[(b.row != 2 * (b.col - 1)).astype(int), b.col] = -(b.data * d[b.row])
         self.avg_end = np.zeros((2, n))
@@ -262,7 +254,7 @@ class _PatternBand:
         # the storage
         Mt_band = np.zeros_like(K_band)
         for e in (0, 2):
-            Mt_band[3 - e, e:] = Mt.diagonal(e)
+            Mt_band[3 - e, e:] = s.Mt.diagonal(e)
         self.table = []
         for upper, row_comp, col_comp in ((K_band, 0, 0), (K_band, 2, 2), (Mt_band, 2, 0)):
             for e, p in itertools.product(range(-3, 4), (0, 1)):
@@ -302,7 +294,7 @@ class _PatternBand:
         return z
 
     def _from_band(self, z):
-        m = self.m
+        m = self.sys.K.shape[0]
         x, y = np.empty(m), np.empty(m)
         x[0::2], x[1::2] = z[1::_SLOTS], z[2::_SLOTS]
         y[0::2], y[1::2] = z[3::_SLOTS], z[4::_SLOTS]
@@ -311,16 +303,34 @@ class _PatternBand:
     def _apply(self, is_free, nu, z):
         """Product of the band matrix with a band-ordered vector."""
         x, y, u = self._from_band(z)
-        return self._to_band(self.K @ x - self.B @ np.where(is_free, u, 0.0),
-                             self.Mt @ x + self.K @ y,
-                             np.where(is_free, nu * u - self.Avg @ y, u))
+        s = self.sys
+        return self._to_band(s.K @ x - s.B @ np.where(is_free, u, 0.0),
+                             s.Mt @ x + s.K @ y,
+                             np.where(is_free, nu * u - s.Avg @ y, u))
 
-    def solve(self, is_free, nu, f_state, f_adj, f_ctl):
-        """Solve K x - B_f u_f = f_state, Mt x + K y = f_adj and
-        nu u_f - Avg_f y = f_ctl on the free set, by banded LU of the
-        row-equilibrated system and one refinement step on the same factor,
-        its residual taken from the unscaled blocks.  Returns (x, y, u) with
-        u zero off the free set."""
+    def solve(self, branches: np.ndarray, nu: Optional[float] = None,
+              shift: Optional[np.ndarray] = None):
+        """Solve the coupled system of one branch pattern exactly.
+
+        Bound and zero controls are substituted into the state right-hand
+        side, and the control rows solve nu*u - Avg y = -eta*sign on the free
+        set.  Eliminating the state and adjoint blocks reduces the system to
+        nu*I + T[free, free] with T the dense reduced operator of the oracle
+        module.  A shift vector adds to the control-row right-hand side;
+        together with an inflated nu it realizes the proximally centered
+        subproblems of the reseeding path.  Returns (x, y, u).
+        """
+        s = self.sys
+        nu = self.nu if nu is None else nu
+        is_free = (branches == BRANCH_POS) | (branches == BRANCH_NEG)
+        u = fixed_control(branches, self.a, self.b)
+        f_state = s.Lf + s.B @ u
+        if not is_free.any():
+            x = s.operator.solve(f_state)
+            return x, s.operator.solve(s.Ld - s.Mt @ x), u
+        f_ctl = -self.eta * np.where(branches == BRANCH_POS, 1.0, -1.0)
+        if shift is not None:
+            f_ctl = f_ctl + shift
         lu, piv, info = dgbtrf(self._fill(is_free, nu), _KL, _KU, overwrite_ab=1)
         if info != 0:
             raise LinearSolveError(f"pattern factorization failed (dgbtrf info {info})")
@@ -331,61 +341,11 @@ class _PatternBand:
                 raise LinearSolveError(f"pattern solve failed (dgbtrs info {info})")
             return z
 
-        rhs = self._to_band(f_state, f_adj, np.where(is_free, f_ctl, 0.0))
+        rhs = self._to_band(f_state, s.Ld, np.where(is_free, f_ctl, 0.0))
         z = lu_solve(rhs)
         z += lu_solve(rhs - self._apply(is_free, nu, z))
-        return self._from_band(z)
-
-
-class _PatternSolver:
-    """The pattern systems of one solve.
-
-    The blocks come from the problem's cached OptimalitySystem; the band
-    storage is allocated on the first pattern with a free element and is
-    dropped with the solve.
-    """
-
-    def __init__(self, problem: ControlProblem):
-        self.problem = problem
-        self.sys = problem.system
-        self.a, self.b = problem.bounds
-        self.nu, self.eta = problem.control.nu, problem.control.eta
-
-    @cached_property
-    def band(self) -> _PatternBand:
-        s = self.sys
-        return _PatternBand(s.operator, s.Mt, s.B, s.Avg)
-
-    def rhs(self, branches: np.ndarray, shift: Optional[np.ndarray] = None):
-        """Right-hand side of the coupled system for one branch pattern.
-
-        Bound and zero controls are substituted into the state right-hand
-        side.  Eliminating the state and adjoint blocks reduces the system
-        to nu*I + T[free, free] with T the dense reduced operator of the
-        oracle module.  A shift vector adds to the control-row right-hand
-        side; together with an inflated nu it realizes the proximally
-        centered subproblems of the reseeding path.  Returns the state,
-        adjoint and control-row right-hand sides (the last per element, used
-        on the free set), the free mask and the fixed controls.
-        """
-        is_free = (branches == BRANCH_POS) | (branches == BRANCH_NEG)
-        u_fix = fixed_control(branches, self.a, self.b)
-        f_ctl = -self.eta * np.where(branches == BRANCH_POS, 1.0, -1.0)
-        if shift is not None:
-            f_ctl = f_ctl + shift
-        return self.sys.Lf + self.sys.B @ u_fix, self.sys.Ld, f_ctl, is_free, u_fix
-
-    def solve(self, branches: np.ndarray, nu: Optional[float] = None,
-              shift: Optional[np.ndarray] = None):
-        """Solve the coupled system of one branch pattern exactly."""
-        nu = self.nu if nu is None else nu
-        f_state, f_adj, f_ctl, is_free, u = self.rhs(branches, shift)
-        if not is_free.any():
-            op = self.problem.operator
-            x = op.solve(f_state)
-            return x, op.solve(f_adj - self.sys.Mt @ x), u
-        x, y, u_free = self.band.solve(is_free, nu, f_state, f_adj, f_ctl)
-        u[is_free] = u_free[is_free]
+        x, y, u_band = self._from_band(z)
+        u[is_free] = u_band[is_free]
         return x, y, u
 
 
@@ -483,18 +443,19 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
     its last pattern solve (see SSNResult)."""
     mesh, control = problem.mesh, problem.control
     nu, eta = control.nu, control.eta
-    u0 = config.u0
-    if u0 is not None:
-        if u0.mesh != mesh:
+    a, b = problem.bounds
+    u0 = None  # the warm start clipped to the box
+    if config.u0 is not None:
+        if config.u0.mesh != mesh:
             raise ValueError("u0 lives on a different mesh")
-        if not np.all(np.isfinite(np.clip(u0.values, *problem.bounds))):
+        u0 = np.clip(config.u0.values, a, b)
+        if not np.all(np.isfinite(u0)):
             raise ValueError("u0 must be finite once clipped to the box")
-    z0, coarse_iterations = np.zeros(mesh.n), 0
-    center = None if u0 is None else u0.values
+    z0, coarse_iterations, center = np.zeros(mesh.n), 0, u0
     if mesh.n >= _NEST_MIN:
         coarse = coarsen(mesh, _NEST_K)
-        seed = ssn_solve(problem.restricted(coarse),
-                         replace(config, u0=None if u0 is None else restrict_p0(u0, coarse)))
+        seed = ssn_solve(problem.restricted(coarse), replace(
+            config, u0=None if u0 is None else restrict_p0(P0Field(mesh, u0), coarse)))
         coarse_iterations = seed.iterations + seed.coarse_iterations
         # the coarse adjoint, linear between the coarse nodes, averaged per fine element
         z0 = p0_average(P1Field(mesh, np.interp(mesh.nodes, coarse.nodes,
@@ -502,8 +463,7 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
         if center is None:
             owner = np.arange(mesh.n) // _NEST_K  # the coarse element holding each fine one
             center = seed.u.values[owner]
-    ps = _PatternSolver(problem)
-    s, a, b = ps.sys, ps.a, ps.b
+    ps, s = _PatternSolver(problem), problem.system
 
     residual_history: List[float] = []
     latest = []  # (u, z) of the last two iterates, for the reseed's secant
@@ -531,12 +491,11 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
         # pbar(c) - pbar(0) = -T c of the reduced operator (two operator
         # solves of two columns), unless u = 0 is optimal, which the main
         # loop reaches in one solve, or c = 0 gives no direction
-        c = np.clip(u0.values, a, b)
-        x = problem.operator.solve(np.column_stack([s.Lf, s.Lf + s.B @ c]))
+        x = problem.operator.solve(np.column_stack([s.Lf, s.Lf + s.B @ u0]))
         pbar0, pbar_c = (s.Avg @ problem.operator.solve(s.Ld[:, None] - s.Mt @ x)).T
-        if np.max(np.abs(pbar0)) > eta and c.any():
-            secant = np.linalg.norm(pbar_c - pbar0) / np.linalg.norm(c)
-            start = (pbar_c, _TAU_FIRST * max(secant, nu), c)
+        if np.max(np.abs(pbar0)) > eta and u0.any():
+            secant = np.linalg.norm(pbar_c - pbar0) / np.linalg.norm(u0)
+            start = (pbar_c, _TAU_FIRST * max(secant, nu), u0)
     if start is None:
         run = _active_set(ps, z0, nu, config.max_iter, visit=record)
         iterations = run.solves

@@ -14,9 +14,10 @@ are checked, and ``variational_inequality_residual`` measures a control's
 L2 distance to it.  ``residual`` and ``kkt_residual`` measure the
 optimality system at a candidate point, with the state and adjoint solved
 afresh at its control.  ``pattern_system`` stacks the coupled system of one
-branch pattern from the separately built blocks, against which the
-solver's banded pattern solve is checked.  ``support_runs`` and
-``support_measure`` describe a control's support for the sweep checks;
+branch pattern and its right-hand side from the separately built blocks,
+against which the solver's banded pattern solve is checked.
+``support_runs`` and ``support_measure`` describe a control's support for
+the sweep checks;
 ``p1_interpolant`` and ``l2_norm_p1`` build and measure P1 test fields;
 ``p1_tracking`` is the closed-form tracking term of a P1 target on the
 state's own mesh, against which the cost's quadrature is checked.
@@ -26,7 +27,15 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from sparsebeam.control import ControlParams, complementarity_values, discretize_bounds
+from sparsebeam.control import (
+    BRANCH_LOWER,
+    BRANCH_NEG,
+    BRANCH_POS,
+    BRANCH_UPPER,
+    ControlParams,
+    complementarity_values,
+    discretize_bounds,
+)
 from sparsebeam.fem import (
     LOCKING_FREE,
     STANDARD,
@@ -41,7 +50,6 @@ from sparsebeam.fem import (
 )
 from sparsebeam.meshes import Mesh1D, P0Field, P1Field, p0_average
 from sparsebeam.problem import ControlProblem
-from sparsebeam.ssn import _PatternSolver
 
 
 def element_matrices(mesh: Mesh1D, params: BeamParams, scheme: str) -> np.ndarray:
@@ -225,15 +233,18 @@ def kkt_residual(problem: ControlProblem, u: P0Field, mu: Optional[P0Field] = No
 def pattern_system(problem: ControlProblem, branches: np.ndarray):
     """The linear system of one branch pattern, unknowns stacked as (state
     dofs, adjoint dofs, free controls): [[K, 0, -B_f], [Mt, K, 0],
-    [0, -Avg_f, nu I]], with the right-hand side of _PatternSolver.rhs.
-    Returns (A, rhs, free); A is None when no element is on a free branch
-    (the system then decouples into two banded solves)."""
-    s = problem.system
-    f_state, f_adj, f_ctl, is_free, _ = _PatternSolver(problem).rhs(np.asarray(branches, dtype=int))
-    free = np.nonzero(is_free)[0]
-    rhs = np.concatenate([f_state, f_adj, f_ctl[free]])
+    [0, -Avg_f, nu I]], or [[K, 0], [Mt, K]] when no element is free.  Bound
+    and zero controls load the state rows, and a free control's row solves
+    nu*u - Avg y = -eta on the positive branch and +eta on the negative one.
+    Returns (A, rhs, free)."""
+    s, (a, b) = problem.system, problem.bounds
+    branches = np.asarray(branches)
+    free = np.nonzero((branches == BRANCH_POS) | (branches == BRANCH_NEG))[0]
+    u_fix = np.select([branches == BRANCH_UPPER, branches == BRANCH_LOWER], [b, a], 0.0)
+    f_ctl = problem.control.eta * np.where(branches[free] == BRANCH_POS, -1.0, 1.0)
+    rhs = np.concatenate([s.Lf + s.B @ u_fix, s.Ld, f_ctl])
     if not free.size:
-        return None, rhs, free
+        return sp.bmat([[s.K, None], [s.Mt, s.K]], format="csc"), rhs, free
     A = sp.bmat([[s.K, None, -s.B[:, free]],
                  [s.Mt, s.K, None],
                  [None, -s.Avg[free, :], problem.control.nu * sp.identity(free.size)]],

@@ -74,6 +74,15 @@ class TestMesh1D:
 
 
 class TestFields:
+    def test_field_copies_the_callers_array(self):
+        # the field is read-only, the array it was built from stays the caller's
+        mesh = build_uniform_mesh(4)
+        v = np.arange(4.0)
+        u = P0Field(mesh, v)
+        v[:] = -1.0
+        assert v.flags.writeable
+        assert np.array_equal(u.values, np.arange(4.0)) and not u.values.flags.writeable
+
     def test_fields_compare_and_hash_by_identity(self):
         mesh = build_uniform_mesh(4)
         u, v, w = P0Field.zeros(mesh), P0Field.zeros(mesh), P1Field.zeros(mesh)

@@ -45,7 +45,6 @@ from sparsebeam.oracles import OracleConfig, ReducedQuadratic, fd_gradient_check
 from sparsebeam.problem import ControlProblem
 from sparsebeam.ssn import (
     SSNConfig,
-    _PatternBand,
     _PatternSolver,
     ssn_solve,
 )
@@ -290,6 +289,21 @@ class TestNestedSeed:
         assert nested.coarse_iterations > 0 and cold.coarse_iterations == 0
         assert nested.iterations == 1
         assert np.array_equal(nested.u.values, cold.u.values)
+
+    def test_opposite_infinities_in_one_coarse_element_clip_first(self):
+        # u0 is clipped to the box before the coarse level restricts it, so
+        # +inf and -inf in two fine elements of one coarse element do not
+        # average to NaN, and the solve is the one given the clipped u0
+        problem = ControlProblem(build_uniform_mesh(ssn._NEST_MIN), BeamParams(E=1.0, t=1e-2),
+                                 LoadData(f=lambda x: 100 * np.sin(8 * np.pi * x)),
+                                 ControlParams(nu=1e-6, eta=1e-5, a=-60, b=60))
+        values = np.zeros(problem.mesh.n)
+        values[:2] = np.inf, -np.inf
+        res = ssn_solve(problem, SSNConfig(u0=P0Field(problem.mesh, values)))
+        clipped = ssn_solve(problem, SSNConfig(u0=P0Field(problem.mesh, np.clip(values, -60.0, 60.0))))
+        assert res.converged and res.coarse_iterations > 0
+        assert (res.iterations, res.coarse_iterations) == (clipped.iterations, clipped.coarse_iterations)
+        assert np.array_equal(res.u.values, clipped.u.values)
 
     @pytest.mark.parametrize("n, t", [(10_000, 1e-3), (25_000, 1e-2)])
     def test_large_beam_takes_one_fine_solve(self, monkeypatch, n, t):
@@ -652,12 +666,13 @@ class TestNewtonSystem:
         u_dense = np.linalg.solve(S, r)
         assert np.max(np.abs(u_sparse - u_dense)) <= 1e-10 * (1.0 + np.max(np.abs(u_dense)))
 
-    def test_all_fixed_pattern_has_no_matrix(self):
+    def test_all_fixed_pattern_is_block_triangular(self):
         prob = toy_problem(n=6)
+        s = prob.system
         A, rhs, free = pattern_system(prob, np.full(6, BRANCH_ZERO))
-        assert A is None
         assert free.size == 0
         assert rhs.shape == (2 * 2 * (prob.mesh.n - 1),)
+        assert (A != sp.bmat([[s.K, None], [s.Mt, s.K]])).nnz == 0
 
 
 @st.composite
@@ -702,14 +717,9 @@ class TestBandedPatternSolve:
         s = problem.system
         x, y, u = _PatternSolver(problem).solve(branches, nu_eff, shift)
         A, rhs, free = pattern_system(problem.with_control(nu=nu_eff), branches)
-        if A is None:
-            # no free control: the block lower-triangular state/adjoint system
-            A = sp.bmat([[s.K, None], [s.Mt, s.K]], format="csr")
-            sol = np.concatenate([x, y])
-        else:
-            if shift is not None:
-                rhs[2 * s.K.shape[0]:] += shift[free]
-            sol = np.concatenate([x, y, u[free]])
+        if shift is not None:
+            rhs[2 * s.K.shape[0]:] += shift[free]
+        sol = np.concatenate([x, y, u[free]])
         fixed = np.setdiff1d(np.arange(problem.mesh.n), free)
         a, b = problem.bounds
         targets = np.select([branches == BRANCH_UPPER, branches == BRANCH_LOWER], [b, a], 0.0)
@@ -766,50 +776,47 @@ class TestBandedPatternSolve:
         # writer, then compared entry by entry; the storage starts as NaN, as
         # a factor left in it would, and small chunks cross chunk boundaries
         problem, branches, nu_eff, _ = case
-        s = problem.system
         is_free = (branches == BRANCH_POS) | (branches == BRANCH_NEG)
-        band = _PatternBand(s.operator, s.Mt, s.B, s.Avg)
-        A = np.column_stack([band.scale * band._apply(is_free, nu_eff, e) for e in np.eye(band.size)])
+        ps = _PatternSolver(problem)
+        A = np.column_stack([ps.scale * ps._apply(is_free, nu_eff, e) for e in np.eye(ps.size)])
         i, j = np.indices(A.shape)
         inside = (-ssn._KU <= i - j) & (i - j <= ssn._KL)
         assert not A[~inside].any()
-        expected = np.zeros((ssn._KL + ssn._KU + 1, band.size))
+        expected = np.zeros((ssn._KL + ssn._KU + 1, ps.size))
         expected[ssn._KU + (i - j)[inside], j[inside]] = A[inside]
         for chunk in (1, 3, ssn._CHUNK):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ssn, "_CHUNK", chunk)
-                band = _PatternBand(s.operator, s.Mt, s.B, s.Avg)
-                band.ab.fill(np.nan)
-                assert np.array_equal(band._fill(is_free, nu_eff)[ssn._KL:], expected)
+                ps.ab.fill(np.nan)
+                assert np.array_equal(ps._fill(is_free, nu_eff)[ssn._KL:], expected)
 
     def test_band_memory_is_its_storage(self):
         # the large-n benchmark's sine load at n = 2e4 with every other
-        # element free: building the band and writing one pattern allocates
-        # little beyond the LAPACK band storage itself
+        # element free: building the pattern solver and writing one pattern
+        # allocates little beyond the LAPACK band storage itself
         n = 20_000
         problem = ControlProblem(build_uniform_mesh(n), BeamParams(E=1.0, t=1e-2),
                                  LoadData(f=lambda x: 100.0 * np.sin(8.0 * np.pi * x)),
                                  ControlParams(nu=1e-6, eta=1e-5, a=-60.0, b=60.0))
-        s = problem.system
-        blocks = (s.operator, s.Mt, s.B, s.Avg)
+        problem.system  # the blocks are built before tracing, as in a solve
         tracemalloc.start()
         try:
-            band = _PatternBand(*blocks)
-            band._fill(np.arange(n) % 2 == 0, 1e-6)
+            ps = _PatternSolver(problem)
+            ps._fill(np.arange(n) % 2 == 0, 1e-6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.35 * band.ab.nbytes
+        assert peak <= 1.35 * ps.ab.nbytes
 
     def test_zero_pivot_raises(self):
         # without stiffness the rotation columns are empty (no theta
         # tracking term), so dgbtrf meets an exact zero pivot
-        s = toy_problem(n=6, nu=1e-3).system
-        no_stiffness = SimpleNamespace(K_band=np.zeros_like(s.operator.K_band), K=sp.csr_matrix(s.K.shape))
-        band = _PatternBand(no_stiffness, s.Mt, s.B, s.Avg)
-        is_free = np.ones(6, dtype=bool)
+        problem = toy_problem(n=6, nu=1e-3)
+        s = problem.system
+        s.operator = SimpleNamespace(K_band=np.zeros_like(s.operator.K_band))
+        s.K = sp.csr_matrix(s.K.shape)
         with pytest.raises(LinearSolveError):
-            band.solve(is_free, 1e-3, s.Lf, s.Ld, np.zeros(6))
+            _PatternSolver(problem).solve(np.full(6, BRANCH_POS))
 
 
 class TestOracleAgreement:
