@@ -116,12 +116,12 @@ class ReducedQuadratic:
     """Dense reduced form of one control problem.
 
     T, r0 and H are the problem's cached OptimalitySystem.reduced: the
-    first ReducedQuadratic of a problem builds them by two
-    multi-right-hand-side banded solves (O(n) solves of bandwidth-3
-    systems, fine up to a few thousand elements), and every later one, also
-    on a with_control copy, shares them read-only.  sym_product, the
-    product of FISTA and of the power iteration, reads H; pbar,
-    partial_objective and the polish read T.
+    first ReducedQuadratic of a problem builds them by two solves of n
+    right-hand sides each with the stiffness factor, a row block over all
+    columns at a time from 64 columns on (O(n^2) work and memory), and
+    every later one, also on a with_control copy, shares them read-only.
+    sym_product, the product of FISTA and of the power iteration, reads H;
+    pbar, partial_objective and the polish read T.
     """
 
     def __init__(self, problem: ControlProblem):

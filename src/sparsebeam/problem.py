@@ -87,8 +87,12 @@ class OptimalitySystem:
     def reduced(self) -> Reduced:
         """Dense reduced operator T = Avg K^-1 Mt K^-1 B and r0, the adjoint
         average at u = 0, so that pbar(u) = r0 - T u.  Built on first use by
-        two multi-right-hand-side banded solves (n columns each) and two
-        single ones, then shared read-only by every reader of this system.
+        two solves of n columns each and two single ones, then shared
+        read-only by every reader of this system.  From n = 64 elements on
+        (the operator's column rule) the two wide solves substitute a row
+        block of the Cholesky factor at a time over all columns, in place,
+        and the build peaks at three arrays of 2(n - 1) x n: at n = 736, 26 MB
+        to keep 8.7 MB.
 
         DT = diag(h) T = B^T K^-1 Mt K^-1 B is symmetric in exact arithmetic
         but not in the two-solve build; H is its symmetric part, which a

@@ -250,8 +250,10 @@ class _PatternSolver:
         # diagonal e and column parity p with entries A[c + e, c] in the
         # state (comp 0) or adjoint (comp 2) rows and columns, c = 2k + p
         # from element k0 on, at the same slot and band row in every element;
-        # it holds k0 and views of the block's band row, the row scales and
-        # the storage
+        # it holds k0, the block's band row (a view of K_band, which the
+        # operator keeps, or a copy of the few rows of Mt read), the row
+        # scales (a view of scale, where dof 2q + r is slot 1 + r of node q)
+        # and a view of the storage
         Mt_band = np.zeros_like(K_band)
         for e in (0, 2):
             Mt_band[3 - e, e:] = s.Mt.diagonal(e)
@@ -262,7 +264,9 @@ class _PatternSolver:
                 k0 = max(0, -((p + e) // 2))  # the first element whose row c + e exists
                 src = upper[3 + e, 2 * k0 + p::2] if e <= 0 else upper[3 - e, 2 * k0 + p + e::2]
                 if _KL <= row <= 2 * _KL + _KU and src.any():  # outside: w and theta two nodes apart
-                    self.table.append((k0, src, d[2 * k0 + p + e::2][:src.size],
+                    q, r = divmod(2 * k0 + p + e, 2)  # the first row c + e
+                    self.table.append((k0, src if upper is K_band else src.copy(),
+                                       self.scale[_SLOTS * q + 1 + r::_SLOTS][:src.size],
                                        self.elements[k0:k0 + src.size, 1 + col_comp + p, row]))
 
     def _fill(self, is_free: np.ndarray, nu: float) -> np.ndarray:

@@ -3,10 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sparsebeam import fem
 from sparsebeam.fem import (
     SCHEMES,
     BeamOperator,
@@ -257,6 +259,67 @@ class TestStateSolve:
             tracemalloc.stop()
         assert op.K.shape == (2 * 19_999, 2 * 19_999)
         assert peak <= 2 * kept
+
+    def test_few_columns_keep_the_banded_solve(self):
+        # a vector, the 2-column warm-start solve and every matrix below the
+        # column rule take LAPACK's banded solve, bit for bit as before
+        op = BeamOperator(build_uniform_mesh(40), BeamParams(E=1.0, t=1e-3))
+        rng = np.random.default_rng(4)
+        for shape in [(78,), (78, 2), (78, fem._BLOCKED_COLUMNS - 1)]:
+            rhs = rng.normal(size=shape)
+            x = sla.cho_solve_banded((op._cb, False), rhs)
+            x += sla.cho_solve_banded((op._cb, False), rhs - op.K @ x)
+            assert np.array_equal(op.solve(rhs), x)
+
+    @pytest.mark.parametrize("n, t, grading", [
+        (2, 1e-2, 1.0),  # the smallest mesh: 2 rows
+        (5, 1e-2, 1.0),  # fewer rows (8) than one block
+        (9, 1e-2, 1.0),  # exactly one block of rows
+        (10, 1e-2, 1.0),  # a last block of 2 rows, fewer than its coupling rows
+        (40, 1e-5, 1.5),  # a thin beam on an x^1.5-graded mesh, 78 rows
+        (150, 1e-5, 1.0),  # 298 rows, not a multiple of the block
+    ])
+    def test_many_columns_solved_by_row_blocks(self, n, t, grading, monkeypatch):
+        # every column of the row-blocked solve has the componentwise
+        # backward error of a one-column solve: max_i |b - K x|_i /
+        # (|K| |x| + |b|)_i within a few units of roundoff, which bounds
+        # both paths alike (at most 2.7 u measured, u = 2^-53)
+        calls = []
+        substitute = fem._substitute
+        monkeypatch.setattr(fem, "_substitute", lambda z, *b: calls.append(z.shape) or substitute(z, *b))
+        op = BeamOperator(Mesh1D(np.linspace(0.0, 1.0, n + 1) ** grading), BeamParams(E=1.0, t=t))
+        m = op.K.shape[0]
+        rhs = np.random.default_rng(n).normal(size=(m, fem._BLOCKED_COLUMNS + 5))
+        x = op.solve(rhs)
+        assert calls == [rhs.shape, rhs.shape] and x.flags.c_contiguous
+
+        def backward_error(x, b):
+            return np.max(np.abs(b - op.K @ x) / (abs(op.K) @ np.abs(x) + np.abs(b)), axis=0)
+
+        single = np.column_stack([op.solve(b) for b in rhs.T])
+        assert len(calls) == 2
+        bound = 8 * 2.0**-53
+        assert np.all(backward_error(single, rhs) <= bound)
+        assert np.all(backward_error(x, rhs) <= bound)
+
+    def test_reduced_build_peaks_at_three_right_hand_sides(self):
+        # the build's solves hold the right-hand side, the solution and one
+        # scratch array of its size (the residual, then the correction) at
+        # once; the product with Mt replaces the first solve's right-hand
+        # side, and T and H are a ninth of one at most (n = 736, as the
+        # largest certify instance)
+        n = 736
+        problem = ControlProblem(build_uniform_mesh(n), BeamParams(E=1.0, t=1e-3),
+                                 LoadData(f=1.0), ControlParams(nu=1e-6, eta=1e-5))
+        system = problem.system
+        tracemalloc.start()
+        try:
+            system.reduced
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rhs = system.B.shape[0] * n * 8
+        assert peak <= 3.1 * rhs
 
     def test_recover_shear_definition(self):
         mesh = build_uniform_mesh(4)

@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.linalg.blas import dsymv
 
 from conftest import eta_threshold, toy_problem, zero_problem
+from reference import reduced_operator
 from sparsebeam import oracles
 from sparsebeam.control import ControlParams
 from sparsebeam.fem import BeamOperator, BeamParams, LoadData
@@ -191,6 +193,28 @@ class TestReducedQuadratic:
         assert other.T is rq.T and other.r0 is rq.r0 and other.H is rq.H
         assert other.eta != rq.eta
         assert calls == [12, 12]
+
+    @pytest.mark.parametrize("t", [1e-2, 1e-3])
+    def test_reduced_build_is_as_accurate_as_column_solves(self, t):
+        # the row-blocked build against the long-double T, next to the same
+        # build by LAPACK's banded solve, which substitutes one column at a
+        # time; both refine once.  Measured on the certify beams: 0.73 to
+        # 1.27 times the column build's error, 1e-10 to 5e-10 of max|T| at
+        # t = 1e-2 and 2e-8 to 7e-8 at t = 1e-3
+        prob = _certify_instance(300, 1e-6, t, 100.0, 4, 0.5, 0.5)
+        s, op = prob.system, prob.operator
+
+        def column_solve(rhs):
+            x = sla.cho_solve_banded((op._cb, False), rhs)
+            x += sla.cho_solve_banded((op._cb, False), rhs - op.K @ x)
+            return x
+
+        exact = reduced_operator(prob)
+        by_columns = s.Avg @ column_solve(s.Mt @ column_solve(s.B.toarray()))
+        scale = np.max(np.abs(exact))
+        error = float(np.max(np.abs(s.reduced.T - exact))) / scale
+        assert error <= 2.0 * float(np.max(np.abs(by_columns - exact))) / scale
+        assert error <= (1e-9 if t == 1e-2 else 1e-7)
 
     def test_cached_operator_is_read_only(self):
         rq = ReducedQuadratic(toy_problem(n=8))

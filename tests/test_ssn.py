@@ -808,6 +808,25 @@ class TestBandedPatternSolve:
             tracemalloc.stop()
         assert peak <= 1.35 * ps.ab.nbytes
 
+    def test_solver_keeps_only_the_rows_it_reads(self):
+        # beside the band storage the solver keeps the row scales, the
+        # control entries at both end nodes and copies of the two rows of
+        # Mt its table reads (n entries each, one row read twice), not all
+        # of Mt's band or a second copy of the scales
+        n = 100_000
+        problem = ControlProblem(build_uniform_mesh(n), BeamParams(E=1.0, t=1e-2),
+                                 LoadData(f=lambda x: 100.0 * np.sin(8.0 * np.pi * x)),
+                                 ControlParams(nu=1e-6, eta=1e-5, a=-60.0, b=60.0))
+        problem.system
+        tracemalloc.start()
+        try:
+            ps = _PatternSolver(problem)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        arrays = ps.ab.nbytes + ps.scale.nbytes + ps.b_end.nbytes + ps.avg_end.nbytes
+        assert kept <= arrays + 3 * n * 8 + 100_000
+
     def test_zero_pivot_raises(self):
         # without stiffness the rotation columns are empty (no theta
         # tracking term), so dgbtrf meets an exact zero pivot
