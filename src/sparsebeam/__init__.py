@@ -9,10 +9,11 @@ Library layout:
     control       cost functional, branch classification, complementarity,
                   multipliers
     problem       ControlProblem container tying the layers together, with
-                  its cached operator and optimality system
+                  its cached operator and sparse optimality system
     ssn           semismooth Newton / primal-dual active set solver
-    oracles       certified proximal-gradient solver and finite-difference
-                  gradient check, independent of ssn
+    oracles       dense reduced operator, certified proximal-gradient
+                  solver and finite-difference gradient check, independent
+                  of ssn
     config        INI run configuration
     experiments   sweep / locking / convergence drivers
     cli           command-line interface

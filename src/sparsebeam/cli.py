@@ -24,7 +24,6 @@ from .experiments import (
     run_solve,
     run_sweep,
     write_csv,
-    write_rows_csv,
 )
 
 __all__ = ["main"]
@@ -81,7 +80,8 @@ def main(argv=None) -> int:
             columns = CONVERGENCE_COLUMNS
             write_csv(out / "convergence_slopes.csv", ["quantity", "slope"],
                       sorted(slopes.items()), provenance_lines(cfg))
-        write_rows_csv(rows, columns, out / f"{args.command}.csv", cfg)
+        write_csv(out / f"{args.command}.csv", columns, [[r[c] for c in columns] for r in rows],
+                  provenance_lines(cfg))
         return 0 if all(r["converged"] for r in rows) else 2
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -167,7 +167,7 @@ def realize_field(spec: str, mesh, base_dir: Optional[Path] = None):
         path = base_dir / path
     try:
         data = np.loadtxt(path, dtype=float, ndmin=2)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # missing, or a non-numeric or ragged row
         raise ConfigError(f"cannot read field file {path}: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 2:
         raise ConfigError(f"field file {path} must hold two columns: coordinate, value")
@@ -200,8 +200,12 @@ def _section(cp: configparser.ConfigParser, section: str):
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cp.read(path)
+    # no interpolation: a '%' in a value, as in a file path, reads literally
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        read = cp.read(str(path))
+    except configparser.Error as exc:  # a duplicate, or a line before any section
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 

@@ -163,7 +163,7 @@ def cost(u: P0Field, w: P1Field, w_d, params: ControlParams) -> CostBreakdown:
     mesh = w.mesh
     h = mesh.element_sizes
     tracking = 0.0
-    for qpt, wq in zip(GAUSS_2PT.points, GAUSS_2PT.weights):
+    for qpt, wq in zip(*GAUSS_2PT):
         x = mesh.nodes[:-1] + h * qpt
         d = eval_p1(w, x) - point_values(w_d, mesh, x)
         tracking += 0.5 * wq * float(np.sum(h * d * d))

@@ -32,7 +32,6 @@ __all__ = [
     "fit_rate",
     "write_csv",
     "write_field",
-    "write_rows_csv",
     "provenance_lines",
 ]
 
@@ -122,8 +121,8 @@ def run_solve(cfg: RunConfig, out_dir) -> SSNResult:
         ["eta", "nu", "cost", "tracking_cost", "l2_cost", "l1_cost",
          "l2norm", "null", "iterations", "stop_reason", "converged", "residual"],
         [[cfg.control.eta, cfg.control.nu, cb.total, cb.tracking, cb.l2_term,
-          cb.l1_term, l2_norm_p0(res.u), res.null_count, res.iterations,
-          res.stop_reason, res.converged, final_residual]],
+          cb.l1_term, l2_norm_p0(res.u), np.count_nonzero(res.u.values == 0.0),
+          res.iterations, res.stop_reason, res.converged, final_residual]],
         prov,
     )
     return res
@@ -156,7 +155,7 @@ def run_sweep(cfg: RunConfig) -> List[Dict]:
             "eta": eta,
             "cost": problem.cost(res.u, res.state).total,
             "l2norm": l2_norm_p0(res.u),
-            "null": res.null_count,
+            "null": np.count_nonzero(res.u.values == 0.0),
             "iterations": res.iterations,
             "stop_reason": res.stop_reason,
             "converged": res.converged,
@@ -228,6 +227,3 @@ def run_convergence(cfg: RunConfig):
     }
     return rows, slopes
 
-
-def write_rows_csv(rows: Sequence[Dict], columns: Sequence[str], path, cfg: RunConfig) -> None:
-    write_csv(path, columns, [[r[c] for c in columns] for r in rows], provenance_lines(cfg))

@@ -42,7 +42,6 @@ __all__ = [
     "BeamOperator",
     "recover_shear",
     "assemble_mixed_blocks",
-    "condense_mixed_system",
 ]
 
 STANDARD = "standard"
@@ -186,7 +185,8 @@ def _load_component(data: ScalarData, mesh: Mesh1D) -> np.ndarray:
     h = mesh.element_sizes
     out = np.zeros(n + 1)
     exact = isinstance(data, P0Field) or np.isscalar(data)  # midpoint rule, exact for P0
-    x = mesh.midpoints if exact else mesh.nodes[:-1, None] + h[:, None] * GAUSS_2PT.points[None, :]
+    points, wq = GAUSS_2PT
+    x = mesh.midpoints if exact else mesh.nodes[:-1, None] + h[:, None] * points[None, :]
     fx = point_values(data, mesh, x)
     if not np.all(np.isfinite(fx)):
         raise ValueError("load evaluation produced non-finite values")
@@ -194,11 +194,8 @@ def _load_component(data: ScalarData, mesh: Mesh1D) -> np.ndarray:
         out[:-1] += fx * h / 2.0
         out[1:] += fx * h / 2.0
         return out
-    wq = GAUSS_2PT.weights
-    phi0 = 1.0 - GAUSS_2PT.points
-    phi1 = GAUSS_2PT.points
-    out[:-1] += h * ((fx * phi0[None, :]) @ wq)
-    out[1:] += h * ((fx * phi1[None, :]) @ wq)
+    out[:-1] += h * ((fx * (1.0 - points)[None, :]) @ wq)
+    out[1:] += h * ((fx * points[None, :]) @ wq)
     return out
 
 
@@ -395,11 +392,3 @@ def assemble_mixed_blocks(mesh: Mesh1D, params: BeamParams):
     C = sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
     Mg = sp.diags(h).tocsr()
     return A, C, Mg
-
-
-def condense_mixed_system(mesh: Mesh1D, params: BeamParams) -> np.ndarray:
-    """Eliminate the P0 shear unknown; equals the locking_free stiffness."""
-    A, C, Mg = assemble_mixed_blocks(mesh, params)
-    scale = params.kappa / params.t**2
-    Minv = sp.diags(scale / mesh.element_sizes)
-    return (A + C @ Minv @ C.T).toarray()

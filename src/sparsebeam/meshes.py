@@ -17,7 +17,6 @@ __all__ = [
     "Mesh1D",
     "P1Field",
     "P0Field",
-    "QuadratureRule",
     "GAUSS_2PT",
     "build_uniform_mesh",
     "coarsen",
@@ -178,25 +177,11 @@ class P0Field:
         return cls(mesh, np.full(mesh.n, float(c)))
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Quadrature on the reference element [0, 1]; weights sum to 1."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _readonly(self.points))
-        object.__setattr__(self, "weights", _readonly(self.weights))
-        if self.points.shape != self.weights.shape:
-            raise ValueError("points/weights shape mismatch")
-        if abs(self.weights.sum() - 1.0) > 1e-15:
-            raise ValueError("reference weights must sum to 1")
-
-
-GAUSS_2PT = QuadratureRule(
-    np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)]),
-    np.array([0.5, 0.5]),
+# two-point Gauss rule on the reference element [0, 1]: (points, weights),
+# the weights summing to 1
+GAUSS_2PT = (
+    _readonly([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)]),
+    _readonly([0.5, 0.5]),
 )
 
 
@@ -214,11 +199,12 @@ def pi_h(u, mesh: Mesh1D) -> P0Field:
         return P0Field(mesh, u.values)
     if np.isscalar(u):
         return P0Field.constant(mesh, float(u))
-    x = mesh.nodes[:-1, None] + mesh.element_sizes[:, None] * GAUSS_2PT.points[None, :]
+    points, weights = GAUSS_2PT
+    x = mesh.nodes[:-1, None] + mesh.element_sizes[:, None] * points[None, :]
     vals = point_values(u, mesh, x)
     if not np.all(np.isfinite(vals)):
         raise ValueError("function evaluation produced non-finite values")
-    return P0Field(mesh, vals @ GAUSS_2PT.weights)
+    return P0Field(mesh, vals @ weights)
 
 
 def p0_average(v: P1Field) -> P0Field:
@@ -304,7 +290,7 @@ def l2_diff_p1(a: P1Field, b: P1Field) -> float:
     left, right, _, _ = _overlap_partition(a.mesh, b.mesh)
     # difference is linear on each subinterval: 2-point Gauss is exact
     acc = 0.0
-    for q, wq in zip(GAUSS_2PT.points, GAUSS_2PT.weights):
+    for q, wq in zip(*GAUSS_2PT):
         x = left + (right - left) * q
         d = eval_p1(a, x) - eval_p1(b, x)
         acc += wq * np.sum((right - left) * d * d)

@@ -9,11 +9,12 @@ and r0 the averaged descent adjoint at u = 0.  The elementwise gradient of
 the smooth part is nu*u + T u - r0 = nu*u - pbar(u); the D-weights cancel
 out of the proximal step, so plain soft-shrinkage plus clipping applies.
 
-T and r0 do not depend on the control: they are built once per problem,
-by the first ReducedQuadratic, and cached read-only on the problem's
-OptimalitySystem, which with_control copies share, next to H, the symmetric
-part of DT.  The active-set solver never reads them, so the oracles stay
-independent of the code they check.
+T and r0 do not depend on the control: the first ReducedQuadratic of a
+problem builds them, next to H, the symmetric part of DT, and keeps them
+read-only in this module, keyed weakly by the problem's OptimalitySystem.
+with_control copies share that system and so the build, which is freed with
+the system.  The problem holds sparse data only and the active-set solver
+never reads T, so the oracles stay independent of the code they check.
 
 Two products serve two purposes.  The iterations -- FISTA's and the power
 iteration's -- use T u = (H u) / h, a symmetric product that reads one
@@ -44,6 +45,7 @@ the active-set solver never evaluates; it has no cost rule of its own.
 from __future__ import annotations
 
 import numbers
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,7 +63,7 @@ from .control import (
     shrink,
 )
 from .meshes import P0Field
-from .problem import ControlProblem
+from .problem import ControlProblem, OptimalitySystem
 
 __all__ = [
     "OracleConfig",
@@ -112,21 +114,55 @@ class OracleResult:
     branches: Optional[np.ndarray] = None
 
 
+# (T, r0, H) of each OptimalitySystem that a ReducedQuadratic has read.  The
+# values are plain arrays that hold no reference to their key, so an entry
+# goes with its system.
+_REDUCED = weakref.WeakKeyDictionary()
+
+
+def _reduced(system: OptimalitySystem) -> tuple:
+    """Dense reduced operator T = Avg K^-1 Mt K^-1 B, r0, the adjoint
+    average at u = 0, so that pbar(u) = r0 - T u, and H.  Built on the
+    system's first call by two solves of n columns each and two single
+    ones, then shared read-only.  From n = 64 elements on (the operator's
+    column rule) the two wide solves substitute a row block of the Cholesky
+    factor at a time over all columns, in place, and the build peaks at
+    three arrays of 2(n - 1) x n: at n = 736, 26 MB to keep 8.7 MB.
+
+    DT = diag(h) T = B^T K^-1 Mt K^-1 B is symmetric in exact arithmetic
+    but not in the two-solve build; H is its symmetric part, which a
+    symmetric product reads one triangle of.  H is symmetric bit for bit,
+    so its C-ordered sum is stored transposed, as a Fortran-ordered array
+    with the same entries."""
+    built = _REDUCED.get(system)
+    if built is None:
+        op = system.operator
+        T = np.asarray(system.Avg @ op.solve(system.Mt @ op.solve(system.B.toarray())))
+        x0 = op.solve(system.Lf)
+        r0 = np.asarray(system.Avg @ op.solve(system.Ld - system.Mt @ x0))
+        DT = op.mesh.element_sizes[:, None] * T
+        H = np.add(DT, DT.T)
+        H *= 0.5
+        for a in (T, r0, H):
+            a.flags.writeable = False
+        built = _REDUCED[system] = (T, r0, H.T)
+    return built
+
+
 class ReducedQuadratic:
     """Dense reduced form of one control problem.
 
-    T, r0 and H are the problem's cached OptimalitySystem.reduced: the
-    first ReducedQuadratic of a problem builds them by two solves of n
-    right-hand sides each with the stiffness factor, a row block over all
-    columns at a time from 64 columns on (O(n^2) work and memory), and
-    every later one, also on a with_control copy, shares them read-only.
-    sym_product, the product of FISTA and of the power iteration, reads H;
-    pbar, partial_objective and the polish read T.
+    T, r0 and H live in this module, keyed by the problem's
+    OptimalitySystem (_reduced): the first ReducedQuadratic of a system
+    builds them, in O(n^2) work and memory, every later one, also on a
+    with_control copy, shares them read-only, and they are freed with the
+    system.  sym_product, the product of FISTA and of the power iteration,
+    reads H; pbar, partial_objective and the polish read T.
     """
 
     def __init__(self, problem: ControlProblem):
         self.problem = problem
-        self.T, self.r0, self.H = problem.system.reduced
+        self.T, self.r0, self.H = _reduced(problem.system)
         self.h = problem.mesh.element_sizes
         self.nu = problem.control.nu
         self.eta = problem.control.eta

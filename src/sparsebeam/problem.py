@@ -2,9 +2,10 @@
 
 Bundles the mesh, beam parameters, loads, and control parameters with the
 operator and the blocks of the discrete optimality system, built once per
-problem and cached, as is the oracles' dense reduced operator on first use.
-Every state and adjoint solve goes through those blocks, which fix the two
-conventions the optimality layer depends on:
+problem and cached.  They are sparse matrices and vectors only; the oracles'
+dense reduced operator is built and kept in sparsebeam.oracles.  Every state
+and adjoint solve goes through those blocks, which fix the two conventions
+the optimality layer depends on:
 
 * the adjoint load is the descent residual Ld - Mt x = (w_d - w_h, v), so
   that the averaged adjoint pbar enters the optimality system as
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,12 +41,6 @@ from .fem import (
 from .meshes import Mesh1D, P0Field, p0_average, restrict_p0
 
 __all__ = ["ControlProblem"]
-
-
-class Reduced(NamedTuple):
-    T: np.ndarray  # n x n control-to-averaged-adjoint map, as built
-    r0: np.ndarray  # averaged descent adjoint at u = 0
-    H: np.ndarray  # 1/2 (DT + (DT)^T), D = diag(h): exactly symmetric, F-ordered
 
 
 def _max_row_sum(A: sp.csr_matrix) -> float:
@@ -82,33 +77,6 @@ class OptimalitySystem:
         self.K_norm = _max_row_sum(self.K)
         self.Mt_norm = _max_row_sum(self.Mt)
         self.B_norm = _max_row_sum(self.B)
-
-    @cached_property
-    def reduced(self) -> Reduced:
-        """Dense reduced operator T = Avg K^-1 Mt K^-1 B and r0, the adjoint
-        average at u = 0, so that pbar(u) = r0 - T u.  Built on first use by
-        two solves of n columns each and two single ones, then shared
-        read-only by every reader of this system.  From n = 64 elements on
-        (the operator's column rule) the two wide solves substitute a row
-        block of the Cholesky factor at a time over all columns, in place,
-        and the build peaks at three arrays of 2(n - 1) x n: at n = 736, 26 MB
-        to keep 8.7 MB.
-
-        DT = diag(h) T = B^T K^-1 Mt K^-1 B is symmetric in exact arithmetic
-        but not in the two-solve build; H is its symmetric part, which a
-        symmetric product reads one triangle of.  H is symmetric bit for bit,
-        so its C-ordered sum is stored transposed, as a Fortran-ordered
-        array with the same entries."""
-        op = self.operator
-        T = np.asarray(self.Avg @ op.solve(self.Mt @ op.solve(self.B.toarray())))
-        x0 = op.solve(self.Lf)
-        r0 = np.asarray(self.Avg @ op.solve(self.Ld - self.Mt @ x0))
-        DT = op.mesh.element_sizes[:, None] * T
-        H = np.add(DT, DT.T)
-        H *= 0.5
-        for a in (T, r0, H):
-            a.flags.writeable = False
-        return Reduced(T, r0, H.T)
 
 
 @dataclass(frozen=True)

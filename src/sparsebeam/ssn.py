@@ -156,7 +156,6 @@ class SSNResult:
     iterations: int
     coarse_iterations: int = 0
     residual_history: List[float] = field(default_factory=list)
-    null_count: int = 0
 
 
 # Band layout of a pattern system: a slot for every element control and the
@@ -545,6 +544,5 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
         iterations=iterations,
         coarse_iterations=coarse_iterations,
         residual_history=residual_history,
-        null_count=int(np.count_nonzero(u_final == 0.0)),
     )
 

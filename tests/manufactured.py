@@ -150,7 +150,7 @@ def error_norms(a, b, b_derivatives=None) -> dict:
             h1ssq = 0.0
             h = mesh.element_sizes
             slope = np.diff(fld.values) / h
-            for q, wq in zip(GAUSS_2PT.points, GAUSS_2PT.weights):
+            for q, wq in zip(*GAUSS_2PT):
                 x = mesh.nodes[:-1] + h * q
                 d = eval_p1(fld, x) - np.asarray(fn(x), dtype=float)
                 dp = slope - np.asarray(fnp(x), dtype=float)

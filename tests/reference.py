@@ -16,6 +16,8 @@ optimality system at a candidate point, with the state and adjoint solved
 afresh at its control.  ``pattern_system`` stacks the coupled system of one
 branch pattern and its right-hand side from the separately built blocks,
 against which the solver's banded pattern solve is checked.
+``condense_mixed_system`` eliminates the P0 shear unknown from the
+package's mixed blocks, against which the locking-free stiffness is checked.
 ``reduced_operator`` is the oracles' reduced operator T with every solve
 refined to long-double accuracy, against which the double build is checked.
 ``support_runs`` and ``support_measure`` describe a control's support for
@@ -49,6 +51,7 @@ from sparsebeam.fem import (
     StateSolution,
     _interleave,
     assemble_load,
+    assemble_mixed_blocks,
     recover_shear,
 )
 from sparsebeam.meshes import Mesh1D, P0Field, P1Field, p0_average
@@ -112,6 +115,14 @@ def assemble_stiffness(mesh: Mesh1D, params: BeamParams, scheme: str = LOCKING_F
     ).tocsr()
     K.sum_duplicates()
     return K
+
+
+def condense_mixed_system(mesh: Mesh1D, params: BeamParams) -> np.ndarray:
+    """Eliminate the P0 shear unknown; equals the locking_free stiffness."""
+    A, C, Mg = assemble_mixed_blocks(mesh, params)
+    scale = params.kappa / params.t**2
+    Minv = sp.diags(scale / mesh.element_sizes)
+    return (A + C @ Minv @ C.T).toarray()
 
 
 def solve_state(

