@@ -202,9 +202,9 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     # no interpolation: a '%' in a value, as in a file path, reads literally
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
-    try:
-        read = cp.read(str(path))
-    except configparser.Error as exc:  # a duplicate, or a line before any section
+    try:  # a duplicate, a line before any section, or a byte that is not UTF-8 fails
+        read = cp.read(str(path), encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")

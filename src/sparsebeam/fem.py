@@ -12,6 +12,10 @@ known to degrade on thin beams unless the mesh is excessively fine;
 which is algebraically identical to a mixed method with a piecewise-constant
 shear force eliminated elementwise.
 
+The element terms are summed straight into the stiffness band; the sparse
+matrices (the stiffness K, the control load B, the P1 mass and the mixed
+blocks) are banded, and scipy's diags and kron assemble them.
+
 The adjoint problem of the control problem reuses the same operator; its
 load Ld - Mt x, the tracking residual, comes from the optimality system in
 sparsebeam.problem.
@@ -157,28 +161,6 @@ def _stiffness_band(mesh: Mesh1D, params: BeamParams, scheme: str) -> np.ndarray
     return band
 
 
-def _band_csr(band: np.ndarray) -> sp.csr_matrix:
-    """The symmetric CSR matrix of an upper band of a 2x2-block tridiagonal
-    matrix on interleaved dofs, with both entries of every coupled node pair
-    stored (an exact zero included) in sorted column order."""
-    m = band.shape[1]
-    node = (band[:, 0::2], band[:, 1::2])  # columns of the w and theta dofs
-    # row 2q + a holds K[2q + a, 2(q + t - 1) + b]: node q's block with
-    # node q - 1 (t = 0), itself (t = 1) and node q + 1 (t = 2)
-    blocks = np.empty((m // 2, 2, 3, 2))
-    for a in (0, 1):
-        for b in (0, 1):
-            blocks[:, a, 1, b] = node[max(a, b)][3 - abs(a - b)]
-            blocks[:-1, a, 2, b] = node[b][1 + a - b, 1:]
-            blocks[1:, a, 0, b] = node[a][1 + b - a, 1:]
-    first = np.arange(-2, m - 2, 2, dtype=np.int32)  # first column of node q's rows
-    cols = np.repeat(first[:, None, None] + np.arange(6, dtype=np.int32), 2, axis=1)
-    keep = (cols >= 0) & (cols < m)  # the first node has no left, the last no right block
-    r = np.arange(m + 1, dtype=np.int32)  # rows of the first and the last node hold 4 entries
-    indptr = 6 * r - 2 * np.minimum(r, 2) - 2 * np.maximum(r - m + 2, 0)
-    return sp.csr_matrix((blocks.reshape(m // 2, 2, 6)[keep], cols[keep], indptr), shape=(m, m))
-
-
 def _load_component(data: ScalarData, mesh: Mesh1D) -> np.ndarray:
     """Nodal load vector int data * phi_i for all nodes (boundary included)."""
     n = mesh.n
@@ -210,29 +192,24 @@ def assemble_load(mesh: Mesh1D, params: BeamParams, f_plus_u: ScalarData, g: Sca
     return out
 
 
+def _end_loads(mesh: Mesh1D) -> sp.dia_matrix:
+    """h_j/2 from element j to each of its interior end nodes, shape (n-1, n):
+    interior node i is the right end of element i - 1 and the left of i."""
+    h = mesh.element_sizes
+    return sp.diags([h[:-1] / 2.0, h[1:] / 2.0], [0, 1], shape=(mesh.n - 1, mesh.n))
+
+
 def control_load_matrix(mesh: Mesh1D) -> sp.csr_matrix:
-    """Sparse map from P0 control values to the interior w-load vector."""
-    n = mesh.n
-    m = 2 * (n - 1)
-    half = mesh.element_sizes / 2.0
-    # element j loads each interior end node's w dof with h_j/2
-    j = np.arange(n)
-    left, right = j[1:], j[:-1]  # elements whose left / right end node is interior
-    rows = np.concatenate([2 * (left - 1), 2 * right])
-    cols = np.concatenate([left, right])
-    vals = np.concatenate([half[left], half[right]])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
+    """Sparse map from P0 control values to the interior load vector, h_j/2
+    from element j on the w dof of each interior end node, shape (2(n-1), n)."""
+    return sp.kron(_end_loads(mesh), [[1.0], [0.0]], format="csr")
 
 
 def p1_mass_matrix(mesh: Mesh1D) -> sp.csr_matrix:
     """Interior P1 mass matrix (node-indexed, size n-1)."""
-    n = mesh.n
     h = mesh.element_sizes
-    main = np.zeros(n - 1)
-    main += h[:-1] / 3.0
-    main += h[1:] / 3.0
     off = h[1:-1] / 6.0
-    return sp.diags([off, main, off], [-1, 0, 1]).tocsr()
+    return sp.diags([off, h[:-1] / 3.0 + h[1:] / 3.0, off], [-1, 0, 1], format="csr")
 
 
 # ------------------------------------------------------------- operator
@@ -294,8 +271,10 @@ def _substitute(z: np.ndarray, blocks: np.ndarray, corners: np.ndarray) -> None:
 
 
 class BeamOperator:
-    """Assembled stiffness, as the upper band K_band and as the CSR matrix K,
-    with a banded Cholesky factorization.
+    """Assembled stiffness, as the upper band K_band and as the CSR matrix K
+    that scipy builds from its seven diagonals, with a banded Cholesky
+    factorization.  K stores no exact zero: the w-theta entry of each node,
+    where the +-kappa/(2t^2) of its two elements cancel, is left out.
 
     Immutable after construction; reusable across state and adjoint solves
     (the weak form is symmetric so both share one factorization).
@@ -304,10 +283,11 @@ class BeamOperator:
     def __init__(self, mesh: Mesh1D, params: BeamParams, scheme: str = LOCKING_FREE):
         _scheme_check(scheme)
         self.mesh = mesh
-        self.params = params
-        self.scheme = scheme
-        self.K_band = _stiffness_band(mesh, params, scheme)  # upper band, bandwidth 3
-        self.K = _band_csr(self.K_band)
+        self.K_band = band = _stiffness_band(mesh, params, scheme)  # upper band, bandwidth 3
+        m = band.shape[1]
+        offsets = [d for d in range(-3, 4) if abs(d) < m]  # a 2-element mesh has 2 dofs
+        self.K = sp.diags([band[3 - abs(d), abs(d):] for d in offsets], offsets, shape=(m, m),
+                          format="csr")
         try:
             self._cb = sla.cholesky_banded(self.K_band, lower=False)
         except sla.LinAlgError as exc:  # pragma: no cover - SPD by construction
@@ -371,7 +351,6 @@ def assemble_mixed_blocks(mesh: Mesh1D, params: BeamParams):
            (t^2/kappa) Mg gamma = C^T [w; theta].
     """
     n = mesh.n
-    m = 2 * (n - 1)
     h = mesh.element_sizes
     Eb = params.E / 12.0
 
@@ -384,11 +363,7 @@ def assemble_mixed_blocks(mesh: Mesh1D, params: BeamParams):
     # element j couples to its interior end nodes: the w-test gives
     # int_j gamma v' = gamma_j (v(x_{j+1}) - v(x_j)), the theta-test
     # -int_j gamma beta = -gamma_j h_j/2 at each end node
-    j = np.arange(n)
-    left, right = j[1:], j[:-1]  # elements whose left / right end node is interior
-    rows = np.concatenate([2 * (left - 1), 2 * right, 2 * (left - 1) + 1, 2 * right + 1])
-    cols = np.concatenate([left, right, left, right])
-    vals = np.concatenate([-np.ones(n - 1), np.ones(n - 1), -h[left] / 2.0, -h[right] / 2.0])
-    C = sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
+    jumps = sp.diags([1.0, -1.0], [0, 1], shape=(n - 1, n))
+    C = (sp.kron(jumps, [[1.0], [0.0]]) - sp.kron(_end_loads(mesh), [[0.0], [1.0]])).tocsr()
     Mg = sp.diags(h).tocsr()
     return A, C, Mg

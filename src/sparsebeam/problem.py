@@ -1,11 +1,11 @@
 """Container for one control problem instance.
 
-Bundles the mesh, beam parameters, loads, and control parameters with the
-operator and the blocks of the discrete optimality system, built once per
-problem and cached.  They are sparse matrices and vectors only; the oracles'
-dense reduced operator is built and kept in sparsebeam.oracles.  Every state
-and adjoint solve goes through those blocks, which fix the two conventions
-the optimality layer depends on:
+Bundles the mesh, beam parameters, loads, and control parameters with one
+cached build, the OptimalitySystem: the factored stiffness operator and the
+blocks of the discrete optimality system.  They are sparse matrices and
+vectors only; the oracles' dense reduced operator is built and kept in
+sparsebeam.oracles.  Every state and adjoint solve goes through that build,
+whose blocks fix the two conventions the optimality layer depends on:
 
 * the adjoint load is the descent residual Ld - Mt x = (w_d - w_h, v), so
   that the averaged adjoint pbar enters the optimality system as
@@ -43,14 +43,6 @@ from .meshes import Mesh1D, P0Field, p0_average, restrict_p0
 __all__ = ["ControlProblem"]
 
 
-def _max_row_sum(A: sp.csr_matrix) -> float:
-    """max_i sum_j |A_ij| without copying A: the sums of the non-empty rows
-    are grouped as scipy's np.abs(A).sum(axis=1) groups them, so the value
-    is bit-identical to it."""
-    rows = np.flatnonzero(np.diff(A.indptr))
-    return float(np.max(np.add.reduceat(np.abs(A.data), A.indptr[rows]), initial=0.0))
-
-
 class OptimalitySystem:
     """Pattern-independent blocks of the discrete optimality system
 
@@ -61,12 +53,13 @@ class OptimalitySystem:
     the adjoint deflection (B = Avg^T diag(h), so Avg is B's pattern with
     every entry 1/2), and Mt is the deflection tracking mass, zero on the
     theta rows.  K_norm, Mt_norm and B_norm are max row sums, which scale
-    backward-error residuals.
+    backward-error residuals.  The system builds the problem's one
+    BeamOperator, whose factorization every state and adjoint solve shares.
     """
 
     def __init__(self, problem: ControlProblem):
         mesh, beam, loads = problem.mesh, problem.beam, problem.loads
-        self.operator = problem.operator
+        self.operator = BeamOperator(mesh, beam, problem.scheme)
         self.K = self.operator.K
         self.B = control_load_matrix(mesh)
         self.Avg = self.B.T.tocsr()
@@ -74,9 +67,8 @@ class OptimalitySystem:
         self.Mt = sp.kron(p1_mass_matrix(mesh), np.diag([1.0, 0.0]), format="csr")
         self.Lf = assemble_load(mesh, beam, loads.f, loads.g)
         self.Ld = assemble_load(mesh, beam, loads.w_d, 0.0)
-        self.K_norm = _max_row_sum(self.K)
-        self.Mt_norm = _max_row_sum(self.Mt)
-        self.B_norm = _max_row_sum(self.B)
+        self.K_norm, self.Mt_norm, self.B_norm = (
+            float(abs(A).sum(axis=1).max()) for A in (self.K, self.Mt, self.B))
 
 
 @dataclass(frozen=True)
@@ -92,11 +84,6 @@ class ControlProblem:
         self.bounds  # validates a <= 0 <= b
 
     @cached_property
-    def operator(self) -> BeamOperator:
-        # one factorization shared by every state/adjoint solve
-        return BeamOperator(self.mesh, self.beam, self.scheme)
-
-    @cached_property
     def system(self) -> OptimalitySystem:
         return OptimalitySystem(self)
 
@@ -109,15 +96,16 @@ class ControlProblem:
         if u is not None and u.mesh != self.mesh:
             raise ValueError("u lives on a different mesh")
         s = self.system
-        return self._state(self.operator.solve(s.Lf if u is None else s.Lf + s.B @ u.values))
+        return self._state(s.operator.solve(s.Lf if u is None else s.Lf + s.B @ u.values))
 
     def solve_adjoint(self, state: StateSolution) -> AdjointSolution:
         """The descent adjoint K y = Ld - Mt x, its load int (w_d - w) v."""
-        s, op = self.system, self.operator
-        return AdjointSolution(*op.split(op.solve(s.Ld - s.Mt @ _interleave(state.w, state.theta))))
+        s = self.system
+        y = s.operator.solve(s.Ld - s.Mt @ _interleave(state.w, state.theta))
+        return AdjointSolution(*s.operator.split(y))
 
     def _state(self, x: np.ndarray) -> StateSolution:
-        w, theta = self.operator.split(x)
+        w, theta = self.system.operator.split(x)
         return StateSolution(w, theta, recover_shear(self.mesh, self.beam, w, theta))
 
     def averaged_adjoint(self, state: StateSolution) -> P0Field:
@@ -142,11 +130,10 @@ class ControlProblem:
         return replace(self, mesh=coarse, loads=loads, control=control)
 
     def with_control(self, **changes) -> "ControlProblem":
-        """A copy with changed control parameters.  The operator and the
-        optimality system do not depend on the control, so the copy shares
-        them once built; the bounds are rebuilt."""
+        """A copy with changed control parameters.  The optimality system,
+        operator included, does not depend on the control, so the copy shares
+        it once built; the bounds are rebuilt."""
         new = replace(self, control=replace(self.control, **changes))
-        for name in ("operator", "system"):
-            if name in self.__dict__:
-                new.__dict__[name] = self.__dict__[name]
+        if "system" in self.__dict__:
+            new.__dict__["system"] = self.system
         return new

@@ -494,8 +494,8 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
         # pbar(c) - pbar(0) = -T c of the reduced operator (two operator
         # solves of two columns), unless u = 0 is optimal, which the main
         # loop reaches in one solve, or c = 0 gives no direction
-        x = problem.operator.solve(np.column_stack([s.Lf, s.Lf + s.B @ u0]))
-        pbar0, pbar_c = (s.Avg @ problem.operator.solve(s.Ld[:, None] - s.Mt @ x)).T
+        x = s.operator.solve(np.column_stack([s.Lf, s.Lf + s.B @ u0]))
+        pbar0, pbar_c = (s.Avg @ s.operator.solve(s.Ld[:, None] - s.Mt @ x)).T
         if np.max(np.abs(pbar0)) > eta and u0.any():
             secant = np.linalg.norm(pbar_c - pbar0) / np.linalg.norm(u0)
             start = (pbar_c, _TAU_FIRST * max(secant, nu), u0)
@@ -537,7 +537,7 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
         u=u_field,
         mu=mu_field,
         state=problem._state(x),
-        adjoint=AdjointSolution(*problem.operator.split(y)),
+        adjoint=AdjointSolution(*s.operator.split(y)),
         multipliers=reconstruct_multipliers(u_field, mu_field, control),
         converged=converged,
         stop_reason=stop_reason,

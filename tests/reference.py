@@ -273,7 +273,8 @@ def reduced_operator(problem: ControlProblem, steps: int = 6) -> np.ndarray:
     T of the double K, Mt, B and Avg, less rounded than any double build: at
     n = 300, t = 1e-3, 6 and 10 steps differ by 2e-11 of max|T|, a thousandth
     of the double build's error."""
-    s, cb = problem.system, (problem.operator._cb, False)
+    s = problem.system
+    cb = (s.operator._cb, False)
     K = s.K.astype(np.longdouble)
 
     def solve(rhs):

@@ -14,7 +14,7 @@ from sparsebeam.ssn import SSNConfig
 
 def write_config(tmp_path, body, name="run.ini"):
     path = tmp_path / name
-    path.write_text(body)
+    path.write_bytes(body if isinstance(body, bytes) else body.encode())
     return path
 
 
@@ -135,6 +135,7 @@ ref_factor = 4
         (MINIMAL + "[geometry]\nlength = 2\n", "section 'geometry' already exists"),
         ("n = 16\n" + MINIMAL, "no section headers"),
         (MINIMAL + "[solver]\ntol = 1%\n", "[solver] tol: cannot parse number '1%'"),
+        (MINIMAL.encode() + b"# caf\xff\n", "'utf-8' codec can't decode byte 0xff"),
     ])
     def test_located_errors(self, tmp_path, body, fragment):
         with pytest.raises(ConfigError) as exc:

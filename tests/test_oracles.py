@@ -212,7 +212,7 @@ class TestReducedQuadratic:
         # 1.27 times the column build's error, 1e-10 to 5e-10 of max|T| at
         # t = 1e-2 and 2e-8 to 7e-8 at t = 1e-3
         prob = _certify_instance(300, 1e-6, t, 100.0, 4, 0.5, 0.5)
-        s, op = prob.system, prob.operator
+        s, op = prob.system, prob.system.operator
 
         def column_solve(rhs):
             x = sla.cho_solve_banded((op._cb, False), rhs)

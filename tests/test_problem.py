@@ -7,7 +7,7 @@ import pytest
 from conftest import toy_problem, zero_problem
 from reference import kkt_residual, p1_interpolant, solve_state
 from sparsebeam.control import ControlParams
-from sparsebeam.fem import BeamParams, LoadData, assemble_load
+from sparsebeam.fem import BeamOperator, BeamParams, LoadData, assemble_load
 from sparsebeam.meshes import (
     Mesh1D,
     P0Field,
@@ -45,15 +45,32 @@ def test_callable_bounds_are_projected_once_per_problem():
     assert len(calls) == 2
 
 
-def test_operator_is_cached():
+@pytest.fixture
+def operator_builds(monkeypatch):
+    """Count BeamOperator constructions."""
+    calls = []
+    init = BeamOperator.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BeamOperator, "__init__", counted)
+    return calls
+
+
+def test_operator_is_cached(operator_builds):
     prob = toy_problem(n=8)
-    assert prob.operator is prob.operator
+    assert not hasattr(prob, "operator")
+    prob.solve_adjoint(prob.solve_state())
+    prob.cost(P0Field.constant(prob.mesh, 1.0))
+    assert len(operator_builds) == 1
 
 
 def test_system_is_cached_and_shares_the_stiffness():
     prob = toy_problem(n=8)
     assert prob.system is prob.system
-    assert prob.system.K is prob.operator.K
+    assert prob.system.K is prob.system.operator.K
 
 
 @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
@@ -123,7 +140,7 @@ def test_adjoint_uses_descent_sign(kind, scheme, graded):
     def tracking(target, field):
         return lambda x: eval_p1(field, x) - point_values(target, mesh, x)
 
-    plain = prob.operator.solve(assemble_load(mesh, prob.beam, tracking(target, st.w), 0.0))
+    plain = prob.system.operator.solve(assemble_load(mesh, prob.beam, tracking(target, st.w), 0.0))
     adj = prob.solve_adjoint(st)
     for field, ref in ((adj.p, plain[0::2]), (adj.q, plain[1::2])):
         assert np.max(np.abs(field.interior + ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -199,20 +216,22 @@ def test_with_control_and_with_mesh_rebuild():
     assert prob.control.eta == 0.0  # original untouched
 
 
-def test_with_control_shares_control_independent_caches():
+def test_with_control_shares_control_independent_caches(operator_builds):
     p = toy_problem(n=8, bound=2.0)
-    assert p.system.K is p.operator.K and np.all(p.bounds[1] == 2.0)
+    s = p.system
+    assert np.all(p.bounds[1] == 2.0)
     q = p.with_control(eta=0.125, a=-1.0, b=1.0)
-    assert q.operator is p.operator
-    assert q.system is p.system
+    assert q.system is s
     assert np.all(q.bounds[0] == -1.0) and np.all(q.bounds[1] == 1.0)
     assert np.all(p.bounds[0] == -2.0)
+    q.with_control(eta=0.25).solve_state()
+    assert len(operator_builds) == 1
     finer = replace(p, mesh=build_uniform_mesh(16))
-    assert finer.operator is not p.operator
-    assert finer.system is not p.system
+    assert finer.system is not s
+    assert len(operator_builds) == 2
     # an unbuilt cache stays unbuilt until it is read
-    fresh = toy_problem(n=8)
-    assert "operator" not in fresh.with_control(eta=0.5).__dict__
+    fresh = toy_problem(n=8).with_control(eta=0.5)
+    assert "system" not in fresh.__dict__ and len(operator_builds) == 2
 
 
 def test_restricted_problem_restricts_p0_data_only():
