@@ -15,9 +15,7 @@ from pathlib import Path
 
 from .config import ConfigError, load_config
 from .experiments import (
-    CONVERGENCE_COLUMNS,
-    LOCKING_COLUMNS,
-    SWEEP_COLUMNS,
+    COLUMNS,
     provenance_lines,
     run_convergence,
     run_locking,
@@ -72,14 +70,14 @@ def main(argv=None) -> int:
             return 0 if res.converged else 2
 
         if args.command == "sweep":
-            rows, columns = run_sweep(cfg), SWEEP_COLUMNS
+            rows = run_sweep(cfg)
         elif args.command == "locking":
-            rows, columns = run_locking(cfg), LOCKING_COLUMNS
+            rows = run_locking(cfg)
         else:
             rows, slopes = run_convergence(cfg)
-            columns = CONVERGENCE_COLUMNS
             write_csv(out / "convergence_slopes.csv", ["quantity", "slope"],
                       sorted(slopes.items()), provenance_lines(cfg))
+        columns = COLUMNS[args.command]
         write_csv(out / f"{args.command}.csv", columns, [[r[c] for c in columns] for r in rows],
                   provenance_lines(cfg))
         return 0 if all(r["converged"] for r in rows) else 2

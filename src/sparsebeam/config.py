@@ -10,12 +10,15 @@ Sections and keys (defaults in brackets):
     [solver]    scheme [locking_free], tol [1e-10], max_iter [850]
     [study]     etas, thicknesses, mesh_sizes (comma lists), ref_factor [8]
 
-The numbers of [material], [control] and [solver] set the fields named in
-KEY_FIELDS, whose defaults (BeamParams, ControlParams, SSNConfig) are the
-only ones; a test pins the bracketed values through the provenance header.
+KEYS declares each key once: the RunConfig attribute that holds it, the
+field it sets and its parser.  The defaults are those of the holders
+(RunConfig, BeamParams, ControlParams, SSNConfig, StudyConfig) alone; a test
+pins the bracketed values through the provenance header.
 
-Numeric values accept plain fractions ("5/6").  Data entries use a small
-catalog, whose numbers must be finite:
+Numeric values accept plain fractions ("5/6") and inf.  NaN is rejected
+everywhere, and inf where a key's range excludes it: of the numeric keys,
+only lower and upper take an infinity, -inf and inf being their defaults.
+Data entries use a small catalog, whose numbers must be finite:
 
     zero
     constant:VALUE
@@ -29,13 +32,16 @@ catalog, whose numbers must be finite:
 
 Unknown sections or keys are rejected, as are physically inadmissible
 values; errors raise ConfigError with the offending location in the
-message.  The beam, control and solver values are checked by the classes
-that hold them (BeamParams, ControlParams, SSNConfig); the length, which
-only the mesh holds, is checked here.
+message.  A value that no parser accepts names its "[section] key"; the
+beam, control and solver values are then checked together by the classes
+that hold them, and a value they reject names its "[section]".  A file
+with several errors reports one: its first unknown key or unparsable value,
+in file order, else a missing required key, else a rejected section.
 """
 from __future__ import annotations
 
 import configparser
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Tuple
@@ -56,25 +62,6 @@ __all__ = [
     "realize_field",
 ]
 
-# Each numeric key of [material], [control] and [solver], in the order of the
-# provenance header: the RunConfig attribute that holds its section, the
-# class of that attribute, and the field the key sets.
-KEY_FIELDS = {
-    "material": ("beam", BeamParams, {"youngs_modulus": "E", "thickness": "t",
-                                      "shear_correction": "k", "poisson": "poisson",
-                                      "kappa_override": "kappa_override"}),
-    "control": ("control", ControlParams, {"nu": "nu", "eta": "eta", "lower": "a", "upper": "b"}),
-    "solver": ("solver", SSNConfig, {"tol": "tol", "max_iter": "max_iter"}),
-}
-
-_ALLOWED = {
-    "geometry": {"n", "length"},
-    **{section: set(keys) for section, (_, _, keys) in KEY_FIELDS.items()},
-    "data": {"f", "g", "w_d"},
-    "study": {"etas", "thicknesses", "mesh_sizes", "ref_factor"},
-}
-_ALLOWED["solver"].add("scheme")  # the one key that is not a number
-
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
@@ -91,41 +78,52 @@ def _number(text: str, where: str) -> float:
         raise ConfigError(f"{where}: cannot parse number {text!r}") from exc
 
 
-def _number_list(text: str, where: str) -> Tuple[float, ...]:
-    items = [p for p in (piece.strip() for piece in text.split(",")) if p]
-    if not items:
-        raise ConfigError(f"{where}: empty list")
-    return tuple(_number(p, where) for p in items)
-
-
-def _count(value: float, where: str) -> int:
+def _count(text: str, where: str) -> int:
     """An element count or refinement factor: an integer of at least 2."""
+    value = _number(text, where)
     if not (value >= 2 and value.is_integer()):
         raise ConfigError(f"{where} takes integers >= 2, got {value}")
     return int(value)
 
 
-@dataclass(frozen=True)
-class StudyConfig:
-    etas: Tuple[float, ...] = ()
-    thicknesses: Tuple[float, ...] = ()
-    mesh_sizes: Tuple[int, ...] = ()
-    ref_factor: int = 8
+def _number_list(text: str, where: str, item=_number) -> tuple:
+    items = [p for p in (piece.strip() for piece in text.split(",")) if p]
+    if not items:
+        raise ConfigError(f"{where}: empty list")
+    return tuple(item(p, where) for p in items)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    n: int
-    length: float
-    beam: BeamParams
-    control: ControlParams
-    f: str = "zero"
-    g: str = "zero"
-    w_d: str = "zero"
-    scheme: str = LOCKING_FREE
-    solver: SSNConfig = field(default_factory=SSNConfig)
-    study: StudyConfig = field(default_factory=StudyConfig)
-    base_dir: Optional[Path] = None  # resolves file: entries
+def _length(text: str, where: str) -> float:
+    length = _number(text, where)
+    if not (0 < length < np.inf):
+        raise ConfigError(f"{where} must be positive and finite, got {length}")
+    return length
+
+
+def _scheme(text: str, where: str) -> str:
+    if text not in SCHEMES:
+        raise ConfigError(f"{where} must be one of {SCHEMES}")
+    return text
+
+
+def _integer(text: str, where: str):
+    """A number, as an int where it is integral; its holder rejects the rest."""
+    value = _number(text, where)
+    return int(value) if value.is_integer() else value
+
+
+def _etas(text: str, where: str) -> Tuple[float, ...]:
+    etas = _number_list(text, where)
+    if not all(0 <= e < np.inf for e in etas):
+        raise ConfigError(f"{where} must be nonnegative and finite")
+    return etas
+
+
+def _thicknesses(text: str, where: str) -> Tuple[float, ...]:
+    thicknesses = _number_list(text, where)
+    if not all(0 < t <= 1 for t in thicknesses):
+        raise ConfigError(f"{where} must lie in (0, 1]")
+    return thicknesses
 
 
 def _parse_spec(spec: str, where: str):
@@ -148,6 +146,57 @@ def _parse_spec(spec: str, where: str):
     if not np.all(np.isfinite(args)):
         raise ConfigError(f"{where}: {head} takes finite numbers, got {arg.strip()!r}")
     return head, args
+
+
+def _data(text: str, where: str) -> str:
+    spec = text.strip()
+    _parse_spec(spec, where)
+    return spec
+
+
+# Every key of the file: section -> key -> (the RunConfig attribute that
+# holds it, or None for RunConfig itself; the field it sets; its parser,
+# which raises a ConfigError that names "[section] key").  Outside [study],
+# the order is that of the provenance header.
+KEYS = {
+    "geometry": {"n": (None, "n", _count), "length": (None, "length", _length)},
+    "material": {"youngs_modulus": ("beam", "E", _number), "thickness": ("beam", "t", _number),
+                 "shear_correction": ("beam", "k", _number),
+                 "poisson": ("beam", "poisson", _number),
+                 "kappa_override": ("beam", "kappa_override", _number)},
+    "control": {"nu": ("control", "nu", _number), "eta": ("control", "eta", _number),
+                "lower": ("control", "a", _number), "upper": ("control", "b", _number)},
+    "data": {"f": (None, "f", _data), "g": (None, "g", _data), "w_d": (None, "w_d", _data)},
+    "solver": {"scheme": (None, "scheme", _scheme), "tol": ("solver", "tol", _number),
+               "max_iter": ("solver", "max_iter", _integer)},
+    "study": {"etas": ("study", "etas", _etas),
+              "thicknesses": ("study", "thicknesses", _thicknesses),
+              "mesh_sizes": ("study", "mesh_sizes",
+                             lambda text, where: _number_list(text, where, _count)),
+              "ref_factor": ("study", "ref_factor", _count)},
+}
+
+@dataclass(frozen=True)
+class StudyConfig:
+    etas: Tuple[float, ...] = ()
+    thicknesses: Tuple[float, ...] = ()
+    mesh_sizes: Tuple[int, ...] = ()
+    ref_factor: int = 8
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    n: int
+    control: ControlParams
+    length: float = 1.0
+    beam: BeamParams = field(default_factory=BeamParams)
+    f: str = "zero"
+    g: str = "zero"
+    w_d: str = "zero"
+    scheme: str = LOCKING_FREE
+    solver: SSNConfig = field(default_factory=SSNConfig)
+    study: StudyConfig = field(default_factory=StudyConfig)
+    base_dir: Optional[Path] = None  # resolves file: entries
 
 
 def realize_field(spec: str, mesh, base_dir: Optional[Path] = None):
@@ -183,21 +232,6 @@ def realize_field(spec: str, mesh, base_dir: Optional[Path] = None):
     return lambda x: np.interp(np.asarray(x, dtype=float), coords, vals)
 
 
-def _section(cp: configparser.ConfigParser, section: str):
-    """The KEY_FIELDS class of a section, built from the keys the file sets;
-    each value is parsed first, so a parse error and a rejected value both
-    name their location once."""
-    _, cls, fields = KEY_FIELDS[section]
-    kw = {fields[key]: _number(cp.get(section, key), f"[{section}] {key}")
-          for key in fields if cp.has_option(section, key)}
-    if "max_iter" in kw and kw["max_iter"].is_integer():
-        kw["max_iter"] = int(kw["max_iter"])
-    try:
-        return cls(**kw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}]: {exc}") from exc
-
-
 def load_config(path) -> RunConfig:
     path = Path(path)
     # no interpolation: a '%' in a value, as in a file path, reads literally
@@ -209,64 +243,29 @@ def load_config(path) -> RunConfig:
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 
+    values = {}  # holder attribute (None: RunConfig) -> field -> parsed value
+    sections = {}  # holder attribute -> its section
     for section in cp.sections():
-        if section not in _ALLOWED:
+        if section not in KEYS:
             raise ConfigError(f"unknown section [{section}]")
         for key in cp[section]:
-            if key not in _ALLOWED[section]:
+            if key not in KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
+            holder, name, parse = KEYS[section][key]
+            values.setdefault(holder, {})[name] = parse(cp.get(section, key), f"[{section}] {key}")
+            sections[holder] = section
+    for section, key in (("geometry", "n"), ("control", "nu"), ("control", "eta")):
+        if not cp.has_option(section, key):
+            raise ConfigError(f"[{section}] {key} is required")
 
-    if not cp.has_option("geometry", "n"):
-        raise ConfigError("[geometry] n is required")
-    n = _count(_number(cp.get("geometry", "n"), "[geometry] n"), "[geometry] n")
-    length = _number(cp.get("geometry", "length", fallback="1.0"), "[geometry] length")
-    if not (0 < length < np.inf):
-        raise ConfigError(f"[geometry] length must be positive and finite, got {length}")
-
-    beam = _section(cp, "material")
-    for key in ("nu", "eta"):
-        if not cp.has_option("control", key):
-            raise ConfigError(f"[control] {key} is required")
-    control = _section(cp, "control")
-
-    specs = {}
-    for key in ("f", "g", "w_d"):
-        specs[key] = cp.get("data", key, fallback="zero").strip()
-        _parse_spec(specs[key], f"[data] {key}")
-
-    scheme = cp.get("solver", "scheme", fallback=LOCKING_FREE)
-    if scheme not in SCHEMES:
-        raise ConfigError(f"[solver] scheme must be one of {SCHEMES}")
-    solver = _section(cp, "solver")
-
-    study_kw = {}
-    if cp.has_option("study", "etas"):
-        study_kw["etas"] = _number_list(cp.get("study", "etas"), "[study] etas")
-        if not all(0 <= e < np.inf for e in study_kw["etas"]):
-            raise ConfigError("[study] etas must be nonnegative and finite")
-    if cp.has_option("study", "thicknesses"):
-        study_kw["thicknesses"] = _number_list(cp.get("study", "thicknesses"), "[study] thicknesses")
-        if any(not (0 < t <= 1) for t in study_kw["thicknesses"]):
-            raise ConfigError("[study] thicknesses must lie in (0, 1]")
-    if cp.has_option("study", "mesh_sizes"):
-        where = "[study] mesh_sizes"
-        study_kw["mesh_sizes"] = tuple(_count(v, where)
-                                       for v in _number_list(cp.get("study", "mesh_sizes"), where))
-    if cp.has_option("study", "ref_factor"):
-        where = "[study] ref_factor"
-        study_kw["ref_factor"] = _count(_number(cp.get("study", "ref_factor"), where), where)
-
-    return RunConfig(
-        n=n,
-        length=length,
-        beam=beam,
-        control=control,
-        **specs,
-        scheme=scheme,
-        solver=solver,
-        study=StudyConfig(**study_kw),
-        base_dir=path.resolve().parent,
-    )
+    kw = values.pop(None)
+    holders = typing.get_type_hints(RunConfig)
+    for holder, fields in values.items():
+        try:
+            kw[holder] = holders[holder](**fields)
+        except ValueError as exc:
+            raise ConfigError(f"[{sections[holder]}]: {exc}") from exc
+    return RunConfig(**kw, base_dir=path.resolve().parent)
 
 
 def build_problem(cfg: RunConfig, n: Optional[int] = None, thickness: Optional[float] = None,

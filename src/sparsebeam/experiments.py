@@ -3,9 +3,11 @@
 Every CSV row produced here is re-derivable through the library API; this
 module only orchestrates solves, computes cross-mesh errors, and formats
 output.  Numbers are printed with 6 significant digits.  Output files carry
-a provenance header of '# key = value' comment lines (no timestamps), so
-identical configurations yield byte-identical files except for the runtime
-column of sweeps.
+a provenance header of '# key = value' comment lines (no timestamps), one
+per key outside [study], so identical configurations yield byte-identical
+files except for the runtime column of sweeps.  The header holds no [study]
+value: a grid study's meshes and its reference mesh (ref_factor times its
+largest n) appear in no header, and the grids do not read the n it records.
 """
 from __future__ import annotations
 
@@ -16,15 +18,13 @@ from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
-from .config import KEY_FIELDS, ConfigError, RunConfig, build_problem
+from .config import KEYS, ConfigError, RunConfig, build_problem
 from .fem import LOCKING_FREE, SCHEMES
 from .meshes import l2_diff_p0, l2_diff_p1, l2_norm_p0
 from .ssn import SSNResult, ssn_solve
 
 __all__ = [
-    "SWEEP_COLUMNS",
-    "LOCKING_COLUMNS",
-    "CONVERGENCE_COLUMNS",
+    "COLUMNS",
     "run_solve",
     "run_sweep",
     "run_locking",
@@ -49,17 +49,16 @@ def format_number(v) -> str:
 
 
 def provenance_lines(cfg: RunConfig) -> List[str]:
-    """Comment header recording every value of the run, defaults included.
-    The keys of config.KEY_FIELDS are read back from the fields they set;
+    """Comment header recording the value of every key of config.KEYS
+    outside [study], defaults included, read back from the field it sets.
     kappa_override, which has no value unless a file sets it, closes the
-    header when it is set."""
-    def keyed(section):
-        holder, _, fields = KEY_FIELDS[section]
-        values = getattr(cfg, holder)
-        return {key: getattr(values, name) for key, name in fields.items()}
-
-    pairs = {"n": cfg.n, "length": cfg.length, **keyed("material"), **keyed("control"),
-             "f": cfg.f, "g": cfg.g, "w_d": cfg.w_d, "scheme": cfg.scheme, **keyed("solver")}
+    header when it is set.  The study's lists and ref_factor are not
+    recorded."""
+    pairs = {}
+    for section, keys in KEYS.items():
+        if section != "study":
+            for key, (holder, name, _) in keys.items():
+                pairs[key] = getattr(cfg if holder is None else getattr(cfg, holder), name)
     kappa = pairs.pop("kappa_override")
     if kappa is not None:
         pairs["kappa_override"] = kappa
@@ -86,6 +85,17 @@ def write_field(path, coords: np.ndarray, values: np.ndarray,
     for x, v in zip(coords, values):
         lines.append(f"{float(x):.17g} {float(v):.17g}")
     path.write_text("\n".join(lines) + "\n")
+
+
+# The CSV columns of each study, by subcommand
+COLUMNS = {
+    "sweep": ("eta", "cost", "l2norm", "null", "iterations", "stop_reason", "converged",
+              "runtime"),
+    "locking": ("scheme", "thickness", "n", "h", "control_error",
+                "state_error", "iterations", "stop_reason", "converged"),
+    "convergence": ("n", "h", "control_error", "state_error",
+                    "adjoint_error", "iterations", "stop_reason", "converged"),
+}
 
 
 # ------------------------------------------------------------- helpers
@@ -129,10 +139,6 @@ def run_solve(cfg: RunConfig, out_dir) -> SSNResult:
 
 
 # ------------------------------------------------------------- sweep
-
-SWEEP_COLUMNS = ("eta", "cost", "l2norm", "null", "iterations", "stop_reason", "converged",
-                 "runtime")
-
 
 def run_sweep(cfg: RunConfig) -> List[Dict]:
     """Solves along the ascending eta list of the study.  They share one
@@ -197,10 +203,6 @@ def _grid_rows(cfg: RunConfig, schemes: Sequence[str], thicknesses: Sequence[flo
     return rows
 
 
-LOCKING_COLUMNS = ("scheme", "thickness", "n", "h", "control_error",
-                   "state_error", "iterations", "stop_reason", "converged")
-
-
 def run_locking(cfg: RunConfig) -> List[Dict]:
     """Control errors per (scheme, thickness, n) against per-thickness
     locking-free fine-mesh references."""
@@ -208,10 +210,6 @@ def run_locking(cfg: RunConfig) -> List[Dict]:
     if not study.thicknesses or not study.mesh_sizes:
         raise ConfigError("[study] thicknesses and mesh_sizes are required for a locking study")
     return _grid_rows(cfg, SCHEMES, study.thicknesses)
-
-
-CONVERGENCE_COLUMNS = ("n", "h", "control_error", "state_error",
-                       "adjoint_error", "iterations", "stop_reason", "converged")
 
 
 def run_convergence(cfg: RunConfig):

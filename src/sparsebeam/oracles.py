@@ -25,26 +25,26 @@ only on T, r0 and its branch pattern.
 
 prox_gradient_solve runs FISTA with gradient-based adaptive restart, at one
 symmetric product per iteration (T v follows by linearity).  Every
-_POLISH_EVERY iterations, and once on exit, a checkpoint spends one exact
-product T u on pbar and the fixed-point residual, tests the tolerance and
+_POLISH_EVERY iterations, and at _MAX_ITER, a checkpoint spends one exact
+product T u on pbar and the fixed-point residual, tests it against _TOL and
 attempts an exact "polish": classify branches from pbar, solve the
 free-branch linear system, and verify every Karush-Kuhn-Tucker inequality
 explicitly.  A polish that fails verification is not thrown away: its
 exact pbar is one dense primal-dual active-set step from the next pattern,
 so the checkpoint classifies again from it and polishes again.  The chain
 ends at a verified pattern, at a pattern it has already polished, or after
-_POLISH_STEPS polishes; if no polish verifies, FISTA goes on, and on exit
-the last iterate is returned uncertified.  The problem is strictly convex,
-so a point passing that verification is the unique minimizer -- the
-returned certificate depends only on the verified pattern, not on the
-chain, iteration counts or tolerances.
+_POLISH_STEPS polishes.  If no polish verifies, FISTA goes on, unless the
+checkpoint met _TOL or reached _MAX_ITER: that one returns the iterate
+uncertified.  The problem is strictly convex, so a point passing that
+verification is the unique minimizer -- the returned certificate depends
+only on the verified pattern, not on the chain, iteration counts or the
+two limits.
 
 fd_gradient_check differences the package's one cost, control.cost, which
 the active-set solver never evaluates; it has no cost rule of its own.
 """
 from __future__ import annotations
 
-import numbers
 import weakref
 from dataclasses import dataclass
 from typing import Optional
@@ -66,7 +66,6 @@ from .meshes import P0Field
 from .problem import ControlProblem, OptimalitySystem
 
 __all__ = [
-    "OracleConfig",
     "ReducedQuadratic",
     "prox_gradient_solve",
     "fd_gradient_check",
@@ -77,30 +76,16 @@ __all__ = [
 _POLISH_EVERY = 200
 # polishes in one checkpoint's chain
 _POLISH_STEPS = 8
+# a checkpoint whose fixed-point residual is at most _TOL * (1 + max|u|), or
+# that FISTA reaches after _MAX_ITER iterations, ends the solve
+_TOL = 1e-12
+_MAX_ITER = 1_000_000
 
 # the power iteration stops once two estimates agree to this, relatively
 _POWER_RTOL = 1e-12
 _POWER_MAX = 200
 
 _FD_PERTURBATIONS = 10  # random elements that fd_gradient_check perturbs
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """tol, non-negative and finite, bounds the fixed-point residual of a
-    converged iterate (0 asks for a certificate or max_iter); max_iter, an
-    integer of at least 1, bounds the FISTA iterations."""
-
-    tol: float = 1e-12
-    max_iter: int = 1_000_000
-
-    def __post_init__(self):
-        if not (0 <= self.tol < np.inf):
-            raise ValueError("tol must be non-negative and finite")
-        if not isinstance(self.max_iter, numbers.Integral):
-            raise ValueError("max_iter must be an integer")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -167,7 +152,6 @@ class ReducedQuadratic:
         self.nu = problem.control.nu
         self.eta = problem.control.eta
         self.a, self.b = problem.bounds
-        self._lip: Optional[float] = None
 
     def pbar(self, u: np.ndarray) -> np.ndarray:
         return self.r0 - self.T @ u
@@ -190,28 +174,24 @@ class ReducedQuadratic:
         Frobenius), and the start lies close to it: the iteration stops once
         two estimates agree to _POWER_RTOL, in a handful of products, or
         after _POWER_MAX."""
-        if self._lip is None:
-            v = np.ones(self.T.shape[0])
-            v /= np.linalg.norm(v)
-            lam = 0.0
-            for _ in range(_POWER_MAX):
-                w = self.nu * v + self.sym_product(v)
-                lam, prev = float(np.linalg.norm(w)), lam
-                if lam == 0.0:
-                    break
-                v = w / lam
-                if abs(lam - prev) <= _POWER_RTOL * lam:
-                    break
-            self._lip = lam * 1.02 + self.nu
-        return self._lip
-
-    def prox(self, v: np.ndarray, tau: float) -> np.ndarray:
-        return np.clip(shrink(v, tau * self.eta), self.a, self.b)
+        v = np.ones(self.T.shape[0])
+        v /= np.linalg.norm(v)
+        lam = 0.0
+        for _ in range(_POWER_MAX):
+            w = self.nu * v + self.sym_product(v)
+            lam, prev = float(np.linalg.norm(w)), lam
+            if lam == 0.0:
+                break
+            v = w / lam
+            if abs(lam - prev) <= _POWER_RTOL * lam:
+                break
+        return lam * 1.02 + self.nu
 
     def step(self, u: np.ndarray, Tu: np.ndarray, tau: float) -> np.ndarray:
         """Proximal gradient step from u, given its product Tu = T u; the
         elementwise gradient of the smooth part is nu*u - pbar(u)."""
-        return self.prox(u - tau * (self.nu * u - (self.r0 - Tu)), tau)
+        v = u - tau * (self.nu * u - (self.r0 - Tu))
+        return np.clip(shrink(v, tau * self.eta), self.a, self.b)
 
     def fixed_point_residual(self, u: np.ndarray, Tu: np.ndarray, tau: float) -> float:
         return float(np.max(np.abs(u - self.step(u, Tu, tau))))
@@ -250,18 +230,18 @@ def _polish(rq: ReducedQuadratic, branches: np.ndarray):
     return u, pbar, ok
 
 
-def prox_gradient_solve(problem: ControlProblem, config: OracleConfig = OracleConfig()) -> OracleResult:
+def prox_gradient_solve(problem: ControlProblem) -> OracleResult:
     """Accelerated proximal gradient descent on the reduced problem.
 
     Certification makes the answer tolerance-independent: once a branch
     pattern verifies, the polished point is the exact minimizer up to one
-    dense linear solve.  At each checkpoint after the first the pattern is
-    classified from the iterate's exact pbar; a polish that fails
-    verification hands its own exact pbar to the next classification, a
-    chain of at most _POLISH_STEPS polishes that also stops when a pattern
-    recurs.  The fixed-point residual, and with it the tolerance test, is
-    measured at the checkpoints only; the returned one is that of the
-    returned point.
+    dense linear solve.  At each checkpoint after the first, and at one
+    that ends the solve, the pattern is classified from the iterate's exact
+    pbar; a polish that fails verification hands its own exact pbar to the
+    next classification, a chain of at most _POLISH_STEPS polishes that also
+    stops when a pattern recurs.  The fixed-point residual, and with it the
+    _TOL test, is measured at the checkpoints only; the returned one is that
+    of the returned point.
     """
     rq = ReducedQuadratic(problem)
     n = problem.mesh.n
@@ -303,18 +283,20 @@ def prox_gradient_solve(problem: ControlProblem, config: OracleConfig = OracleCo
         return None
 
     while True:
-        if iterations % _POLISH_EVERY == 0 or iterations >= config.max_iter:
+        if iterations % _POLISH_EVERY == 0 or iterations >= _MAX_ITER:
             # checkpoint: one exact product gives pbar and the residual of u
             Tu_exact = rq.T @ u
             pbar = rq.r0 - Tu_exact
             fp = rq.fixed_point_residual(u, Tu_exact, tau)
-            converged = fp <= config.tol * (1.0 + np.max(np.abs(u)))
-            if converged or iterations >= config.max_iter:
-                break
-            if iterations:
+            converged = fp <= _TOL * (1.0 + np.max(np.abs(u)))
+            done = converged or iterations >= _MAX_ITER
+            if iterations or done:
                 polished = try_polish(pbar)
                 if polished is not None:
                     return polished
+            if done:
+                branches = classify_branches(pbar, rq.a, rq.b, rq.nu, rq.eta)
+                return finish(u, pbar - rq.nu * u, False, fp, branches)
         iterations += 1
         u_new = rq.step(v, Tv, tau)
         # gradient-based adaptive restart: drop the momentum, step from u
@@ -328,12 +310,6 @@ def prox_gradient_solve(problem: ControlProblem, config: OracleConfig = OracleCo
         Tv = (1.0 + beta) * Tu_new - beta * Tu
         t = t_new
         u, Tu = u_new, Tu_new
-
-    polished = try_polish(pbar)
-    if polished is not None:
-        return polished
-    branches = classify_branches(pbar, rq.a, rq.b, rq.nu, rq.eta)
-    return finish(u, pbar - rq.nu * u, False, fp, branches)
 
 
 def fd_gradient_check(problem: ControlProblem, u: P0Field, step: Optional[float] = None,

@@ -125,7 +125,8 @@ class SSNConfig:
     def __post_init__(self):
         if not (0 < self.tol < np.inf):
             raise ValueError("tol must be positive and finite")
-        if not isinstance(self.max_iter, numbers.Integral):
+        # bool is an Integral, but True is no budget
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
             raise ValueError("max_iter must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")

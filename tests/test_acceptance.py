@@ -32,7 +32,6 @@ from sparsebeam.experiments import (
 from sparsebeam.fem import BeamOperator, BeamParams, LoadData
 from sparsebeam.meshes import Mesh1D, P0Field, build_uniform_mesh, l2_diff_p0, pi_h
 from sparsebeam.oracles import (
-    OracleConfig,
     ReducedQuadratic,
     fd_gradient_check,
     prox_gradient_solve,
@@ -92,7 +91,7 @@ def test_01_newton_matches_first_order_oracle():
         prob = random_instance(rng)
         res = ssn_solve(prob)
         assert res.converged
-        oracle = prox_gradient_solve(prob, OracleConfig(tol=1e-13))
+        oracle = prox_gradient_solve(prob)
         assert oracle.certified
         worst_du = max(worst_du, l2_diff_p0(res.u, oracle.u))
         # objective gap through the dense reduced model: the u-independent

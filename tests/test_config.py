@@ -1,7 +1,10 @@
 """INI parsing, the data catalog, and problem materialization."""
+import re
+
 import numpy as np
 import pytest
 
+from sparsebeam import config
 from sparsebeam.config import (
     ConfigError,
     build_problem,
@@ -150,6 +153,19 @@ ref_factor = 4
         cfg = load_config(write_config(tmp_path, MINIMAL + "[data]\nf = file: a%b.dat\n"))
         assert cfg.f == "file: a%b.dat"
         assert build_problem(cfg).loads.f(0.5) == pytest.approx(1.0)
+
+    def test_infinite_bounds_are_the_defaults(self, tmp_path):
+        body = MINIMAL + "lower = -inf\nupper = inf\n"
+        assert load_config(write_config(tmp_path, body)).control == \
+            load_config(write_config(tmp_path, MINIMAL, "unset.ini")).control
+
+    def test_module_docstring_lists_every_key(self):
+        # the docstring is the user's key reference
+        doc = config.__doc__
+        for section, keys in config.KEYS.items():
+            assert f"[{section}]" in doc
+            for key in keys:
+                assert re.search(rf"\b{key}\b", doc), key
 
     def test_inline_comments_stripped(self, tmp_path):
         body = "[geometry]\nn = 16  # elements\n\n[control]\nnu = 1e-6 ; weight\neta = 0\n"

@@ -21,7 +21,6 @@ from sparsebeam.oracles import (
     _POLISH_EVERY,
     _POLISH_STEPS,
     _POWER_MAX,
-    OracleConfig,
     ReducedQuadratic,
     _polish,
     fd_gradient_check,
@@ -270,7 +269,7 @@ class TestProxGradient:
     def test_certified_against_ssn(self):
         prob = toy_problem(n=20, nu=1e-5)
         p = prob.with_control(eta=0.4 * eta_threshold(prob))
-        orc = prox_gradient_solve(p, OracleConfig(tol=1e-13))
+        orc = prox_gradient_solve(p)
         res = ssn_solve(p)
         assert orc.certified and res.converged
         assert l2_diff_p0(res.u, orc.u) <= 1e-9
@@ -289,7 +288,9 @@ class TestProxGradient:
         power = len(symmetric)
         symmetric.clear()
         _CountingMatrix.products = 0
-        res = prox_gradient_solve(p, OracleConfig(tol=0.0, max_iter=600))
+        monkeypatch.setattr(oracles, "_TOL", 0.0)
+        monkeypatch.setattr(oracles, "_MAX_ITER", 600)
+        res = prox_gradient_solve(p)
         assert res.iterations >= _POLISH_EVERY and res.certified == polish
         # one symmetric product per FISTA iteration, after the power
         # iteration's, which stops well before its cap
@@ -323,20 +324,22 @@ class TestProxGradient:
         moved = prox_gradient_solve(other)
         assert moved.certified and np.array_equal(moved.u.values, res.u.values)
 
-    @pytest.mark.parametrize("config, polish, certified, converged", [
-        (OracleConfig(), True, True, True),
-        (OracleConfig(tol=1e-6), False, False, True),
-        (OracleConfig(tol=0.0, max_iter=_POLISH_EVERY + 37), False, False, False),
+    @pytest.mark.parametrize("limits, polish, certified, converged", [
+        ({}, True, True, True),
+        ({"_TOL": 1e-6}, False, False, True),
+        ({"_TOL": 0.0, "_MAX_ITER": _POLISH_EVERY + 37}, False, False, False),
     ], ids=["certified", "tolerance", "max_iter"])
-    def test_fixed_point_residual_describes_returned_point(self, config, polish, certified,
+    def test_fixed_point_residual_describes_returned_point(self, limits, polish, certified,
                                                            converged, monkeypatch):
         if not polish:
             _refuse_certificates(monkeypatch)
+        for name, value in limits.items():
+            monkeypatch.setattr(oracles, name, value)
         prob = _thin_problem()
-        res = prox_gradient_solve(prob, config)
+        res = prox_gradient_solve(prob)
         assert (res.certified, res.converged) == (certified, converged)
         if not converged:
-            assert res.iterations == config.max_iter
+            assert res.iterations == oracles._MAX_ITER
         rq = ReducedQuadratic(prob)
         u = res.u.values
         tau = 1.0 / rq.lipschitz()
@@ -345,7 +348,9 @@ class TestProxGradient:
     def test_uncertified_path_reports_flag(self, monkeypatch):
         _refuse_certificates(monkeypatch)
         prob = toy_problem(n=10, nu=1e-3)
-        res = prox_gradient_solve(prob, OracleConfig(max_iter=1, tol=1e-16))
+        monkeypatch.setattr(oracles, "_TOL", 1e-16)
+        monkeypatch.setattr(oracles, "_MAX_ITER", 1)
+        res = prox_gradient_solve(prob)
         assert not res.certified
 
     def test_chained_polish_certifies_at_the_first_checkpoint(self, monkeypatch):
@@ -396,16 +401,6 @@ class TestProxGradient:
         assert recurring >= 1
 
 
-class TestOracleConfig:
-    @pytest.mark.parametrize("kwargs", [
-        dict(tol=np.nan), dict(tol=-1e-12), dict(tol=np.inf),
-        dict(max_iter=2.5), dict(max_iter=0),
-    ])
-    def test_rejects(self, kwargs):
-        with pytest.raises(ValueError):
-            OracleConfig(**kwargs)
-
-
 class TestDenseKKT:
     """The oracle's certified point, the dense free-branch solve whose every
     KKT inequality its polish verifies, against the Newton solver on small
@@ -422,7 +417,7 @@ class TestDenseKKT:
     def test_agrees_with_prox_on_bound_active_instance(self):
         prob = toy_problem(n=12, nu=1e-6, bound=5.0)  # bounds clip hard
         res = ssn_solve(prob)
-        orc = prox_gradient_solve(prob, OracleConfig(tol=1e-13))
+        orc = prox_gradient_solve(prob)
         assert res.converged and orc.certified
         assert l2_diff_p0(res.u, orc.u) <= 1e-9
         assert np.max(np.abs(res.u.values)) == pytest.approx(5.0)

@@ -25,6 +25,13 @@ def test_package_import_leaves_sympy_unloaded():
     assert out.split() == ["False", "[]"]
 
 
+def test_public_surface_does_not_grow():
+    # ROADMAP item 9: every public name a change adds is paid for by one it
+    # removes; lower the bound when the surface shrinks
+    total = sum(len(importlib.import_module(f"sparsebeam.{name}").__all__) for name in MODULES)
+    assert total <= 64
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_resolve(name):
     module = importlib.import_module(f"sparsebeam.{name}")

@@ -41,7 +41,7 @@ from sparsebeam.meshes import (
     l2_diff_p0,
     restrict_p0,
 )
-from sparsebeam.oracles import OracleConfig, ReducedQuadratic, fd_gradient_check, prox_gradient_solve
+from sparsebeam.oracles import ReducedQuadratic, fd_gradient_check, prox_gradient_solve
 from sparsebeam.problem import ControlProblem
 from sparsebeam.ssn import (
     SSNConfig,
@@ -224,8 +224,11 @@ class TestTermination:
             ssn_solve(free, SSNConfig(u0=P0Field(prob.mesh, np.inf * signs)))
 
     def test_non_integer_max_iter_is_rejected(self):
-        with pytest.raises(ValueError, match="integer"):
-            SSNConfig(max_iter=2.5)
+        # True is an Integral, and would mean a budget of one pattern solve
+        for bad in (2.5, True, np.bool_(True)):
+            with pytest.raises(ValueError, match="integer"):
+                SSNConfig(max_iter=bad)
+        assert SSNConfig(max_iter=np.int64(7)).max_iter == 7
 
     @pytest.mark.parametrize("t", [1e-2, 1e-3])
     @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
@@ -240,7 +243,7 @@ class TestTermination:
         res = ssn_solve(prob)
         assert res.converged
         assert res.iterations > len(res.residual_history)  # the reseed ran
-        orc = prox_gradient_solve(prob, OracleConfig(tol=1e-13))
+        orc = prox_gradient_solve(prob)
         assert orc.certified
         # objective gap through the dense reduced model, as acceptance 1
         rq = ReducedQuadratic(prob)
@@ -566,7 +569,7 @@ class TestTargetKinds:
         assert res.converged
         out = kkt_residual(prob, res.u)
         assert out["complementarity"] <= 1e-8 and out["vi"] <= 1e-8
-        orc = prox_gradient_solve(prob, OracleConfig(tol=1e-13))
+        orc = prox_gradient_solve(prob)
         assert orc.certified and l2_diff_p0(res.u, orc.u) <= 1e-8
         assert fd_gradient_check(prob, res.u) <= 1e-6
 
@@ -841,7 +844,7 @@ class TestOracleAgreement:
         p = prob.with_control(eta=eta_star / 9.0)
         res = ssn_solve(p)
         assert res.converged
-        orc = prox_gradient_solve(p, OracleConfig(tol=1e-13))
+        orc = prox_gradient_solve(p)
         assert orc.certified
         assert l2_diff_p0(res.u, orc.u) <= 1e-8
         assert 0 < np.count_nonzero(res.u.values == 0.0) < 50
