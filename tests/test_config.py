@@ -167,6 +167,19 @@ ref_factor = 4
             for key in keys:
                 assert re.search(rf"\b{key}\b", doc), key
 
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, keys in config.KEYS.items() for key in keys
+    ], ids=lambda item: item)
+    def test_every_parser_names_its_key(self, tmp_path, section, key):
+        # each parser of KEYS raises a ConfigError that opens with "[section] key"
+        sections = {"geometry": {"n": "16"}, "control": {"nu": "1e-6", "eta": "0"}}
+        sections.setdefault(section, {})[key] = "bogus"
+        body = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+                       for name, entries in sections.items())
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_config(tmp_path, body))
+        assert str(exc.value).startswith(f"[{section}] {key}")
+
     def test_inline_comments_stripped(self, tmp_path):
         body = "[geometry]\nn = 16  # elements\n\n[control]\nnu = 1e-6 ; weight\neta = 0\n"
         cfg = load_config(write_config(tmp_path, body))
