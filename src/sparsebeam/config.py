@@ -7,13 +7,14 @@ Sections and keys (defaults in brackets):
                 shear_correction [5/6], poisson [0.35], kappa_override [unset]
     [control]   nu (required), eta (required), lower [-inf], upper [inf]
     [data]      f, g, w_d  [zero]
-    [solver]    scheme [locking_free], tol [1e-10], max_iter [850]
+    [solver]    scheme [locking_free]
     [study]     etas, thicknesses, mesh_sizes (comma lists), ref_factor [8]
 
 KEYS declares each key once: the RunConfig attribute that holds it, the
 field it sets and its parser.  The defaults are those of the holders
-(RunConfig, BeamParams, ControlParams, SSNConfig, StudyConfig) alone; a test
-pins the bracketed values through the provenance header.
+(RunConfig, BeamParams, ControlParams, StudyConfig) alone; a test pins the
+bracketed values through the provenance header.  The solver has no keys:
+its budget and stop tolerance are constants of sparsebeam.ssn.
 
 Numeric values accept plain fractions ("5/6") and inf.  NaN is rejected
 everywhere, and inf where a key's range excludes it: of the numeric keys,
@@ -33,8 +34,8 @@ Data entries use a small catalog, whose numbers must be finite:
 Unknown sections or keys are rejected, as are physically inadmissible
 values; errors raise ConfigError with the offending location in the
 message.  A value that no parser accepts names its "[section] key"; the
-beam, control and solver values are then checked together by the classes
-that hold them, and a value they reject names its "[section]".  A file
+beam and control values are then checked together by the classes that
+hold them, and a value they reject names its "[section]".  A file
 with several errors reports one: its first unknown key or unparsable value,
 in file order, else a missing required key, else a rejected section.
 """
@@ -52,7 +53,6 @@ from .control import ControlParams
 from .fem import LOCKING_FREE, SCHEMES, BeamParams, LoadData
 from .meshes import P0Field, build_uniform_mesh
 from .problem import ControlProblem
-from .ssn import SSNConfig
 
 __all__ = [
     "ConfigError",
@@ -106,12 +106,6 @@ def _scheme(text: str, where: str) -> str:
     return text
 
 
-def _integer(text: str, where: str):
-    """A number, as an int where it is integral; its holder rejects the rest."""
-    value = _number(text, where)
-    return int(value) if value.is_integer() else value
-
-
 def _etas(text: str, where: str) -> Tuple[float, ...]:
     etas = _number_list(text, where)
     if not all(0 <= e < np.inf for e in etas):
@@ -156,8 +150,8 @@ def _data(text: str, where: str) -> str:
 
 # Every key of the file: section -> key -> (the RunConfig attribute that
 # holds it, or None for RunConfig itself; the field it sets; its parser,
-# which raises a ConfigError that names "[section] key").  Outside [study],
-# the order is that of the provenance header.
+# which raises a ConfigError that names "[section] key").  The order is
+# that of the provenance header.
 KEYS = {
     "geometry": {"n": (None, "n", _count), "length": (None, "length", _length)},
     "material": {"youngs_modulus": ("beam", "E", _number), "thickness": ("beam", "t", _number),
@@ -167,8 +161,7 @@ KEYS = {
     "control": {"nu": ("control", "nu", _number), "eta": ("control", "eta", _number),
                 "lower": ("control", "a", _number), "upper": ("control", "b", _number)},
     "data": {"f": (None, "f", _data), "g": (None, "g", _data), "w_d": (None, "w_d", _data)},
-    "solver": {"scheme": (None, "scheme", _scheme), "tol": ("solver", "tol", _number),
-               "max_iter": ("solver", "max_iter", _integer)},
+    "solver": {"scheme": (None, "scheme", _scheme)},
     "study": {"etas": ("study", "etas", _etas),
               "thicknesses": ("study", "thicknesses", _thicknesses),
               "mesh_sizes": ("study", "mesh_sizes",
@@ -194,7 +187,6 @@ class RunConfig:
     g: str = "zero"
     w_d: str = "zero"
     scheme: str = LOCKING_FREE
-    solver: SSNConfig = field(default_factory=SSNConfig)
     study: StudyConfig = field(default_factory=StudyConfig)
     base_dir: Optional[Path] = None  # resolves file: entries
 

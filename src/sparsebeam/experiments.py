@@ -4,15 +4,15 @@ Every CSV row produced here is re-derivable through the library API; this
 module only orchestrates solves, computes cross-mesh errors, and formats
 output.  Numbers are printed with 6 significant digits.  Output files carry
 a provenance header of '# key = value' comment lines (no timestamps), one
-per key outside [study], so identical configurations yield byte-identical
-files except for the runtime column of sweeps.  The header holds no [study]
-value: a grid study's meshes and its reference mesh (ref_factor times its
-largest n) appear in no header, and the grids do not read the n it records.
+per key that has a value, so identical configurations yield byte-identical
+files except for the runtime column of sweeps.  The [study] lists and
+ref_factor are recorded too, so a grid study's header names its meshes and
+its reference mesh (ref_factor times its largest n); the grids do not read
+the n it records.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence
 
@@ -49,20 +49,19 @@ def format_number(v) -> str:
 
 
 def provenance_lines(cfg: RunConfig) -> List[str]:
-    """Comment header recording the value of every key of config.KEYS
-    outside [study], defaults included, read back from the field it sets.
-    kappa_override, which has no value unless a file sets it, closes the
-    header when it is set.  The study's lists and ref_factor are not
-    recorded."""
-    pairs = {}
-    for section, keys in KEYS.items():
-        if section != "study":
-            for key, (holder, name, _) in keys.items():
-                pairs[key] = getattr(cfg if holder is None else getattr(cfg, holder), name)
-    kappa = pairs.pop("kappa_override")
-    if kappa is not None:
-        pairs["kappa_override"] = kappa
-    return [f"# {key} = {format_number(val)}" for key, val in pairs.items()]
+    """Comment header recording the value of every key of config.KEYS, in
+    table order and defaults included, read back from the field it sets.
+    A key without a value (an unset kappa_override, an empty [study] list)
+    is skipped; a list is written comma-separated."""
+    lines = []
+    for keys in KEYS.values():
+        for key, (holder, name, _) in keys.items():
+            val = getattr(cfg if holder is None else getattr(cfg, holder), name)
+            if val is None or val == ():
+                continue
+            text = ", ".join(map(format_number, val)) if isinstance(val, tuple) else format_number(val)
+            lines.append(f"# {key} = {text}")
+    return lines
 
 
 def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence],
@@ -115,7 +114,7 @@ def fit_rate(hs: Sequence[float], errors: Sequence[float]) -> float:
 def run_solve(cfg: RunConfig, out_dir) -> SSNResult:
     """Single solve; writes the five fields and a summary record."""
     problem = build_problem(cfg)
-    res = ssn_solve(problem, cfg.solver)
+    res = ssn_solve(problem)
     out = Path(out_dir)
     prov = provenance_lines(cfg)
     mesh = problem.mesh
@@ -155,7 +154,7 @@ def run_sweep(cfg: RunConfig) -> List[Dict]:
     for eta in etas:
         problem = problem.with_control(eta=eta)
         start = time.perf_counter()
-        res = ssn_solve(problem, replace(cfg.solver, u0=prev_u))
+        res = ssn_solve(problem, u0=prev_u)
         runtime = time.perf_counter() - start
         rows.append({
             "eta": eta,
@@ -180,7 +179,7 @@ def _grid_rows(cfg: RunConfig, schemes: Sequence[str], thicknesses: Sequence[flo
     study = cfg.study
 
     def solve(scheme, t, n):
-        return ssn_solve(build_problem(cfg, n=n, thickness=t, scheme=scheme), cfg.solver)
+        return ssn_solve(build_problem(cfg, n=n, thickness=t, scheme=scheme))
 
     ref = {t: solve(LOCKING_FREE, t, study.ref_factor * max(study.mesh_sizes)) for t in thicknesses}
     cells = [(s, t, n) for s in schemes for t in thicknesses for n in study.mesh_sizes]

@@ -26,7 +26,7 @@ pattern with no free element decouples into two solves with the stiffness
 operator.
 
 One active-set iteration serves the main loop, the reseed's proximal
-stages and its probes, and all of them draw on one budget of max_iter
+stages and its probes, and all of them draw on one budget of _MAX_ITER
 pattern solves per level.  The pattern map is deterministic, so a run
 stops at the first of three events: a fixed point (its solve depends on
 the pattern alone, so its residual is final), its cap of pattern solves,
@@ -49,8 +49,8 @@ proximal term dominates the reduced operator, the stage's pattern is set
 by its center, and a probe does not settle.  The reseed ends on a probe
 that has settled at the true weight; that probe's solve is the loop's last
 iterate.  The solve returns the last pattern solve, the one its stop
-tested, so converged describes the returned point; a spent budget returns
-the last solve with converged=False.
+tested, so stop_reason describes the returned point; a spent budget
+returns the last solve with stop_reason "max_iter".
 
 On a mesh of at least _NEST_MIN elements the solve is seeded by nested
 iteration.  It first solves the same problem on the mesh of every 16th
@@ -74,8 +74,7 @@ bit.
 from __future__ import annotations
 
 import itertools
-import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
@@ -95,53 +94,21 @@ from .fem import AdjointSolution, LinearSolveError, StateSolution
 from .meshes import P0Field, P1Field, coarsen, p0_average, restrict_p0
 from .problem import ControlProblem
 
-__all__ = ["SSNConfig", "SSNResult", "ssn_solve"]
-
-
-@dataclass(frozen=True)
-class SSNConfig:
-    """Solver knobs, shared by every level of a nested solve.
-
-    tol, positive and finite, bounds the residual of a converged solve.
-    max_iter bounds the pattern solves of each level (the problem's mesh
-    and each coarse mesh) on its own: main loop, proximal stages and probes
-    together, so SSNResult.iterations <= max_iter.  The default leaves room
-    for a main loop of 50 solves and a reseed of 800.
-
-    u0 must live on the problem's mesh and be finite once clipped to the box
-    (so no NaN); the solve reads it only clipped, as the first center of the
-    reseed.  Below the nesting size the solve starts in that reseed (unless
-    u = 0 is optimal or u0 clips to zero), whose first proximal stage
-    classifies from pbar(u0).  No classification at the true weight starts
-    from u0: along a sweep, the previous control's adjoint average lies
-    inside the new weight's zero band.  A nested solve restricts the clipped
-    u0 to the coarse mesh for the coarse solve, and centers the fine reseed
-    at it if the fine loop cycles."""
-
-    tol: float = 1e-10
-    max_iter: int = 850
-    u0: Optional[P0Field] = None
-
-    def __post_init__(self):
-        if not (0 < self.tol < np.inf):
-            raise ValueError("tol must be positive and finite")
-        # bool is an Integral, but True is no budget
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
-            raise ValueError("max_iter must be an integer")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+__all__ = ["SSNResult", "ssn_solve"]
 
 
 @dataclass
 class SSNResult:
     """The last pattern solve: its control clipped to the box, its state and
     adjoint, and mu = pbar - nu*u from its adjoint average.  stop_reason is
-    "converged" or "repeat_above_tol" at a fixed point that meets tol or
-    misses it.  On "max_iter", the budget ran out first, and it is the last
-    pattern solve, a main-loop iterate or the reseed's last stage or probe.
+    "converged" or "repeat_above_tol" at a fixed point whose residual meets
+    _TOL or misses it.  On "max_iter", the budget ran out first, and it is
+    the last pattern solve, a main-loop iterate or the reseed's last stage
+    or probe.  converged reads stop_reason, the one record of how the solve
+    ended.
 
     iterations counts the pattern solves on the problem's own mesh, main
-    loop and reseed together, at most max_iter; coarse_iterations counts
+    loop and reseed together, at most _MAX_ITER; coarse_iterations counts
     those of all the coarse levels of a nested solve, 0 below the nesting
     size.  residual_history is that of the problem's own mesh: the main
     loop's solves and the settled probe's, so a warm start that settles in
@@ -152,12 +119,20 @@ class SSNResult:
     state: StateSolution
     adjoint: AdjointSolution
     multipliers: MultiplierState
-    converged: bool
     stop_reason: str
     iterations: int
     coarse_iterations: int = 0
     residual_history: List[float] = field(default_factory=list)
 
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
+
+
+# A fixed point stops "converged" if its residual is at most _TOL, else
+# "repeat_above_tol": a label only, it never changes the iteration.
+_TOL = 1e-10
+_MAX_ITER = 850  # pattern solves per level: 50 for the main loop plus 800 for the reseed
 
 # Band layout of a pattern system: a slot for every element control and the
 # unknowns (w_i, theta_i, p_i, q_i) of every interior node, in the order
@@ -441,25 +416,34 @@ def _continuation_seed(ps: _PatternSolver, z: np.ndarray, tau: float,
             return total, run._replace(stop="cap")
 
 
-def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNResult:
+def ssn_solve(problem: ControlProblem, u0: Optional[P0Field] = None) -> SSNResult:
     """Run the active-set iteration to the finite-termination fixed point,
     seeded from a coarse solve on at least _NEST_MIN elements, and return
-    its last pattern solve (see SSNResult)."""
+    its last pattern solve (see SSNResult).
+
+    The warm start u0 must live on the problem's mesh and be finite once
+    clipped to the box (so no NaN); the solve reads it only clipped, as the
+    first center of the reseed.  Below the nesting size the solve starts in
+    that reseed (unless u = 0 is optimal or u0 clips to zero), whose first
+    proximal stage classifies from pbar(u0).  No classification at the true
+    weight starts from u0: along a sweep, the previous control's adjoint
+    average lies inside the new weight's zero band.  A nested solve
+    restricts the clipped u0 to the coarse mesh for the coarse solve, and
+    centers the fine reseed at it if the fine loop cycles."""
     mesh, control = problem.mesh, problem.control
     nu, eta = control.nu, control.eta
     a, b = problem.bounds
-    u0 = None  # the warm start clipped to the box
-    if config.u0 is not None:
-        if config.u0.mesh != mesh:
+    if u0 is not None:
+        if u0.mesh != mesh:
             raise ValueError("u0 lives on a different mesh")
-        u0 = np.clip(config.u0.values, a, b)
+        u0 = np.clip(u0.values, a, b)  # from here on the clipped values
         if not np.all(np.isfinite(u0)):
             raise ValueError("u0 must be finite once clipped to the box")
     z0, coarse_iterations, center = np.zeros(mesh.n), 0, u0
     if mesh.n >= _NEST_MIN:
         coarse = coarsen(mesh, _NEST_K)
-        seed = ssn_solve(problem.restricted(coarse), replace(
-            config, u0=None if u0 is None else restrict_p0(P0Field(mesh, u0), coarse)))
+        seed = ssn_solve(problem.restricted(coarse),
+                         None if u0 is None else restrict_p0(P0Field(mesh, u0), coarse))
         coarse_iterations = seed.iterations + seed.coarse_iterations
         # the coarse adjoint, linear between the coarse nodes, averaged per fine element
         z0 = p0_average(P1Field(mesh, np.interp(mesh.nodes, coarse.nodes,
@@ -501,7 +485,7 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
             secant = np.linalg.norm(pbar_c - pbar0) / np.linalg.norm(u0)
             start = (pbar_c, _TAU_FIRST * max(secant, nu), u0)
     if start is None:
-        run = _active_set(ps, z0, nu, config.max_iter, visit=record)
+        run = _active_set(ps, z0, nu, _MAX_ITER, visit=record)
         iterations = run.solves
         if run.stop == "cycle":
             # reseed once from a proximal continuation.  Since z = pbar(u),
@@ -517,7 +501,7 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
     if start is not None:
         # the reseed gets the solves the main loop left; a cycle stops that
         # loop before its cap, so at least one is left
-        extra, run = _continuation_seed(ps, *start, config.max_iter - iterations)
+        extra, run = _continuation_seed(ps, *start, _MAX_ITER - iterations)
         iterations += extra
         if run.stop == "fixed":
             # the settled probe's solve, counted by the reseed, is the next iterate
@@ -525,10 +509,9 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
 
     if run.stop == "fixed":
         # a pattern's solve depends on the pattern alone, so its residual is final
-        converged = residual_history[-1] <= config.tol
-        stop_reason = "converged" if converged else "repeat_above_tol"
+        stop_reason = "converged" if residual_history[-1] <= _TOL else "repeat_above_tol"
     else:  # a cycle always reseeds, so a run that did not settle spent the budget
-        converged, stop_reason = False, "max_iter"
+        stop_reason = "max_iter"
 
     x, y, u = run.solved
     u_final = np.clip(u, a, b)
@@ -540,7 +523,6 @@ def ssn_solve(problem: ControlProblem, config: SSNConfig = SSNConfig()) -> SSNRe
         state=problem._state(x),
         adjoint=AdjointSolution(*s.operator.split(y)),
         multipliers=reconstruct_multipliers(u_field, mu_field, control),
-        converged=converged,
         stop_reason=stop_reason,
         iterations=iterations,
         coarse_iterations=coarse_iterations,

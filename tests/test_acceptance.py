@@ -218,7 +218,7 @@ def sweep_runs():
         runs, prev = [], None
         for eta in cfg.study.etas:
             prob = base.with_control(eta=eta)
-            res = ssn_solve(prob, dataclasses.replace(cfg.solver, u0=prev))
+            res = ssn_solve(prob, u0=prev)
             runs.append((eta, prob, res))
             prev = res.u
         _SWEEP_CACHE["runs"] = runs

@@ -12,7 +12,6 @@ from sparsebeam.config import (
     realize_field,
 )
 from sparsebeam.meshes import P0Field, build_uniform_mesh
-from sparsebeam.ssn import SSNConfig
 
 
 def write_config(tmp_path, body, name="run.ini"):
@@ -41,7 +40,6 @@ class TestLoadConfig:
         assert cfg.beam.poisson == 0.35
         assert cfg.control.nu == 1e-6
         assert cfg.scheme == "locking_free"
-        assert cfg.solver == SSNConfig()
         assert cfg.f == "zero"
         assert cfg.study.ref_factor == 8
 
@@ -70,8 +68,6 @@ w_d = constant: 0.01
 
 [solver]
 scheme = standard
-tol = 1e-9
-max_iter = 30
 
 [study]
 etas = 0, 1e-5, 2e-5
@@ -85,7 +81,6 @@ ref_factor = 4
         assert cfg.scheme == "standard"
         assert cfg.study.etas == (0.0, 1e-5, 2e-5)
         assert cfg.study.mesh_sizes == (16, 32, 64)
-        assert cfg.solver == SSNConfig(tol=1e-9, max_iter=30)
 
     def test_fraction_parsing(self, tmp_path):
         body = MINIMAL + "\n[material]\nshear_correction = 2/3\n"
@@ -108,9 +103,6 @@ ref_factor = 4
         (MINIMAL + "[solver]\nadjoint_theta_term = yes\n", "unknown key"),
         (MINIMAL + "[data]\ntheta_d = zero\n", "unknown key"),
         (MINIMAL + "[solver]\nscheme = exotic\n", "scheme"),
-        (MINIMAL + "[solver]\ntol = -1\n", "tol"),
-        (MINIMAL + "[solver]\nmax_iter = 0\n", "[solver]: max_iter must be at least 1"),
-        (MINIMAL + "[solver]\nmax_iter = 2.5\n", "[solver]: max_iter must be an integer"),
         (MINIMAL + "[data]\nf = sine: 1\n", "sine takes 2 or 3"),
         (MINIMAL + "[data]\nf = ramp: 1\n", "unknown data spec"),
         (MINIMAL + "[data]\nf = zero: 3\n", "takes no arguments"),
@@ -132,12 +124,11 @@ ref_factor = 4
         (MINIMAL + "[material]\nyoungs_modulus = inf\n", "[material]: E must be positive and finite"),
         (MINIMAL + "[material]\nkappa_override = inf\n",
          "[material]: kappa must be positive and finite"),
-        (MINIMAL + "[solver]\ntol = inf\n", "[solver]: tol must be positive and finite"),
         (MINIMAL.replace("n = 16", "n = 16\nn = 8"),
          "option 'n' in section 'geometry' already exists"),
         (MINIMAL + "[geometry]\nlength = 2\n", "section 'geometry' already exists"),
         ("n = 16\n" + MINIMAL, "no section headers"),
-        (MINIMAL + "[solver]\ntol = 1%\n", "[solver] tol: cannot parse number '1%'"),
+        ("[geometry]\nn = 16\n\n[control]\nnu = 1%\neta = 0\n", "[control] nu: cannot parse number '1%'"),
         (MINIMAL.encode() + b"# caf\xff\n", "'utf-8' codec can't decode byte 0xff"),
     ])
     def test_located_errors(self, tmp_path, body, fragment):
@@ -146,6 +137,13 @@ ref_factor = 4
         assert fragment in str(exc.value)
         if fragment.startswith("["):  # the location opens the message, once
             assert str(exc.value).startswith(fragment)
+
+    @pytest.mark.parametrize("key", ["tol", "max_iter"])
+    def test_removed_solver_key_is_unknown(self, tmp_path, key):
+        # the solver's stop tolerance and budget are module constants of
+        # sparsebeam.ssn, not settings
+        with pytest.raises(ConfigError, match=rf"^unknown key '{key}' in \[solver\]$"):
+            load_config(write_config(tmp_path, MINIMAL + f"[solver]\n{key} = 30\n"))
 
     def test_percent_in_a_path_reads_literally(self, tmp_path):
         xs = np.linspace(0.0, 1.0, 5)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from reference import support_measure, support_runs
-from sparsebeam import experiments
+from sparsebeam import experiments, ssn
 from sparsebeam.cli import main
 from sparsebeam.config import ConfigError, load_config
 from sparsebeam.experiments import (
@@ -107,21 +107,29 @@ class TestProvenance:
         "# g = zero",
         "# w_d = zero",
         "# scheme = locking_free",
-        "# tol = 1e-10",
-        "# max_iter = 850",
+        "# ref_factor = 8",
     ]
 
     def test_header_of_a_config_with_no_optional_key(self, tmp_path):
         body = "[geometry]\nn = 16\n\n[control]\nnu = 1e-6\neta = 0\n"
         assert provenance_lines(load_config(write_config(tmp_path, body))) == self.DEFAULTS
 
-    def test_kappa_override_closes_the_header(self, tmp_path):
+    def test_kappa_override_follows_poisson(self, tmp_path):
         body = ("[geometry]\nn = 16\n\n[material]\nkappa_override = 0.75\nyoungs_modulus = 1\n"
                 "\n[control]\nnu = 1e-6\neta = 0\n")
         expected = list(self.DEFAULTS)
         expected[2] = "# youngs_modulus = 1"
-        expected.append("# kappa_override = 0.75")
+        expected.insert(6, "# kappa_override = 0.75")
         assert provenance_lines(load_config(write_config(tmp_path, body))) == expected
+
+    def test_study_keys_are_recorded(self, tmp_path):
+        # a grid study's meshes and reference factor, a sweep's weights
+        cfg = load_config(write_config(tmp_path, TOY.format(eta="0") + GRID))
+        assert provenance_lines(cfg)[-3:] == [
+            "# thicknesses = 0.01, 0.001", "# mesh_sizes = 8, 16", "# ref_factor = 4"]
+        cfg = load_config(write_config(tmp_path, TOY.format(eta="0") + STUDY, "sweep.ini"))
+        assert provenance_lines(cfg)[-2:] == ["# etas = 0, 0.0001, 0.0002, 0.0005, 0.0007",
+                                              "# ref_factor = 8"]
 
 
 class TestRunSolve:
@@ -255,8 +263,9 @@ class TestCLI:
                      "--out", str(tmp_path / "r")])
         assert code == 1
 
-    def test_nonconvergence_exit_two(self, tmp_path):
-        body = TOY.format(eta="3e-4") + "\n[solver]\nmax_iter = 1\n"
+    def test_nonconvergence_exit_two(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ssn, "_MAX_ITER", 1)
+        body = TOY.format(eta="3e-4")
         path = write_config(tmp_path, body)
         code = main(["solve", "--config", str(path), "--out", str(tmp_path / "r")])
         assert code == 2

@@ -144,6 +144,15 @@ class TestLoads:
         assert np.allclose(load, B @ u.values, atol=1e-15)
         assert np.all(load[1::2] == 0)
 
+    def test_p1_load_matches_mass_matrix(self):
+        # the two-point rule is exact for P1 data, on a graded mesh too
+        mesh = Mesh1D(np.linspace(0.0, 1.0, 10) ** 1.5)
+        params = BeamParams(E=1.0, t=0.1, kappa_override=1.0)
+        vals = np.random.default_rng(5).normal(size=mesh.n + 1)
+        vals[[0, -1]] = 0.0  # no coupling to the boundary nodes
+        load = assemble_load(mesh, params, P1Field(mesh, vals), 0.0)
+        assert np.allclose(load[0::2], p1_mass_matrix(mesh) @ vals[1:-1], rtol=1e-14, atol=1e-15)
+
     def test_constant_load_values(self):
         mesh = build_uniform_mesh(4)  # h = 1/4
         params = BeamParams(E=1.0, t=0.1, kappa_override=1.0)

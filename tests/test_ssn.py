@@ -43,11 +43,7 @@ from sparsebeam.meshes import (
 )
 from sparsebeam.oracles import ReducedQuadratic, fd_gradient_check, prox_gradient_solve
 from sparsebeam.problem import ControlProblem
-from sparsebeam.ssn import (
-    SSNConfig,
-    _PatternSolver,
-    ssn_solve,
-)
+from sparsebeam.ssn import _PatternSolver, ssn_solve
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -104,22 +100,23 @@ class TestTermination:
         assert res.residual_history[-1] <= min(res.residual_history)
         assert res.residual_history[-1] <= 1e-10
 
-    def test_iteration_cap_reports_failure(self):
+    def test_iteration_cap_reports_failure(self, monkeypatch):
+        monkeypatch.setattr(ssn, "_MAX_ITER", 2)
         prob = toy_problem(nu=1e-6, eta=0.3 * eta_threshold(toy_problem(nu=1e-6)))
-        res = ssn_solve(prob, SSNConfig(max_iter=2))
+        res = ssn_solve(prob)
         assert not res.converged
         assert res.stop_reason == "max_iter"
 
-    def test_repeated_pattern_ends_the_loop(self):
+    def test_repeated_pattern_ends_the_loop(self, monkeypatch):
         # a fixed-point pattern whose residual misses tol: the pattern's
         # solve cannot improve, so the loop stops there without reseeding
         # and reports the residual it reached
+        monkeypatch.setattr(ssn, "_TOL", 1e-20)
         prob = toy_problem(n=200, nu=1e-4, t=1e-5)
-        config = SSNConfig(tol=1e-20)
-        res = ssn_solve(prob.with_control(eta=0.6 * eta_threshold(prob)), config)
+        res = ssn_solve(prob.with_control(eta=0.6 * eta_threshold(prob)))
         assert res.iterations == len(res.residual_history)
         assert not res.converged
-        assert res.residual_history[-1] > config.tol
+        assert res.residual_history[-1] > ssn._TOL
         assert res.stop_reason == "repeat_above_tol"
 
     def test_thin_toy_converges(self):
@@ -168,14 +165,15 @@ class TestTermination:
         solves = _recorded_solves(monkeypatch)
         for max_iter in range(1, 13):
             solves.clear()
-            res = ssn_solve(prob, SSNConfig(u0=u0, max_iter=max_iter))
+            monkeypatch.setattr(ssn, "_MAX_ITER", max_iter)
+            res = ssn_solve(prob, u0)
             assert res.iterations == len(solves) <= max_iter
             if not res.converged:
                 assert res.stop_reason == "max_iter"
                 assert res.iterations == max_iter
 
     @pytest.mark.parametrize("max_iter", [12, 34, 35])
-    def test_graded_instance_stops_at_its_budget(self, max_iter):
+    def test_graded_instance_stops_at_its_budget(self, monkeypatch, max_iter):
         # a thin graded beam whose main loop cycles after 10 solves and whose
         # reseed settles at the 35th: a budget of 34 or less is spent in the
         # reseed, to the last solve
@@ -185,7 +183,8 @@ class TestTermination:
         base = ControlProblem(Mesh1D(nodes), BeamParams(E=1.0, t=4.37837352263112e-05), load,
                               ControlParams(nu=4.35297230033675e-09, eta=0.0, a=-bound, b=bound))
         prob = base.with_control(eta=0.5868627403009049 * eta_threshold(base))
-        res = ssn_solve(prob, SSNConfig(max_iter=max_iter))
+        monkeypatch.setattr(ssn, "_MAX_ITER", max_iter)
+        res = ssn_solve(prob)
         assert res.iterations == max_iter
         assert res.converged == (max_iter == 35)
         assert res.stop_reason == ("converged" if max_iter == 35 else "max_iter")
@@ -201,14 +200,14 @@ class TestTermination:
         prob = prob.with_control(eta=0.3 * eta_threshold(prob))
         u0 = P0Field(Mesh1D(nodes), np.ones(nodes.size - 1))
         with pytest.raises(ValueError, match="different mesh"):
-            ssn_solve(prob, SSNConfig(u0=u0))
+            ssn_solve(prob, u0)
 
     def test_u0_holding_nan_is_rejected(self):
         prob = toy_problem(nu=1e-8)
         values = np.ones(prob.mesh.n)
         values[3] = np.nan
         with pytest.raises(ValueError, match="u0 must be finite"):
-            ssn_solve(prob, SSNConfig(u0=P0Field(prob.mesh, values)))
+            ssn_solve(prob, P0Field(prob.mesh, values))
 
     def test_infinite_u0_clips_to_the_box(self):
         # inside a finite box an infinite entry is the bound; past an
@@ -216,19 +215,12 @@ class TestTermination:
         prob = toy_problem(nu=1e-8)
         prob = prob.with_control(eta=0.3 * eta_threshold(prob))
         signs = np.where(np.arange(prob.mesh.n) % 2 == 0, 1.0, -1.0)
-        res = ssn_solve(prob, SSNConfig(u0=P0Field(prob.mesh, np.inf * signs)))
-        clipped = ssn_solve(prob, SSNConfig(u0=P0Field(prob.mesh, 15.0 * signs)))
+        res = ssn_solve(prob, P0Field(prob.mesh, np.inf * signs))
+        clipped = ssn_solve(prob, P0Field(prob.mesh, 15.0 * signs))
         assert res.converged and np.array_equal(res.u.values, clipped.u.values)
         free = prob.with_control(a=-np.inf, b=np.inf)
         with pytest.raises(ValueError, match="u0 must be finite"):
-            ssn_solve(free, SSNConfig(u0=P0Field(prob.mesh, np.inf * signs)))
-
-    def test_non_integer_max_iter_is_rejected(self):
-        # True is an Integral, and would mean a budget of one pattern solve
-        for bad in (2.5, True, np.bool_(True)):
-            with pytest.raises(ValueError, match="integer"):
-                SSNConfig(max_iter=bad)
-        assert SSNConfig(max_iter=np.int64(7)).max_iter == 7
+            ssn_solve(free, P0Field(prob.mesh, np.inf * signs))
 
     @pytest.mark.parametrize("t", [1e-2, 1e-3])
     @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
@@ -263,13 +255,13 @@ def _p0_problem(mesh, nu=1e-6):
 
 
 def _spied_solves(monkeypatch):
-    """Record (mesh, config) of every ssn_solve, the nested ones included."""
+    """Record (mesh, u0) of every ssn_solve, the nested ones included."""
     calls = []
     solve = ssn.ssn_solve
 
-    def spy(problem, config=SSNConfig()):
-        calls.append((problem.mesh, config))
-        return solve(problem, config)
+    def spy(problem, u0=None):
+        calls.append((problem.mesh, u0))
+        return solve(problem, u0)
 
     monkeypatch.setattr(ssn, "ssn_solve", spy)
     return calls
@@ -302,8 +294,8 @@ class TestNestedSeed:
                                  ControlParams(nu=1e-6, eta=1e-5, a=-60, b=60))
         values = np.zeros(problem.mesh.n)
         values[:2] = np.inf, -np.inf
-        res = ssn_solve(problem, SSNConfig(u0=P0Field(problem.mesh, values)))
-        clipped = ssn_solve(problem, SSNConfig(u0=P0Field(problem.mesh, np.clip(values, -60.0, 60.0))))
+        res = ssn_solve(problem, P0Field(problem.mesh, values))
+        clipped = ssn_solve(problem, P0Field(problem.mesh, np.clip(values, -60.0, 60.0)))
         assert res.converged and res.coarse_iterations > 0
         assert (res.iterations, res.coarse_iterations) == (clipped.iterations, clipped.coarse_iterations)
         assert np.array_equal(res.u.values, clipped.u.values)
@@ -340,13 +332,14 @@ class TestNestedSeed:
         monkeypatch.setattr(ssn, "_NEST_MIN", 64)
         mesh = Mesh1D(np.linspace(0.0, 1.0, 1201) ** 1.5)
         u0 = P0Field(mesh, np.linspace(-1.0, 1.0, mesh.n))
-        res = ssn.ssn_solve(_p0_problem(mesh, nu=1e-8), SSNConfig(u0=u0, max_iter=30))
+        monkeypatch.setattr(ssn, "_MAX_ITER", 30)
+        res = ssn.ssn_solve(_p0_problem(mesh, nu=1e-8), u0)
         assert [m.n for m, _ in calls] == [1200, 75, 5]
         (_, fine), (mid, c1), (low, c2) = calls
-        # u0 is restricted level by level; tol and max_iter hold at each level
-        assert c1.u0.mesh is mid and np.array_equal(c1.u0.values, restrict_p0(u0, mid).values)
-        assert c2.u0.mesh is low and np.array_equal(c2.u0.values, restrict_p0(c1.u0, low).values)
-        assert all((c.tol, c.max_iter) == (fine.tol, fine.max_iter) for c in (c1, c2))
+        # u0 is restricted level by level
+        assert fine is u0
+        assert c1.mesh is mid and np.array_equal(c1.values, restrict_p0(u0, mid).values)
+        assert c2.mesh is low and np.array_equal(c2.values, restrict_p0(c1, low).values)
         assert np.array_equal(mid.nodes, coarsen(mesh, 16).nodes)
         assert res.coarse_iterations > 0 and len(res.residual_history) <= 30
 
@@ -361,11 +354,11 @@ class TestWarmFirst:
         # a warm-started solve starts in the reseed, centered at the previous
         # weight's control, and settles on the cold solve's pattern
         cfg = load_config(CONFIGS / "sweep.ini")
-        problem, config = build_problem(cfg, n=150), cfg.solver
+        problem = build_problem(cfg, n=150)
         prev = None
         for eta in cfg.study.etas:
             p = problem.with_control(eta=eta)
-            warm, cold = ssn_solve(p, replace(config, u0=prev)), ssn_solve(p, config)
+            warm, cold = ssn_solve(p, prev), ssn_solve(p)
             assert warm.converged and cold.converged, eta
             assert np.array_equal(warm.u.values, cold.u.values), eta
             prev = warm.u
@@ -378,7 +371,7 @@ class TestWarmFirst:
         prev = None
         for frac in (0.0, 0.12, 0.25, 0.37, 0.5, 0.63, 0.75, 0.88, 0.96, 1.05):
             p = prob.with_control(eta=frac * eta_star)
-            warm, cold = ssn_solve(p, SSNConfig(u0=prev)), ssn_solve(p)
+            warm, cold = ssn_solve(p, prev), ssn_solve(p)
             assert warm.converged and cold.converged, frac
             assert np.array_equal(warm.u.values, cold.u.values), frac
             prev = warm.u
@@ -391,7 +384,7 @@ class TestWarmFirst:
         solves = _recorded_solves(monkeypatch)
         prob = toy_problem(nu=1e-8)
         u0 = P0Field(prob.mesh, np.linspace(-5.0, 5.0, prob.mesh.n))
-        res = ssn_solve(prob.with_control(eta=frac * eta_threshold(prob)), SSNConfig(u0=u0))
+        res = ssn_solve(prob.with_control(eta=frac * eta_threshold(prob)), u0)
         assert res.converged and res.iterations == len(solves) == 1
         assert np.all(res.u.values == 0.0)
 
@@ -403,7 +396,7 @@ class TestWarmFirst:
         prob = _cycling_sine_problem()
         u0 = ssn_solve(prob.with_control(eta=0.5e-5)).u if warm else None
         solves = _recorded_solves(monkeypatch)
-        res = ssn_solve(prob, SSNConfig(u0=u0))
+        res = ssn_solve(prob, u0)
         assert res.converged and res.iterations == len(solves)
         runs = _runs(solves)
         first = next(i for i, (_, shifted, _) in enumerate(runs) if shifted)
@@ -449,7 +442,7 @@ class TestWarmFirst:
             return run
 
         monkeypatch.setattr(ssn, "_active_set", spied)
-        res = ssn_solve(base.with_control(eta=eta), SSNConfig(u0=u0))
+        res = ssn_solve(base.with_control(eta=eta), u0)
         assert res.converged
         assert res.iterations == sum(solves for _, _, solves, _ in runs)
         stages = [i for i, (_, shifted, _, _) in enumerate(runs) if shifted]
@@ -466,6 +459,15 @@ class TestWarmFirst:
 
 
 class TestResultInvariants:
+    @pytest.mark.parametrize("stop_reason, converged", [
+        ("converged", True), ("repeat_above_tol", False), ("max_iter", False)])
+    def test_converged_reads_the_stop_reason(self, stop_reason, converged):
+        # stop_reason is the one record of how a solve ended; a result copied
+        # with another stop reason reads it
+        res = ssn_solve(toy_problem(nu=1e-4, eta=1e-4))
+        assert res.converged and res.stop_reason == "converged"
+        assert replace(res, stop_reason=stop_reason).converged is converged
+
     def test_vi_within_ten_tol_when_well_scaled(self):
         for nu in (1e-4, 1e-5):
             prob = toy_problem(nu=nu)
@@ -508,8 +510,8 @@ class TestResultInvariants:
         a, b = p.bounds
         runs = [
             ssn_solve(p),
-            ssn_solve(p, SSNConfig(u0=P0Field(p.mesh, a.copy()))),
-            ssn_solve(p, SSNConfig(u0=P0Field(p.mesh, b.copy()))),
+            ssn_solve(p, P0Field(p.mesh, a.copy())),
+            ssn_solve(p, P0Field(p.mesh, b.copy())),
         ]
         assert all(r.converged for r in runs)
         for other in runs[1:]:
@@ -532,7 +534,7 @@ class TestResultInvariants:
         assert res.converged
         nu, eta = prob.control.nu, prob.control.eta
         c = complementarity_values(res.u.values, res.mu.values, *prob.bounds, nu, eta)
-        assert np.max(np.abs(c)) / max(1.0, nu) <= SSNConfig().tol
+        assert np.max(np.abs(c)) / max(1.0, nu) <= ssn._TOL
         if instance == "thin_toy":
             assert variational_inequality_residual(res.u, res.adjoint.p, prob.control) <= 1e-12
 
@@ -858,8 +860,7 @@ class TestOracleAgreement:
         prev = None
         for frac in (0.0, 0.12, 0.25, 0.37, 0.5, 0.63, 0.75, 0.88, 0.96, 1.05):
             cfgp = prob.with_control(eta=frac * eta_star)
-            guess = SSNConfig(u0=prev) if prev is not None else SSNConfig()
-            res = ssn_solve(cfgp, guess)
+            res = ssn_solve(cfgp, prev)
             assert res.converged, frac
             prev = res.u
         assert np.count_nonzero(res.u.values == 0.0) == 40  # past the shutoff weight
