@@ -59,7 +59,6 @@ __all__ = [
     "RunConfig",
     "load_config",
     "build_problem",
-    "realize_field",
 ]
 
 
@@ -191,7 +190,7 @@ class RunConfig:
     base_dir: Optional[Path] = None  # resolves file: entries
 
 
-def realize_field(spec: str, mesh, base_dir: Optional[Path] = None):
+def _realize_field(spec: str, mesh, base_dir: Optional[Path] = None):
     """Turn a catalog string into load data on a concrete mesh."""
     head, args = _parse_spec(spec, "data")
     if head == "zero":
@@ -269,9 +268,9 @@ def build_problem(cfg: RunConfig, n: Optional[int] = None, thickness: Optional[f
         mesh=mesh,
         beam=beam,
         loads=LoadData(
-            f=realize_field(cfg.f, mesh, cfg.base_dir),
-            g=realize_field(cfg.g, mesh, cfg.base_dir),
-            w_d=realize_field(cfg.w_d, mesh, cfg.base_dir),
+            f=_realize_field(cfg.f, mesh, cfg.base_dir),
+            g=_realize_field(cfg.g, mesh, cfg.base_dir),
+            w_d=_realize_field(cfg.w_d, mesh, cfg.base_dir),
         ),
         control=cfg.control,
         scheme=scheme if scheme is not None else cfg.scheme,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import KEYS, ConfigError, RunConfig, build_problem
 from .fem import LOCKING_FREE, SCHEMES
-from .meshes import l2_diff_p0, l2_diff_p1, l2_norm_p0
+from .meshes import _l2_norm_p0, l2_diff_p0, l2_diff_p1
 from .ssn import SSNResult, ssn_solve
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "run_sweep",
     "run_locking",
     "run_convergence",
-    "fit_rate",
     "write_csv",
     "write_field",
     "provenance_lines",
@@ -99,7 +98,7 @@ COLUMNS = {
 
 # ------------------------------------------------------------- helpers
 
-def fit_rate(hs: Sequence[float], errors: Sequence[float]) -> float:
+def _fit_rate(hs: Sequence[float], errors: Sequence[float]) -> float:
     """Least-squares slope of log(error) against log(h)."""
     hs = np.asarray(hs, dtype=float)
     errors = np.asarray(errors, dtype=float)
@@ -130,7 +129,7 @@ def run_solve(cfg: RunConfig, out_dir) -> SSNResult:
         ["eta", "nu", "cost", "tracking_cost", "l2_cost", "l1_cost",
          "l2norm", "null", "iterations", "stop_reason", "converged", "residual"],
         [[cfg.control.eta, cfg.control.nu, cb.total, cb.tracking, cb.l2_term,
-          cb.l1_term, l2_norm_p0(res.u), np.count_nonzero(res.u.values == 0.0),
+          cb.l1_term, _l2_norm_p0(res.u), np.count_nonzero(res.u.values == 0.0),
           res.iterations, res.stop_reason, res.converged, final_residual]],
         prov,
     )
@@ -159,7 +158,7 @@ def run_sweep(cfg: RunConfig) -> List[Dict]:
         rows.append({
             "eta": eta,
             "cost": problem.cost(res.u, res.state).total,
-            "l2norm": l2_norm_p0(res.u),
+            "l2norm": _l2_norm_p0(res.u),
             "null": np.count_nonzero(res.u.values == 0.0),
             "iterations": res.iterations,
             "stop_reason": res.stop_reason,
@@ -212,14 +211,16 @@ def run_locking(cfg: RunConfig) -> List[Dict]:
 
 
 def run_convergence(cfg: RunConfig):
-    """Control/state/adjoint errors against a locking-free fine-mesh
-    reference, plus fitted log-log slopes.  Returns (rows, slopes)."""
+    """Control/state/adjoint errors at [material] thickness against a locking-free
+    fine-mesh reference, plus fitted log-log slopes.  Returns (rows, slopes)."""
     if not cfg.study.mesh_sizes:
         raise ConfigError("[study] mesh_sizes is required for a convergence study")
+    if cfg.study.thicknesses:  # it solves [material] thickness alone
+        raise ConfigError("[study] thicknesses is read by a locking study only")
     rows = _grid_rows(cfg, (cfg.scheme,), (cfg.beam.t,))
     hs = [r["h"] for r in rows]
     slopes = {
-        q: fit_rate(hs, [r[f"{q}_error"] for r in rows])
+        q: _fit_rate(hs, [r[f"{q}_error"] for r in rows])
         for q in ("control", "state", "adjoint")
     }
     return rows, slopes

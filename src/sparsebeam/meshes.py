@@ -25,7 +25,6 @@ __all__ = [
     "p0_average",
     "eval_p1",
     "point_values",
-    "l2_norm_p0",
     "l2_diff_p0",
     "l2_diff_p1",
 ]
@@ -256,7 +255,7 @@ def point_values(data, mesh: Mesh1D, x: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------- norms
 
-def l2_norm_p0(u: P0Field) -> float:
+def _l2_norm_p0(u: P0Field) -> float:
     return float(np.sqrt(np.sum(u.mesh.element_sizes * u.values**2)))
 
 

@@ -20,10 +20,10 @@ repeats, the iterate solves its own linearization and C vanishes to
 roundoff.
 
 The blocks K, Mt, B and Avg and the loads come from the problem's cached
-OptimalitySystem.  _PatternSolver solves each pattern system by one LAPACK
-banded LU of the row-equilibrated system and one refinement step; a
-pattern with no free element decouples into two solves with the stiffness
-operator.
+OptimalitySystem.  _PatternSolver solves each pattern system, in the band
+layout that _SLOTS, _U, _X and _Y describe, by one LAPACK banded LU of the
+row-equilibrated system and one refinement step; a pattern with no free
+element decouples into two solves with the stiffness operator.
 
 One active-set iteration serves the main loop, the reseed's proximal
 stages and its probes, and all of them draw on one budget of _MAX_ITER
@@ -134,19 +134,18 @@ class SSNResult:
 _TOL = 1e-10
 _MAX_ITER = 850  # pattern solves per level: 50 for the main loop plus 800 for the reseed
 
-# Band layout of a pattern system: a slot for every element control and the
-# unknowns (w_i, theta_i, p_i, q_i) of every interior node, in the order
-# u_0, node 1, u_1, node 2, ..., node n-1, u_{n-1}; the equations follow the
-# same order.  All blocks are element-local, so the matrix is banded with KL
-# sub- and KU superdiagonals at any n, thickness or mesh grading: KL = 7 is
-# reached by the tracking mass coupling a node's adjoint rows to the
-# previous node's state, KU = 6 by the stiffness coupling to the next node.
-# A control off the free branches keeps its slot as a unit row and column
-# with no coupling, so it drops out of the system exactly, LU does no
-# elimination work on it, and no pattern re-indexes the band.
-_KL, _KU = 7, 6
-_DIAG = _KL + _KU  # band row of the main diagonal in LAPACK band storage
-_SLOTS = 5  # slots per element: its control and its right end node
+# Band layout of a pattern system: element k holds _SLOTS slots, its control
+# u_k and the unknowns (w, theta, p, q) of its right end node, in the order
+# u_0, node 1, ..., u_{n-1}, node n; the equations follow the same order.  The
+# clamped end, node n, and a control off the free branches keep their slots
+# as unit rows and columns with no coupling, so they drop out of the system
+# exactly, LU does no elimination work on them, and no pattern re-indexes
+# the band.  All blocks are element-local, so from n = 3 on, at any thickness
+# or grading, the widths, the extreme diagonals of the entries, are KL = 7,
+# reached by the tracking mass coupling a node's adjoint rows to the previous
+# node's state, and KU = 6, by the stiffness coupling to the next node.
+_SLOTS = 5
+_U, _X, _Y = 0, 1, 3  # slot of the control, of the state pair and of the adjoint pair
 # elements per pass of the band writer, an 860 kB slice of the storage: at n = 1e5,
 # 512 to 2,048 measured alike and 4,096 and up slower (Xeon, 2 MB of L2 per core)
 _CHUNK = 1024
@@ -169,19 +168,23 @@ _TAU_UP = 4.0  # after a stage that cycles or spends its cap: back towards contr
 _TAU_DOWN = 0.25  # after a settled stage: towards the true weight
 
 
+def _diagonal(apart: int, row_slot: int, col_slot: int) -> int:
+    """Band diagonal (row - column) from slot col_slot to slot row_slot, apart elements on."""
+    return _SLOTS * apart + row_slot - col_slot
+
+
 class _PatternSolver:
     """The pattern systems of one solve, each by one LAPACK banded LU.
 
-    The blocks come from the problem's cached OptimalitySystem.  The LAPACK
-    band storage is allocated here, once per solve, and every pattern with
-    a free element is written straight into it, _CHUNK elements at a time:
-    the chunk's columns are zeroed, its pattern-independent part,
-    [[K, 0], [Mt, K]] on the state and adjoint slots, is written from a
-    table of views of the upper bands of K and Mt and of the row scales, one
-    strided product per diagonal and column parity, and then its control
-    rows and columns: -B_f, -Avg_f and nu on free elements, a unit diagonal
-    elsewhere.  The last element's control column, outside the element-major
-    view, is set on its own.
+    The blocks come from the problem's cached OptimalitySystem, and the
+    layout above fixes every index.  The LAPACK band storage is allocated
+    here, once per solve, and every pattern with a free element is written
+    straight into it, _CHUNK elements at a time: the chunk's columns are
+    zeroed, its pattern-independent part, [[K, 0], [Mt, K]] on the state and
+    adjoint slots, is written from a table of views of the upper bands of K
+    and Mt and of the row scales, one strided product per diagonal and
+    column parity, and then its control rows and columns from a second
+    table: -B_f, -Avg_f and nu on free elements, a unit diagonal elsewhere.
 
     The stiffness carries the 1/t^2 shear scale, so its rows differ in size
     by orders of magnitude.  The band is row-equilibrated as it is written:
@@ -189,13 +192,13 @@ class _PatternSolver:
     2^-e, e the binary exponent of the largest |entry| in that dof's
     stiffness row, so the stiffness parts of the scaled rows lie in [1/2, 1)
     in max-norm.  A power of two scales exactly, so the scaled and unscaled
-    systems have the same solution; the control rows keep scale 1, as does
-    the row of a dof without stiffness.  On the equilibrated rows one step
-    of iterative refinement on the same factor, its residual taken from the
-    unscaled system, brings the componentwise backward error close to
-    roundoff; on the unscaled rows two steps left it orders of magnitude
-    above (Skeel 1980; Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 12).
+    systems have the same solution; the control rows keep scale 1, as do the
+    clamped end's rows and the row of a dof without stiffness.  On the
+    equilibrated rows one step of iterative refinement on the same factor,
+    its residual taken from the unscaled system, brings the componentwise
+    backward error close to roundoff; on the unscaled rows two steps left it
+    orders of magnitude above (Skeel 1980; Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 12).
     """
 
     def __init__(self, problem: ControlProblem):
@@ -203,81 +206,78 @@ class _PatternSolver:
         self.a, self.b = problem.bounds
         self.nu, self.eta = problem.control.nu, problem.control.eta
         K_band, n = s.operator.K_band, problem.mesh.n
-        self.size = _SLOTS * n - 4
         # row scales 2^-e of the stiffness rows, 1 for rows without entries:
         # row r holds column r of the upper band and K[r, r + e] = band[3 - e, r + e]
         k_max = np.abs(K_band).max(axis=0)
         for e in (1, 2, 3):
             np.maximum(k_max[:-e], np.abs(K_band[3 - e, e:]), out=k_max[:-e])
         d = np.ldexp(1.0, -np.frexp(k_max)[1])
-        self.scale = self._to_band(d, d, 1.0)
-        # entries -B (on the scaled w rows) and -Avg per element, at its left
-        # [0] and right [1] end node
-        b, avg = s.B.tocoo(), s.Avg.tocoo()
-        self.b_end = np.zeros((2, n))
-        self.b_end[(b.row != 2 * (b.col - 1)).astype(int), b.col] = -(b.data * d[b.row])
-        self.avg_end = np.zeros((2, n))
-        self.avg_end[(avg.col != 2 * (avg.row - 1)).astype(int), avg.row] = -avg.data
-        self.ab = np.empty((2 * _KL + _KU + 1, self.size), order="F")
-        # the storage element by element: [k, s, band row] is slot s of element k
-        self.elements = self.ab.T[:_SLOTS * (n - 1)].reshape(n - 1, _SLOTS, 2 * _KL + _KU + 1)
+        self.scale = self._to_band(d, d, np.ones(n), end=1.0)
+        scale = self.scale.reshape(n, _SLOTS)
         # the blocks, symmetric of bandwidth 3 like K: one table row per
         # diagonal e and column parity p with entries A[c + e, c] in the
-        # state (comp 0) or adjoint (comp 2) rows and columns, c = 2k + p
-        # from element k0 on, at the same slot and band row in every element;
-        # it holds k0, the block's band row (a view of K_band, which the
-        # operator keeps, or a copy of the few rows of Mt read), the row
-        # scales (a view of scale, where dof 2q + r is slot 1 + r of node q)
+        # state or adjoint rows and columns, c = 2k + p from element k0 on,
+        # at the same slot and band row in every element; it holds k0, the
+        # block's band row (a view of K_band, which the operator keeps, or a
+        # copy of the few rows of Mt read), the row scales (a view of scale)
         # and a view of the storage
         Mt_band = np.zeros_like(K_band)
         for e in (0, 2):
             Mt_band[3 - e, e:] = s.Mt.diagonal(e)
-        self.table = []
-        for upper, row_comp, col_comp in ((K_band, 0, 0), (K_band, 2, 2), (Mt_band, 2, 0)):
+        blocks = []
+        for upper, rows, cols in ((K_band, _X, _X), (K_band, _Y, _Y), (Mt_band, _Y, _X)):
             for e, p in itertools.product(range(-3, 4), (0, 1)):
-                row = _DIAG + _SLOTS * ((p + e) // 2) + row_comp + (p + e) % 2 - col_comp - p
-                k0 = max(0, -((p + e) // 2))  # the first element whose row c + e exists
+                apart, r = divmod(p + e, 2)  # row c + e: dof r of the node apart elements on
+                k0 = max(0, -apart)  # the first element whose row c + e exists
                 src = upper[3 + e, 2 * k0 + p::2] if e <= 0 else upper[3 - e, 2 * k0 + p + e::2]
-                if _KL <= row <= 2 * _KL + _KU and src.any():  # outside: w and theta two nodes apart
-                    q, r = divmod(2 * k0 + p + e, 2)  # the first row c + e
-                    self.table.append((k0, src if upper is K_band else src.copy(),
-                                       self.scale[_SLOTS * q + 1 + r::_SLOTS][:src.size],
-                                       self.elements[k0:k0 + src.size, 1 + col_comp + p, row]))
+                if src.any():  # not w and theta two nodes apart
+                    blocks.append((_diagonal(apart, rows + r, cols + p), cols + p, k0,
+                                   src if upper is K_band else src.copy(),
+                                   scale[k0 + apart:k0 + apart + src.size, rows + r]))
+        # the control entries, -B on a node's scaled w row in a control's column
+        # and -Avg in that control's row on the node's p column; the CSR data
+        # hold node i's entry with element i + j, j = 0 then 1, and a table row
+        # holds the diagonal, the column slot, the entries by column element and
+        # j, the control's element minus the column's
+        self.controls = []
+        for j in (0, 1):
+            b, avg = -s.B.data[j::2] * d[0::2], -s.Avg.data[j::2]
+            self.controls += [(_diagonal(-j, _X, _U), _U, np.pad(b, (j, 1 - j)), 0),
+                              (_diagonal(j, _U, _Y), _Y, np.pad(avg, (0, 1)), j)]
+        diagonals = [0] + [row[0] for row in blocks + self.controls]
+        self.kl, self.ku = max(diagonals), -min(diagonals)
+        self.diag = self.kl + self.ku  # band row of the main diagonal in LAPACK band storage
+        self.ab = np.empty((2 * self.kl + self.ku + 1, _SLOTS * n), order="F")
+        # the storage element by element: [k, s, band row] is slot s of element k
+        self.elements = self.ab.T.reshape(n, _SLOTS, -1)
+        self.table = [(k0, src, rs, self.elements[k0:k0 + src.size, slot, self.diag + dg])
+                      for dg, slot, k0, src, rs in blocks]
 
     def _fill(self, is_free: np.ndarray, nu: float) -> np.ndarray:
-        ab, el = self.ab, self.elements
+        ab, el, diag = self.ab, self.elements, self.diag
+        free = np.append(is_free, False)  # the clamped end holds no control
         for k0 in range(0, len(el), _CHUNK):
             k1 = min(k0 + _CHUNK, len(el))
             ab[:, _SLOTS * k0:_SLOTS * k1] = 0.0
             for first, src, d, out in self.table:
                 lo, hi = max(k0 - first, 0), k1 - first
                 np.multiply(src[lo:hi], d[lo:hi], out=out[lo:hi])
-            free, ctl, p_col = is_free[k0:k1], el[k0:k1, 0], el[k0:k1, 3]
-            ctl[:, _DIAG] = np.where(free, nu, 1.0)
-            ctl[:, _DIAG - 4] = np.where(free, self.b_end[0, k0:k1], 0.0)  # w row of the left node
-            ctl[:, _DIAG + 1] = np.where(free, self.b_end[1, k0:k1], 0.0)  # w row of the right node
-            p_col[:, _DIAG + 2] = np.where(is_free[k0 + 1:k1 + 1], self.avg_end[0, k0 + 1:k1 + 1], 0.0)  # control row right of it
-            p_col[:, _DIAG - 3] = np.where(free, self.avg_end[1, k0:k1], 0.0)  # control row left of it
-        last = ab[:, -1]  # the last element's control: no node to its right
-        last[:] = 0.0
-        last[_DIAG], last[_DIAG - 4] = (nu, self.b_end[0, -1]) if is_free[-1] else (1.0, 0.0)
+            el[k0:k1, _U, diag] = np.where(free[k0:k1], nu, 1.0)
+            for dg, slot, entries, j in self.controls:
+                el[k0:k1, slot, diag + dg] = np.where(free[k0 + j:k1 + j], entries[k0:k1], 0.0)
+        el[-1, _X:, diag] = 1.0  # the clamped end
         return ab
 
-    def _to_band(self, fx, fy, fu):
-        z = np.empty(self.size)
-        z[0::_SLOTS] = fu
-        z[1::_SLOTS] = fx[0::2]
-        z[2::_SLOTS] = fx[1::2]
-        z[3::_SLOTS] = fy[0::2]
-        z[4::_SLOTS] = fy[1::2]
-        return z
+    def _to_band(self, fx, fy, fu, end=0.0):
+        z = np.full((len(fu), _SLOTS), end)  # end: the clamped end's slots
+        z[:, _U] = fu
+        z[:-1, _X:_X + 2] = fx.reshape(-1, 2)
+        z[:-1, _Y:_Y + 2] = fy.reshape(-1, 2)
+        return z.reshape(-1)
 
     def _from_band(self, z):
-        m = self.sys.K.shape[0]
-        x, y = np.empty(m), np.empty(m)
-        x[0::2], x[1::2] = z[1::_SLOTS], z[2::_SLOTS]
-        y[0::2], y[1::2] = z[3::_SLOTS], z[4::_SLOTS]
-        return x, y, z[0::_SLOTS]
+        z = z.reshape(-1, _SLOTS)
+        return z[:-1, _X:_X + 2].ravel(), z[:-1, _Y:_Y + 2].ravel(), z[:, _U]
 
     def _apply(self, is_free, nu, z):
         """Product of the band matrix with a band-ordered vector."""
@@ -310,12 +310,12 @@ class _PatternSolver:
         f_ctl = -self.eta * np.where(branches == BRANCH_POS, 1.0, -1.0)
         if shift is not None:
             f_ctl = f_ctl + shift
-        lu, piv, info = dgbtrf(self._fill(is_free, nu), _KL, _KU, overwrite_ab=1)
+        lu, piv, info = dgbtrf(self._fill(is_free, nu), self.kl, self.ku, overwrite_ab=1)
         if info != 0:
             raise LinearSolveError(f"pattern factorization failed (dgbtrf info {info})")
 
         def lu_solve(r):
-            z, info = dgbtrs(lu, _KL, _KU, self.scale * r, piv, overwrite_b=1)
+            z, info = dgbtrs(lu, self.kl, self.ku, self.scale * r, piv, overwrite_b=1)
             if info != 0:
                 raise LinearSolveError(f"pattern solve failed (dgbtrs info {info})")
             return z

@@ -24,7 +24,7 @@ import numpy as np
 from sparsebeam.config import build_problem, load_config
 from sparsebeam.control import ControlParams
 from sparsebeam.experiments import (
-    fit_rate,
+    _fit_rate,
     run_convergence,
     run_locking,
     run_sweep,
@@ -149,7 +149,7 @@ def test_03_state_rates_uniform_in_thickness():
                                      b_derivatives=(case.w_x, case.theta_x)))
         errors[t] = per_n
         for q in quantities:
-            slope = fit_rate(hs, [e[q] for e in per_n])
+            slope = _fit_rate(hs, [e[q] for e in per_n])
             floor = 1.9 if q.startswith("l2") else 0.9
             slope_ok = slope_ok and slope >= floor
             slopes_txt.append(f"{q}@t={t:g}:{slope:.2f}")

@@ -7,9 +7,9 @@ import pytest
 from sparsebeam import config
 from sparsebeam.config import (
     ConfigError,
+    _realize_field,
     build_problem,
     load_config,
-    realize_field,
 )
 from sparsebeam.meshes import P0Field, build_uniform_mesh
 
@@ -189,21 +189,21 @@ class TestRealizeField:
         self.mesh = build_uniform_mesh(8, 2.0)
 
     def test_zero_and_constant(self):
-        assert realize_field("zero", self.mesh) == 0.0
-        assert realize_field("constant: -3.5", self.mesh) == -3.5
+        assert _realize_field("zero", self.mesh) == 0.0
+        assert _realize_field("constant: -3.5", self.mesh) == -3.5
 
     def test_sine_scaling_and_phase(self):
-        fn = realize_field("sine: 2, 1", self.mesh)
+        fn = _realize_field("sine: 2, 1", self.mesh)
         # amplitude 2, half period over the length-2 domain
         assert fn(1.0) == pytest.approx(2.0)
-        fn2 = realize_field("sine: 1, 1, 1.5707963267948966", self.mesh)
+        fn2 = _realize_field("sine: 1, 1, 1.5707963267948966", self.mesh)
         assert fn2(0.0) == pytest.approx(1.0)
 
     def test_file_on_midpoints_becomes_p0(self, tmp_path):
         vals = np.arange(8.0)
         path = tmp_path / "field.dat"
         np.savetxt(path, np.column_stack([self.mesh.midpoints, vals]))
-        out = realize_field(f"file: {path}", self.mesh)
+        out = _realize_field(f"file: {path}", self.mesh)
         assert isinstance(out, P0Field)
         assert np.allclose(out.values, vals)
 
@@ -211,7 +211,7 @@ class TestRealizeField:
         xs = np.linspace(0.0, 2.0, 21)
         path = tmp_path / "field.dat"
         np.savetxt(path, np.column_stack([xs, xs**2]))
-        fn = realize_field(f"file: {path}", self.mesh)
+        fn = _realize_field(f"file: {path}", self.mesh)
         assert fn(1.0) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("text", [
@@ -225,12 +225,12 @@ class TestRealizeField:
         if text is not None:
             path.write_text(text)
         with pytest.raises(ConfigError):
-            realize_field(f"file: {path}", self.mesh)
+            _realize_field(f"file: {path}", self.mesh)
 
     def test_file_relative_to_base_dir(self, tmp_path):
         xs = np.linspace(0.0, 2.0, 5)
         np.savetxt(tmp_path / "rel.dat", np.column_stack([xs, np.ones(5)]))
-        fn = realize_field("file: rel.dat", self.mesh, base_dir=tmp_path)
+        fn = _realize_field("file: rel.dat", self.mesh, base_dir=tmp_path)
         assert fn(0.5) == pytest.approx(1.0)
 
 

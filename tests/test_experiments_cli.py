@@ -9,7 +9,7 @@ from sparsebeam import experiments, ssn
 from sparsebeam.cli import main
 from sparsebeam.config import ConfigError, load_config
 from sparsebeam.experiments import (
-    fit_rate,
+    _fit_rate,
     format_number,
     provenance_lines,
     run_convergence,
@@ -60,6 +60,8 @@ thicknesses = 0.01, 0.001
 mesh_sizes = 8, 16
 ref_factor = 4
 """
+# a convergence study solves [material] thickness alone
+CONVERGENCE_GRID = GRID.replace("thicknesses = 0.01, 0.001\n", "")
 
 
 class TestHelpers:
@@ -72,10 +74,10 @@ class TestHelpers:
     def test_fit_rate_recovers_exact_slope(self):
         hs = [0.1, 0.05, 0.025, 0.0125]
         errs = [3.0 * h**2 for h in hs]
-        assert fit_rate(hs, errs) == pytest.approx(2.0, abs=1e-12)
+        assert _fit_rate(hs, errs) == pytest.approx(2.0, abs=1e-12)
 
     def test_fit_rate_degenerate(self):
-        assert np.isnan(fit_rate([0.1, 0.05], [0.0, 0.0]))
+        assert np.isnan(_fit_rate([0.1, 0.05], [0.0, 0.0]))
 
     def test_support_runs_and_measure(self):
         mesh = build_uniform_mesh(8)
@@ -158,9 +160,9 @@ class TestRunSolve:
         # the written control reloads bit-exactly through the file: catalog
         body2 = TOY.format(eta="1e-4") + f"\n# reload\n"
         cfg2 = load_config(write_config(tmp_path, body2, name="again.ini"))
-        from sparsebeam.config import realize_field
+        from sparsebeam.config import _realize_field
         mesh = build_uniform_mesh(20)
-        u2 = realize_field(f"file: {out/'u.dat'}", mesh)
+        u2 = _realize_field(f"file: {out/'u.dat'}", mesh)
         assert isinstance(u2, P0Field)
         assert np.array_equal(u2.values, res.u.values)
 
@@ -221,13 +223,25 @@ class TestGridStudies:
         assert thin["standard"]["control_error"] > thin["locking_free"]["control_error"]
 
     def test_convergence_rows_and_slopes(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, TOY.format(eta="1e-4") + GRID))
+        cfg = load_config(write_config(tmp_path, TOY.format(eta="1e-4") + CONVERGENCE_GRID))
         rows, slopes = run_convergence(cfg)
         assert len(rows) == 2
+        assert {r["thickness"] for r in rows} == {0.01}
         assert set(slopes) == {"control", "state", "adjoint"}
         assert all(r["converged"] and r["stop_reason"] == "converged" for r in rows)
         errs = [r["control_error"] for r in rows]
         assert errs[0] > errs[1]  # finer mesh, smaller error
+
+    def test_convergence_rejects_thicknesses(self, tmp_path, monkeypatch):
+        # the study solves [material] thickness alone, so a thickness list
+        # it would not solve is a configuration error, raised before any solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a convergence study that sets [study] thicknesses")
+
+        monkeypatch.setattr(experiments, "ssn_solve", no_solve)
+        cfg = load_config(write_config(tmp_path, TOY.format(eta="1e-4") + GRID))
+        with pytest.raises(ConfigError, match=r"\[study\] thicknesses"):
+            run_convergence(cfg)
 
 
 class TestCLI:
@@ -324,7 +338,7 @@ class TestCLI:
         assert not (tmp_path / "r").exists()
 
     def test_convergence_command_writes_both_files(self, tmp_path):
-        path = write_config(tmp_path, TOY.format(eta="1e-4") + GRID)
+        path = write_config(tmp_path, TOY.format(eta="1e-4") + CONVERGENCE_GRID)
         code = main(["convergence", "--config", str(path), "--out", str(tmp_path / "c")])
         assert code == 0
         rows = [l.split(",") for l in (tmp_path / "c" / "convergence.csv").read_text().splitlines()

@@ -11,12 +11,12 @@ from sparsebeam.meshes import (
     Mesh1D,
     P0Field,
     P1Field,
+    _l2_norm_p0,
     build_uniform_mesh,
     coarsen,
     eval_p1,
     l2_diff_p0,
     l2_diff_p1,
-    l2_norm_p0,
     p0_average,
     pi_h,
     point_values,
@@ -211,7 +211,7 @@ class TestNorms:
     def test_p0_norms_exact_for_constants(self):
         mesh = build_uniform_mesh(7, 2.0)
         u = P0Field.constant(mesh, -3.0)
-        assert l2_norm_p0(u) == pytest.approx(3.0 * np.sqrt(2.0))
+        assert _l2_norm_p0(u) == pytest.approx(3.0 * np.sqrt(2.0))
 
     def test_p1_norms_exact_for_hat(self):
         # single hat of height 1 on two elements of size 1/2:
@@ -232,7 +232,7 @@ class TestCrossMeshDiffs:
         a = P0Field(mesh, np.arange(6.0))
         b = P0Field(mesh, np.arange(6.0)[::-1].copy())
         d = P0Field(mesh, a.values - b.values)
-        assert l2_diff_p0(a, b) == pytest.approx(l2_norm_p0(d))
+        assert l2_diff_p0(a, b) == pytest.approx(_l2_norm_p0(d))
 
     def test_nested_meshes_exact_for_p0(self):
         coarse = build_uniform_mesh(4)

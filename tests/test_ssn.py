@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
@@ -769,24 +769,49 @@ class TestBandedPatternSolve:
         assert np.max(np.abs(A @ sol - rhs) / scale) <= 8 * self.EPS
 
     @given(pattern_cases())
+    @example((ControlProblem(build_uniform_mesh(2), BeamParams(E=1.0, t=1e-2),
+                             LoadData(f=lambda x: 100.0 * np.sin(3.0 * x)),
+                             ControlParams(nu=1e-6, eta=1e-3, a=-5.0, b=5.0)),
+              np.array([BRANCH_POS, BRANCH_UPPER]), 1e-6, None))  # the narrower band of n = 2
     def test_band_is_the_row_scaled_matrix(self, case):
         # built column by column from the blocks, independently of the band
-        # writer, then compared entry by entry; the storage starts as NaN, as
-        # a factor left in it would, and small chunks cross chunk boundaries
+        # writer, then compared entry by entry at the widths the solver
+        # derived; the storage starts as NaN, as a factor left in it would,
+        # and small chunks cross chunk boundaries
         problem, branches, nu_eff, _ = case
         is_free = (branches == BRANCH_POS) | (branches == BRANCH_NEG)
         ps = _PatternSolver(problem)
-        A = np.column_stack([ps.scale * ps._apply(is_free, nu_eff, e) for e in np.eye(ps.size)])
+        size = ps.scale.size
+        A = np.column_stack([ps.scale * ps._apply(is_free, nu_eff, e) for e in np.eye(size)])
+        # the clamped end's four slots, which no block reaches: unit rows and columns
+        clamped = np.arange(size) >= size - 4
+        assert not A[clamped].any() and not A[:, clamped].any()
+        A[clamped, clamped] = 1.0
         i, j = np.indices(A.shape)
-        inside = (-ssn._KU <= i - j) & (i - j <= ssn._KL)
+        inside = (-ps.ku <= i - j) & (i - j <= ps.kl)
         assert not A[~inside].any()
-        expected = np.zeros((ssn._KL + ssn._KU + 1, ps.size))
-        expected[ssn._KU + (i - j)[inside], j[inside]] = A[inside]
+        expected = np.zeros((ps.kl + ps.ku + 1, size))
+        expected[ps.ku + (i - j)[inside], j[inside]] = A[inside]
         for chunk in (1, 3, ssn._CHUNK):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ssn, "_CHUNK", chunk)
                 ps.ab.fill(np.nan)
-                assert np.array_equal(ps._fill(is_free, nu_eff)[ssn._KL:], expected)
+                assert np.array_equal(ps._fill(is_free, nu_eff)[ps.kl:], expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 37, 600, 5000])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("grading", [1.0, 3.0])
+    @pytest.mark.parametrize("t", [1.0, 1e-5])
+    def test_band_widths(self, n, scheme, grading, t):
+        # the widths the layout gives: the tracking mass reaches 7
+        # subdiagonals and the stiffness 6 superdiagonals from n = 3 on; one
+        # interior node has neither a previous nor a next node
+        problem = ControlProblem(Mesh1D(np.linspace(0.0, 1.0, n + 1) ** grading),
+                                 BeamParams(E=1.0, t=t), LoadData(f=lambda x: np.sin(3.0 * x)),
+                                 ControlParams(nu=1e-6, eta=1e-3, a=-5.0, b=5.0), scheme=scheme)
+        ps = _PatternSolver(problem)
+        assert (ps.kl, ps.ku) == ((7, 6) if n >= 3 else (2, 4))
+        assert ps.ab.shape == (2 * ps.kl + ps.ku + 1, 5 * n)
 
     def test_band_memory_is_its_storage(self):
         # the large-n benchmark's sine load at n = 2e4 with every other
@@ -822,7 +847,7 @@ class TestBandedPatternSolve:
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        arrays = ps.ab.nbytes + ps.scale.nbytes + ps.b_end.nbytes + ps.avg_end.nbytes
+        arrays = ps.ab.nbytes + ps.scale.nbytes + sum(row[2].nbytes for row in ps.controls)
         assert kept <= arrays + 3 * n * 8 + 100_000
 
     def test_zero_pivot_raises(self):
