@@ -4,8 +4,8 @@ Library layout:
 
     meshes        1D meshes, P0/P1 fields, quadrature, projections, L2
                   norms and cross-mesh differences
-    fem           beam discretization (standard and locking-free), banded
-                  operator and solves, mixed-formulation blocks
+    fem           beam discretization (standard and locking-free), loads by
+                  one quadrature rule, banded operator and solves
     control       cost functional, branch classification, complementarity,
                   multipliers
     problem       ControlProblem container tying the layers together, with

@@ -13,8 +13,10 @@ which is algebraically identical to a mixed method with a piecewise-constant
 shear force eliminated elementwise.
 
 The element terms are summed straight into the stiffness band; the sparse
-matrices (the stiffness K, the control load B, the P1 mass and the mixed
-blocks) are banded, and scipy's diags and kron assemble them.
+matrices (the stiffness K, the control load B and the P1 mass) are banded,
+and scipy's diags and kron assemble them.  Every load is integrated by the
+two-point Gauss rule, exact in exact arithmetic for constant, P0 and P1
+data; the P0 control enters through B alone.
 
 The adjoint problem of the control problem reuses the same operator; its
 load Ld - Mt x, the tracking residual, comes from the optimality system in
@@ -44,8 +46,6 @@ __all__ = [
     "control_load_matrix",
     "p1_mass_matrix",
     "BeamOperator",
-    "recover_shear",
-    "assemble_mixed_blocks",
 ]
 
 STANDARD = "standard"
@@ -103,9 +103,9 @@ class LoadData:
     """Problem data: transverse load f, moment load g, deflection target w_d.
 
     Each entry may be a constant, a callable of x, a P0Field or a P1Field.
-    Constants and P0 fields are integrated exactly, the others by two-point
-    Gauss quadrature; entries are evaluated pointwise, so callables need
-    not vanish at the boundary.
+    Every entry is integrated by two-point Gauss quadrature, exact for
+    constants, P0 fields and P1 fields on the mesh; entries are evaluated
+    pointwise, so callables need not vanish at the boundary.
     """
 
     f: ScalarData = 0.0
@@ -117,7 +117,6 @@ class LoadData:
 class StateSolution:
     w: P1Field
     theta: P1Field
-    gamma: P0Field  # recovered shear force
 
 
 @dataclass(frozen=True)
@@ -162,28 +161,22 @@ def _stiffness_band(mesh: Mesh1D, params: BeamParams, scheme: str) -> np.ndarray
 
 
 def _load_component(data: ScalarData, mesh: Mesh1D) -> np.ndarray:
-    """Nodal load vector int data * phi_i for all nodes (boundary included)."""
-    n = mesh.n
+    """Nodal load vector int data * phi_i for all nodes (boundary included),
+    by the two-point Gauss rule on each element."""
     h = mesh.element_sizes
-    out = np.zeros(n + 1)
-    exact = isinstance(data, P0Field) or np.isscalar(data)  # midpoint rule, exact for P0
     points, wq = GAUSS_2PT
-    x = mesh.midpoints if exact else mesh.nodes[:-1, None] + h[:, None] * points[None, :]
-    fx = point_values(data, mesh, x)
+    fx = point_values(data, mesh, mesh.nodes[:-1, None] + h[:, None] * points[None, :])
     if not np.all(np.isfinite(fx)):
         raise ValueError("load evaluation produced non-finite values")
-    if exact:
-        out[:-1] += fx * h / 2.0
-        out[1:] += fx * h / 2.0
-        return out
+    out = np.zeros(mesh.n + 1)
     out[:-1] += h * ((fx * (1.0 - points)[None, :]) @ wq)
     out[1:] += h * ((fx * points[None, :]) @ wq)
     return out
 
 
-def assemble_load(mesh: Mesh1D, params: BeamParams, f_plus_u: ScalarData, g: ScalarData) -> np.ndarray:
-    """Interior load vector: int (f+u) v on w-dofs, (t^2/12) int g beta on theta-dofs."""
-    Fw = _load_component(f_plus_u, mesh)
+def assemble_load(mesh: Mesh1D, params: BeamParams, f: ScalarData, g: ScalarData) -> np.ndarray:
+    """Interior load vector: int f v on w-dofs, (t^2/12) int g beta on theta-dofs."""
+    Fw = _load_component(f, mesh)
     Fg = _load_component(g, mesh)
     m = 2 * (mesh.n - 1)
     out = np.zeros(m)
@@ -192,17 +185,13 @@ def assemble_load(mesh: Mesh1D, params: BeamParams, f_plus_u: ScalarData, g: Sca
     return out
 
 
-def _end_loads(mesh: Mesh1D) -> sp.dia_matrix:
-    """h_j/2 from element j to each of its interior end nodes, shape (n-1, n):
-    interior node i is the right end of element i - 1 and the left of i."""
-    h = mesh.element_sizes
-    return sp.diags([h[:-1] / 2.0, h[1:] / 2.0], [0, 1], shape=(mesh.n - 1, mesh.n))
-
-
 def control_load_matrix(mesh: Mesh1D) -> sp.csr_matrix:
     """Sparse map from P0 control values to the interior load vector, h_j/2
-    from element j on the w dof of each interior end node, shape (2(n-1), n)."""
-    return sp.kron(_end_loads(mesh), [[1.0], [0.0]], format="csr")
+    from element j on the w dof of each interior end node, shape (2(n-1), n):
+    interior node i is the right end of element i - 1 and the left of i."""
+    h = mesh.element_sizes
+    ends = sp.diags([h[:-1] / 2.0, h[1:] / 2.0], [0, 1], shape=(mesh.n - 1, mesh.n))
+    return sp.kron(ends, [[1.0], [0.0]], format="csr")
 
 
 def p1_mass_matrix(mesh: Mesh1D) -> sp.csr_matrix:
@@ -330,40 +319,3 @@ class BeamOperator:
 def _interleave(a: P1Field, b: P1Field) -> np.ndarray:
     """Interleaved interior vector of a field pair; inverts BeamOperator.split."""
     return np.column_stack([a.interior, b.interior]).ravel()
-
-
-def recover_shear(mesh: Mesh1D, params: BeamParams, w: P1Field, theta: P1Field) -> P0Field:
-    """Elementwise shear force gamma = (kappa/t^2) (dw/dx - mean(theta))."""
-    dw = np.diff(w.values) / mesh.element_sizes
-    tbar = 0.5 * (theta.values[:-1] + theta.values[1:])
-    return P0Field(mesh, (params.kappa / params.t**2) * (dw - tbar))
-
-
-# ------------------------------------------------------- mixed system
-
-def assemble_mixed_blocks(mesh: Mesh1D, params: BeamParams):
-    """Explicit three-field mixed system blocks over (w, theta; gamma).
-
-    Returns (A, C, Mg):
-      A  : bending block on interior (w, theta) dofs,
-      C  : coupling int gamma (v' - beta), shape (2(n-1), n),
-      Mg : diagonal P0 mass, so the shear equation reads
-           (t^2/kappa) Mg gamma = C^T [w; theta].
-    """
-    n = mesh.n
-    h = mesh.element_sizes
-    Eb = params.E / 12.0
-
-    main = Eb / h[:-1] + Eb / h[1:]
-    off = -Eb / h[1:-1]
-    Ath = sp.diags([off, main, off], [-1, 0, 1])
-    # bending acts on the theta dofs only: Ath on the odd interleaved dofs
-    A = sp.kron(Ath, [[0.0, 0.0], [0.0, 1.0]], format="csr")
-
-    # element j couples to its interior end nodes: the w-test gives
-    # int_j gamma v' = gamma_j (v(x_{j+1}) - v(x_j)), the theta-test
-    # -int_j gamma beta = -gamma_j h_j/2 at each end node
-    jumps = sp.diags([1.0, -1.0], [0, 1], shape=(n - 1, n))
-    C = (sp.kron(jumps, [[1.0], [0.0]]) - sp.kron(_end_loads(mesh), [[0.0], [1.0]])).tocsr()
-    Mg = sp.diags(h).tocsr()
-    return A, C, Mg

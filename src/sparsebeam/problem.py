@@ -36,7 +36,6 @@ from .fem import (
     assemble_load,
     control_load_matrix,
     p1_mass_matrix,
-    recover_shear,
 )
 from .meshes import Mesh1D, P0Field, p0_average, restrict_p0
 
@@ -96,17 +95,14 @@ class ControlProblem:
         if u is not None and u.mesh != self.mesh:
             raise ValueError("u lives on a different mesh")
         s = self.system
-        return self._state(s.operator.solve(s.Lf if u is None else s.Lf + s.B @ u.values))
+        x = s.operator.solve(s.Lf if u is None else s.Lf + s.B @ u.values)
+        return StateSolution(*s.operator.split(x))
 
     def solve_adjoint(self, state: StateSolution) -> AdjointSolution:
         """The descent adjoint K y = Ld - Mt x, its load int (w_d - w) v."""
         s = self.system
         y = s.operator.solve(s.Ld - s.Mt @ _interleave(state.w, state.theta))
         return AdjointSolution(*s.operator.split(y))
-
-    def _state(self, x: np.ndarray) -> StateSolution:
-        w, theta = self.system.operator.split(x)
-        return StateSolution(w, theta, recover_shear(self.mesh, self.beam, w, theta))
 
     def averaged_adjoint(self, state: StateSolution) -> P0Field:
         return p0_average(self.solve_adjoint(state).p)

@@ -520,7 +520,7 @@ def ssn_solve(problem: ControlProblem, u0: Optional[P0Field] = None) -> SSNResul
     return SSNResult(
         u=u_field,
         mu=mu_field,
-        state=problem._state(x),
+        state=StateSolution(*s.operator.split(x)),
         adjoint=AdjointSolution(*s.operator.split(y)),
         multipliers=reconstruct_multipliers(u_field, mu_field, control),
         stop_reason=stop_reason,

@@ -4,8 +4,10 @@
 and lets scipy sum the duplicates; the package sums the same element
 entries straight into the stiffness diagonals, and the tests hold the two
 to exact equality.  ``solve_state`` is the one-shot state solve that builds
-its own operator and loads, against which ``ControlProblem.solve_state``
-and the manufactured-solution rates are checked.  ``kkt_consistent_scalar``
+its own operator and loads, the control integrated exactly as h/2 per end
+node, against which ``ControlProblem.solve_state`` and the
+manufactured-solution rates are checked.  ``recover_shear`` is the
+elementwise shear force of a state.  ``kkt_consistent_scalar``
 enumerates the five branches of the pointwise optimality system for one
 element, against which the complementarity function's root set is checked.
 ``pointwise_optimal_control`` is the closed form clip(shrink(pbar, eta)/nu,
@@ -16,8 +18,9 @@ optimality system at a candidate point, with the state and adjoint solved
 afresh at its control.  ``pattern_system`` stacks the coupled system of one
 branch pattern and its right-hand side from the separately built blocks,
 against which the solver's banded pattern solve is checked.
-``condense_mixed_system`` eliminates the P0 shear unknown from the
-package's mixed blocks, against which the locking-free stiffness is checked.
+``assemble_mixed_blocks`` builds the blocks of the paper's mixed form with
+a P0 shear force, and ``condense_mixed_system`` eliminates that unknown,
+against which the locking-free stiffness is checked.
 ``reduced_operator`` is the oracles' reduced operator T with every solve
 refined to long-double accuracy, against which the double build is checked.
 ``support_runs`` and ``support_measure`` describe a control's support for
@@ -51,8 +54,6 @@ from sparsebeam.fem import (
     StateSolution,
     _interleave,
     assemble_load,
-    assemble_mixed_blocks,
-    recover_shear,
 )
 from sparsebeam.meshes import Mesh1D, P0Field, P1Field, p0_average
 from sparsebeam.problem import ControlProblem
@@ -117,6 +118,35 @@ def assemble_stiffness(mesh: Mesh1D, params: BeamParams, scheme: str = LOCKING_F
     return K
 
 
+def assemble_mixed_blocks(mesh: Mesh1D, params: BeamParams):
+    """Explicit three-field mixed system blocks over (w, theta; gamma).
+
+    Returns (A, C, Mg):
+      A  : bending block on interior (w, theta) dofs,
+      C  : coupling int gamma (v' - beta), shape (2(n-1), n),
+      Mg : diagonal P0 mass, so the shear equation reads
+           (t^2/kappa) Mg gamma = C^T [w; theta].
+    """
+    n = mesh.n
+    h = mesh.element_sizes
+    Eb = params.E / 12.0
+
+    main = Eb / h[:-1] + Eb / h[1:]
+    off = -Eb / h[1:-1]
+    Ath = sp.diags([off, main, off], [-1, 0, 1])
+    # bending acts on the theta dofs only: Ath on the odd interleaved dofs
+    A = sp.kron(Ath, [[0.0, 0.0], [0.0, 1.0]], format="csr")
+
+    # element j couples to its interior end nodes: the w-test gives
+    # int_j gamma v' = gamma_j (v(x_{j+1}) - v(x_j)), the theta-test
+    # -int_j gamma beta = -gamma_j h_j/2 at each end node
+    jumps = sp.diags([1.0, -1.0], [0, 1], shape=(n - 1, n))
+    ends = sp.diags([h[:-1] / 2.0, h[1:] / 2.0], [0, 1], shape=(n - 1, n))
+    C = (sp.kron(jumps, [[1.0], [0.0]]) - sp.kron(ends, [[0.0], [1.0]])).tocsr()
+    Mg = sp.diags(h).tocsr()
+    return A, C, Mg
+
+
 def condense_mixed_system(mesh: Mesh1D, params: BeamParams) -> np.ndarray:
     """Eliminate the P0 shear unknown; equals the locking_free stiffness."""
     A, C, Mg = assemble_mixed_blocks(mesh, params)
@@ -136,11 +166,20 @@ def solve_state(
     op = BeamOperator(mesh, params, scheme)
     rhs = assemble_load(mesh, params, loads.f, loads.g)
     if u is not None:
-        # added separately so a callable f keeps its quadrature and the
-        # piecewise-constant control is integrated exactly
-        rhs = rhs + assemble_load(mesh, params, u, 0.0)
-    w, th = op.split(op.solve(rhs))
-    return StateSolution(w, th, recover_shear(mesh, params, w, th))
+        # int u v exactly: h_j/2 u_j on the w-dof of each interior end node
+        # of element j, added after f so a callable f keeps its quadrature
+        half = u.values * mesh.element_sizes / 2.0
+        control = np.zeros(2 * (mesh.n - 1))
+        control[0::2] = half[:-1] + half[1:]
+        rhs = rhs + control
+    return StateSolution(*op.split(op.solve(rhs)))
+
+
+def recover_shear(mesh: Mesh1D, params: BeamParams, w: P1Field, theta: P1Field) -> P0Field:
+    """Elementwise shear force gamma = (kappa/t^2) (dw/dx - mean(theta))."""
+    dw = np.diff(w.values) / mesh.element_sizes
+    tbar = 0.5 * (theta.values[:-1] + theta.values[1:])
+    return P0Field(mesh, (params.kappa / params.t**2) * (dw - tbar))
 
 
 def kkt_consistent_scalar(u: float, mu: float, a: float, b: float, eta: float,

@@ -16,17 +16,21 @@ from sparsebeam.fem import (
     LinearSolveError,
     LoadData,
     assemble_load,
-    assemble_mixed_blocks,
     control_load_matrix,
     p1_mass_matrix,
-    recover_shear,
 )
 from sparsebeam.control import ControlParams
 from sparsebeam.meshes import Mesh1D, P0Field, P1Field, build_uniform_mesh, eval_p1
 from sparsebeam.problem import ControlProblem
 from manufactured import error_norms
 from reference import assemble_stiffness as coo_stiffness
-from reference import condense_mixed_system, p1_interpolant, solve_state
+from reference import (
+    assemble_mixed_blocks,
+    condense_mixed_system,
+    p1_interpolant,
+    recover_shear,
+    solve_state,
+)
 
 
 def analytic_constant_load(params, q=1.0, L=1.0):
@@ -162,7 +166,7 @@ class TestLoads:
 
     @pytest.mark.parametrize("kind", ["nan-constant", "inf-constant", "nan-p0", "nan-moment"])
     def test_nonfinite_exact_load_is_rejected(self, kind):
-        # constants and P0 fields take the midpoint rule, not the quadrature
+        # a non-finite constant or P0 value reaches a quadrature point
         mesh = build_uniform_mesh(4)
         params = BeamParams(E=1.0, t=0.1, kappa_override=1.0)
         f, g = {
@@ -173,6 +177,25 @@ class TestLoads:
         }[kind]
         with pytest.raises(ValueError, match="non-finite"):
             assemble_load(mesh, params, f, g)
+
+    @pytest.mark.parametrize("values", [np.full(11, 0.1), np.linspace(-3.0, 5.0, 11) ** 3],
+                             ids=["constant", "varying"])
+    def test_one_rule_for_every_data_kind(self, values):
+        # P0 data and a callable of the same value on each element take the
+        # one two-point rule, on a graded mesh too, so they load bit for bit
+        # alike; so does a constant
+        mesh = Mesh1D(np.linspace(0.0, 1.0, 12) ** 2)
+        params = BeamParams(E=1.0, t=0.1, kappa_override=1.0)
+
+        def sampled(x):  # the value on the element that holds each point
+            return values[np.searchsorted(mesh.nodes, x, side="right") - 1]
+
+        kinds = [sampled, P0Field(mesh, values)]
+        if np.all(values == values[0]):
+            kinds.append(float(values[0]))
+        loads = [assemble_load(mesh, params, f, f) for f in kinds]
+        for load in loads[1:]:
+            assert np.array_equal(load, loads[0])
 
     def test_moment_load_scaling(self):
         mesh = build_uniform_mesh(4)
@@ -212,7 +235,7 @@ class TestStateSolve:
         st = solve_state(mesh, params, LoadData())
         assert np.all(st.w.values == 0)
         assert np.all(st.theta.values == 0)
-        assert np.all(st.gamma.values == 0)
+        assert np.all(recover_shear(mesh, params, st.w, st.theta).values == 0)
 
     def test_linearity_in_control(self):
         mesh = build_uniform_mesh(8)
@@ -235,7 +258,8 @@ class TestStateSolve:
         assert eval_p1(st.w, 0.5) == pytest.approx(w_ex(0.5), rel=1e-3)
         # rotation and shear come out nodally exact under a constant load
         assert eval_p1(st.theta, 0.25) == pytest.approx(th_ex(0.25), abs=1e-10)
-        assert np.max(np.abs(st.gamma.values - sh_ex(mesh.midpoints))) < 1e-9
+        gamma = recover_shear(mesh, params, st.w, st.theta)
+        assert np.max(np.abs(gamma.values - sh_ex(mesh.midpoints))) < 1e-9
 
     def test_standard_scheme_locks_when_thin(self):
         params = BeamParams(E=1.2, t=1e-3, kappa_override=1.0)

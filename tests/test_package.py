@@ -29,7 +29,7 @@ def test_public_surface_does_not_grow():
     # ROADMAP item 9: every public name a change adds is paid for by one it
     # removes; lower the bound when the surface shrinks
     total = sum(len(importlib.import_module(f"sparsebeam.{name}").__all__) for name in MODULES)
-    assert total <= 60
+    assert total <= 58
 
 
 @pytest.mark.parametrize("name", MODULES)
