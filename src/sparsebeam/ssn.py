@@ -31,12 +31,12 @@ pattern solves per level.  The pattern map is deterministic, so a run
 stops at the first of three events: a fixed point (its solve depends on
 the pattern alone, so its residual is final), its cap of pattern solves,
 or a recurring pattern (a cycle, which can never settle).  The main loop
-starts from z = 0, or from the nested seed below.  With a very small L2
+starts from z = 0, or from the seed below.  With a very small L2
 weight it can overshoot the bounds and cycle; it is then reseeded once
 from a proximal-point continuation, whose first weight is ten times the
 secant of the reduced operator along the last two iterates (at least nu)
-and whose first center is the warm start u0 when one is given.  Below the
-nesting size a warm start skips the main loop: the continuation starts at
+and whose first center is the warm start u0, else the seed's control.
+Without a seed a warm start skips the main loop: the continuation starts at
 c = u0 clipped to the box, from z = pbar(c), with ten times the secant
 |pbar(c) - pbar(0)| / |c| (at least nu) as its first weight, for two
 operator solves and no pattern solve.  Along a sweep the cold loop would
@@ -52,24 +52,25 @@ iterate.  The solve returns the last pattern solve, the one its stop
 tested, so stop_reason describes the returned point; a spent budget
 returns the last solve with stop_reason "max_iter".
 
-On a mesh of at least _NEST_MIN elements the solve is seeded by nested
-iteration.  It first solves the same problem on the mesh of every 16th
-node (P0 data restricted to h-weighted means), through ssn_solve, so a
-coarse mesh that is still large nests again.  The fine main loop then
-classifies its first pattern from z = pbar of the coarse adjoint p,
-interpolated linearly at the fine nodes (exact at the coarse nodes, which
-are fine nodes) and averaged per fine element; without a u0 the coarse
-control, each fine element taking the value of the coarse element that
-holds it, is the reseed's first center.  The discrete controls and
-adjoints converge at the optimal order uniformly in the thickness, and
-semismooth Newton is mesh-independent (Hintermueller and Ulbrich, A
-mesh-independence result for semismooth Newton methods, Math. Program.
-2004), so the interpolated adjoint classifies the fine pattern: at
-nu = 1e-6 the fine loop ends after one pattern solve, its first pattern
-already the fixed point.  The seed changes only where the iteration
-starts.  A pattern's solve depends on the pattern alone, so a seeded solve
-that settles on the cold solve's pattern returns the same control, bit for
-bit.
+A seed, the solve of the same problem on another mesh of the same
+interval, coarser or finer, sets where the main loop starts: it classifies
+its first pattern from z = pbar of the seed's adjoint p, interpolated
+linearly at the mesh's nodes and averaged per element, and without a u0
+the seed's control at each element's midpoint is the reseed's first
+center.  The discrete controls and adjoints converge at the optimal order
+uniformly in the thickness, and semismooth Newton is mesh-independent
+(Hintermueller and Ulbrich, A mesh-independence result for semismooth
+Newton methods, Math. Program. 2004), so the interpolated adjoint
+classifies the mesh's pattern: a grid study's locking-free cell, seeded
+from its reference, ends after one pattern solve.  On a mesh of at least
+_NEST_MIN elements a solve given no seed is nested: its seed is the same
+problem solved on the mesh of every 16th node (P0 data restricted to
+h-weighted means), through ssn_solve, so a coarse mesh that is still large
+nests again; at nu = 1e-6 the fine loop ends after one pattern solve.  A
+pattern's solve depends on the pattern alone, so a seeded solve that
+settles on the cold solve's pattern returns the same control, bit for bit;
+a poor seed, one of another discretization, costs more solves, not another
+control.
 """
 from __future__ import annotations
 
@@ -109,8 +110,9 @@ class SSNResult:
 
     iterations counts the pattern solves on the problem's own mesh, main
     loop and reseed together, at most _MAX_ITER; coarse_iterations counts
-    those of all the coarse levels of a nested solve, 0 below the nesting
-    size.  residual_history is that of the problem's own mesh: the main
+    those of all the coarse levels of a nested solve, and is 0 below the
+    nesting size and for a given seed, whose work the call that produced
+    it counted.  residual_history is that of the problem's own mesh: the main
     loop's solves and the settled probe's, so a warm start that settles in
     the reseed records one solve, and one that spends the budget there
     none."""
@@ -150,12 +152,13 @@ _U, _X, _Y = 0, 1, 3  # slot of the control, of the state pair and of the adjoin
 # 512 to 2,048 measured alike and 4,096 and up slower (Xeon, 2 MB of L2 per core)
 _CHUNK = 1024
 
-# Nested iteration: a solve on at least _NEST_MIN elements first solves the
-# problem on the mesh of every _NEST_K-th node and classifies its first
-# pattern from that solve.  On the sine loads at nu = 1e-6 the nested solve
-# overtook the cold one between 1024 and 2048 elements; one power of two
-# above that it won on every load measured (crossover table in ROADMAP.md,
-# measured with the older seed that injected the coarse z into each fine element).
+# Nested iteration: without a seed, a solve on at least _NEST_MIN elements
+# is seeded from the problem solved on the mesh of every _NEST_K-th node.
+# Nesting from 1,024 elements kept the controls of both random sets of
+# scripts/nested_random_set.py bit-identical and cut the element-weighted work
+# on [1,024, 4,096) by 57 % ("Nesting from 1,024 elements" in ROADMAP.md),
+# but the benchmark's gated pattern count leaves out coarse solves, so a lower
+# size would move work out of its sight.  The grids stay below it.
 _NEST_MIN = 4096
 _NEST_K = 16
 
@@ -376,9 +379,9 @@ def _continuation_seed(ps: _PatternSolver, z: np.ndarray, tau: float,
     Each stage solves the problem plus tau/2 * ||u - c||^2 centered at c:
     the true weight's sparsity threshold and box, with the classification
     point shifted by tau*c and the quadratic weight inflated by tau.  The
-    first center is the caller's (a warm start, the prolonged coarse
-    control, or the pointwise map of the cycling iterate), later ones the
-    previous stage's solution.  Centering keeps the stage solutions
+    first center is the caller's (a warm start, the seed's control, or the
+    pointwise map of the cycling iterate), later ones the previous stage's
+    solution.  Centering keeps the stage solutions
     converging to the true minimizer as tau shrinks; each settled stage is
     an exact proximal-point step, which cannot increase the distance to the
     minimizer.  The active-set map is contractive once tau dominates the
@@ -416,23 +419,31 @@ def _continuation_seed(ps: _PatternSolver, z: np.ndarray, tau: float,
             return total, run._replace(stop="cap")
 
 
-def ssn_solve(problem: ControlProblem, u0: Optional[P0Field] = None) -> SSNResult:
-    """Run the active-set iteration to the finite-termination fixed point,
-    seeded from a coarse solve on at least _NEST_MIN elements, and return
-    its last pattern solve (see SSNResult).
+def ssn_solve(problem: ControlProblem, u0: Optional[P0Field] = None,
+              seed: Optional[SSNResult] = None) -> SSNResult:
+    """Run the active-set iteration to the finite-termination fixed point
+    and return its last pattern solve (see SSNResult).
+
+    The seed is the SSNResult of the same problem on another mesh of the
+    same interval, coarser or finer; one on another interval is rejected
+    before any solve.  It moves only where the iteration starts (see the
+    module docstring).  Without a seed, a solve on at least _NEST_MIN
+    elements takes a coarse solve of its own as the seed.
 
     The warm start u0 must live on the problem's mesh and be finite once
     clipped to the box (so no NaN); the solve reads it only clipped, as the
-    first center of the reseed.  Below the nesting size the solve starts in
-    that reseed (unless u = 0 is optimal or u0 clips to zero), whose first
+    first center of the reseed.  Without a seed the solve starts in that
+    reseed (unless u = 0 is optimal or u0 clips to zero), whose first
     proximal stage classifies from pbar(u0).  No classification at the true
     weight starts from u0: along a sweep, the previous control's adjoint
-    average lies inside the new weight's zero band.  A nested solve
-    restricts the clipped u0 to the coarse mesh for the coarse solve, and
-    centers the fine reseed at it if the fine loop cycles."""
+    average lies inside the new weight's zero band.  A seeded solve centers
+    its reseed at the clipped u0 if its main loop cycles, and a nested one
+    restricts the clipped u0 to the coarse mesh for the coarse solve."""
     mesh, control = problem.mesh, problem.control
     nu, eta = control.nu, control.eta
     a, b = problem.bounds
+    if seed is not None and seed.u.mesh.length != mesh.length:
+        raise ValueError("seed lives on a different interval")
     if u0 is not None:
         if u0.mesh != mesh:
             raise ValueError("u0 lives on a different mesh")
@@ -440,17 +451,18 @@ def ssn_solve(problem: ControlProblem, u0: Optional[P0Field] = None) -> SSNResul
         if not np.all(np.isfinite(u0)):
             raise ValueError("u0 must be finite once clipped to the box")
     z0, coarse_iterations, center = np.zeros(mesh.n), 0, u0
-    if mesh.n >= _NEST_MIN:
+    if seed is None and mesh.n >= _NEST_MIN:
         coarse = coarsen(mesh, _NEST_K)
         seed = ssn_solve(problem.restricted(coarse),
                          None if u0 is None else restrict_p0(P0Field(mesh, u0), coarse))
         coarse_iterations = seed.iterations + seed.coarse_iterations
-        # the coarse adjoint, linear between the coarse nodes, averaged per fine element
-        z0 = p0_average(P1Field(mesh, np.interp(mesh.nodes, coarse.nodes,
+    if seed is not None:
+        other = seed.u.mesh
+        # the seed's adjoint, linear between its nodes, averaged per element
+        z0 = p0_average(P1Field(mesh, np.interp(mesh.nodes, other.nodes,
                                                 seed.adjoint.p.values))).values
-        if center is None:
-            owner = np.arange(mesh.n) // _NEST_K  # the coarse element holding each fine one
-            center = seed.u.values[owner]
+        if center is None:  # the seed's control at each element's midpoint
+            center = seed.u.values[np.searchsorted(other.nodes, mesh.midpoints) - 1]
     ps, s = _PatternSolver(problem), problem.system
 
     residual_history: List[float] = []
@@ -474,7 +486,7 @@ def ssn_solve(problem: ControlProblem, u0: Optional[P0Field] = None) -> SSNResul
         residual_history.append(max(r_state, r_adj, np.max(np.abs(c)) / max(1.0, nu)))
 
     start, iterations = None, 0  # the reseed's first z, tau and center
-    if u0 is not None and mesh.n < _NEST_MIN:
+    if u0 is not None and seed is None:
         # warm first: the reseed starts at c = u0, its tau from the secant
         # pbar(c) - pbar(0) = -T c of the reduced operator (two operator
         # solves of two columns), unless u = 0 is optimal, which the main

@@ -232,6 +232,29 @@ class TestGridStudies:
         errs = [r["control_error"] for r in rows]
         assert errs[0] > errs[1]  # finer mesh, smaller error
 
+    def test_shipped_grid_work(self, monkeypatch):
+        # each locking-free cell is seeded from its thickness's reference and
+        # settles on its first pattern with the cold solve's control; the
+        # standard cells, another discretization, start cold
+        solves = []
+
+        def record(problem, **kwargs):
+            res = ssn.ssn_solve(problem, **kwargs)
+            solves.append((problem, kwargs.get("seed"), res))
+            return res
+
+        monkeypatch.setattr(experiments, "ssn_solve", record)
+        rows = run_convergence(load_config(CONFIGS / "convergence.ini"))[0]
+        rows += run_locking(load_config(CONFIGS / "locking.ini"))
+        assert [r["iterations"] for r in rows if r["scheme"] == "locking_free"] == [1] * 11
+        # standard, thickness 0.001 then 0.01, n = 16, 32, 64
+        assert [r["iterations"] for r in rows if r["scheme"] == "standard"] == [1, 1, 1, 1, 1, 5]
+        seeded = [(problem, res) for problem, seed, res in solves if seed is not None]
+        assert len(seeded) == 11
+        assert all(problem.scheme == "locking_free" for problem, _ in seeded)
+        for problem, res in seeded:
+            assert np.array_equal(res.u.values, ssn.ssn_solve(problem).u.values)
+
     def test_convergence_rejects_thicknesses(self, tmp_path, monkeypatch):
         # the study solves [material] thickness alone, so a thickness list
         # it would not solve is a configuration error, raised before any solve

@@ -259,9 +259,9 @@ def _spied_solves(monkeypatch):
     calls = []
     solve = ssn.ssn_solve
 
-    def spy(problem, u0=None):
+    def spy(problem, u0=None, seed=None):
         calls.append((problem.mesh, u0))
-        return solve(problem, u0)
+        return solve(problem, u0, seed)
 
     monkeypatch.setattr(ssn, "ssn_solve", spy)
     return calls
@@ -342,6 +342,74 @@ class TestNestedSeed:
         assert c2.mesh is low and np.array_equal(c2.values, restrict_p0(c1, low).values)
         assert np.array_equal(mid.nodes, coarsen(mesh, 16).nodes)
         assert res.coarse_iterations > 0 and len(res.residual_history) <= 30
+
+
+class TestSeed:
+    @pytest.mark.parametrize("n, length", [(50, 2.0), (25, 0.5)])
+    def test_seed_on_another_interval_is_rejected_before_any_solve(self, monkeypatch, n, length):
+        problem = toy_problem(nu=1e-8)
+        seed = ssn_solve(replace(problem, mesh=build_uniform_mesh(n, length)))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a pattern from a seed on another interval")
+
+        monkeypatch.setattr(_PatternSolver, "solve", no_solve)
+        with pytest.raises(ValueError, match="different interval"):
+            ssn_solve(problem, seed=seed)
+
+    def test_coarse_seed_is_the_nested_solve(self, monkeypatch):
+        # nesting is the seed rule with the coarse solve as the seed; a
+        # given seed makes no coarse solve, and its work is not counted again
+        problem = _p0_problem(Mesh1D(np.linspace(0.0, 1.0, ssn._NEST_MIN + 6) ** 1.5))
+        nested = ssn_solve(problem)
+        seed = ssn_solve(problem.restricted(coarsen(problem.mesh, ssn._NEST_K)))
+        calls = _spied_solves(monkeypatch)
+        seeded = ssn.ssn_solve(problem, seed=seed)
+        assert len(calls) == 1
+        assert seeded.coarse_iterations == 0
+        assert nested.coarse_iterations == seed.iterations + seed.coarse_iterations
+        assert (seeded.iterations, seeded.stop_reason) == (nested.iterations, nested.stop_reason)
+        assert np.array_equal(seeded.u.values, nested.u.values)
+
+    @pytest.mark.parametrize("nodes", [np.linspace(0.0, 1.0, 76), np.linspace(0.0, 1.0, 801) ** 1.5],
+                             ids=["coarser", "finer_graded"])
+    def test_cycling_seeded_loop_reseeds_at_the_seed_control(self, monkeypatch, nodes):
+        # at nu = 1e-12 the seeded main loop still cycles; the reseed is
+        # centered at the seed's control in the seed element holding each
+        # element's midpoint, and it settles on the cold control
+        problem = _cycling_sine_problem()
+        cold = ssn_solve(problem)
+        seed = ssn_solve(replace(problem, mesh=Mesh1D(nodes)))
+        centers = []
+        reseed = ssn._continuation_seed
+
+        def spy(ps, z, tau, c, budget):
+            centers.append(c)
+            return reseed(ps, z, tau, c, budget)
+
+        monkeypatch.setattr(ssn, "_continuation_seed", spy)
+        res = ssn_solve(problem, seed=seed)
+        mid = problem.mesh.midpoints
+        holder = np.argmax((nodes[:-1, None] < mid) & (mid <= nodes[1:, None]), axis=0)
+        assert len(centers) == 1
+        assert np.array_equal(centers[0], seed.u.values[holder])
+        assert res.converged and res.coarse_iterations == 0
+        assert np.array_equal(res.u.values, cold.u.values)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_poor_seed_costs_solves_not_the_control(self, n):
+        # the standard scheme locks at t = 1e-3, so its 512-element solve is a
+        # poor seed for a locking-free cell: it costs more solves than the
+        # locking-free reference, and the cell still returns the cold control
+        cfg = load_config(CONFIGS / "locking.ini")
+        std, ref = (ssn_solve(build_problem(cfg, n=512, thickness=1e-3, scheme=s))
+                    for s in ("standard", "locking_free"))
+        problem = build_problem(cfg, n=n, thickness=1e-3, scheme="locking_free")
+        cold, good, poor = ssn_solve(problem), ssn_solve(problem, seed=ref), ssn_solve(problem, seed=std)
+        assert good.iterations == 1 < poor.iterations
+        assert good.converged and poor.converged
+        assert np.array_equal(good.u.values, cold.u.values)
+        assert np.array_equal(poor.u.values, cold.u.values)
 
 
 def _runs(solves):
